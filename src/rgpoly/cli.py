@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/validation error.
-The default enumeration cap may be overridden with the RGPOLY_CAP
-environment variable or the --cap flag.
+Exit codes: 0 success, 1 verification failure, 2 bad input: a parse or
+validation error, an unreadable or non-UTF-8 input file, or a bad cap.
+The enumeration cap (24 edges for br/rtutte, 20 classical crossings for
+bracket/jones) may be overridden with the RGPOLY_CAP environment variable
+or the --cap flag; either must be a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -15,9 +17,21 @@ import sys
 from . import formats, poly, verify
 from .convert import link_to_tait, plane_to_ribbon, ribbon_to_plane
 from .errors import RgpolyError
-from .links import jones, kauffman_bracket
+from .links import DEFAULT_CROSSING_CAP, jones, kauffman_bracket
 from .planemap import dual, relative_tutte
 from .ribbon import DEFAULT_EDGE_CAP, bollobas_riordan
+
+# command -> (help, file reader, state sum, default enumeration cap)
+_POLYNOMIALS = {
+    "br": ("Bollobas-Riordan polynomial of a .rg file",
+           formats.parse_ribbon, bollobas_riordan, DEFAULT_EDGE_CAP),
+    "rtutte": ("relative Tutte polynomial of a .rpg file",
+               formats.parse_rpg, relative_tutte, DEFAULT_EDGE_CAP),
+    "bracket": ("Kauffman bracket of a .vld file",
+                formats.parse_vld, kauffman_bracket, DEFAULT_CROSSING_CAP),
+    "jones": ("Jones polynomial of a .vld file",
+              formats.parse_vld, jones, DEFAULT_CROSSING_CAP),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,22 +40,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bollobas-Riordan and relative Tutte polynomial toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, with_subs=True, with_cap=True):
+    for name, (help_, *_) in _POLYNOMIALS.items():
         p = sub.add_parser(name, help=help_)
-        if with_subs:
-            p.add_argument("--substitute", action="append", default=[],
-                           metavar="VAR=EXPR[,VAR=EXPR…]",
-                           help="substitutions applied before printing; "
-                                "VAR may be a glob like x_*")
-        if with_cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="enumeration cap override")
-        return p
-
-    add("br", "Bollobas-Riordan polynomial of a .rg file").add_argument("file")
-    add("rtutte", "relative Tutte polynomial of a .rpg file").add_argument("file")
-    add("bracket", "Kauffman bracket of a .vld file").add_argument("file")
-    add("jones", "Jones polynomial of a .vld file").add_argument("file")
+        p.add_argument("--substitute", action="append", default=[],
+                       metavar="VAR=EXPR[,VAR=EXPR…]",
+                       help="substitutions applied before printing; "
+                            "VAR may be a glob like x_*")
+        p.add_argument("--cap", type=int, default=None,
+                       help="enumeration cap override")
+        p.add_argument("file")
 
     conv = sub.add_parser("convert", help="convert between representations")
     conv.add_argument("--to", required=True,
@@ -52,10 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dualp.add_argument("file")
 
     ver = sub.add_parser("verify", help="run the theorem suite")
-    ver.add_argument("--main", action="store_true")
-    ver.add_argument("--identities", action="store_true")
-    ver.add_argument("--duality", action="store_true")
-    ver.add_argument("--bracket", action="store_true")
+    for name in verify.CHECKS:
+        ver.add_argument(f"--{name}", action="store_true")
     ver.add_argument("--random", type=int, default=20, metavar="N")
     ver.add_argument("--seed", type=int, default=0, metavar="S")
     ver.add_argument("--max-size", type=int, default=5, metavar="K")
@@ -64,10 +69,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    return int(os.environ.get("RGPOLY_CAP", DEFAULT_EDGE_CAP))
+def _cap(args, default: int) -> int:
+    cap = args.cap
+    if cap is None:
+        text = os.environ.get("RGPOLY_CAP")
+        if text is None:
+            return default
+        try:
+            cap = int(text)
+        except ValueError:
+            raise RgpolyError(f"RGPOLY_CAP is not an integer: {text!r}") from None
+    if cap < 0:
+        raise RgpolyError(f"the enumeration cap must be nonnegative, got {cap}")
+    return cap
 
 
 def _apply_substitutions(p: poly.Polynomial, specs: list) -> poly.Polynomial:
@@ -88,8 +102,13 @@ def _apply_substitutions(p: poly.Polynomial, specs: list) -> poly.Polynomial:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:      # missing, a directory, unreadable
+        raise RgpolyError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise RgpolyError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -99,39 +118,26 @@ def main(argv=None) -> int:
     except RgpolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _dispatch(args) -> int:
     cmd = args.command
-    if cmd == "br":
-        R = formats.parse_ribbon(_read(args.file))
-        p = bollobas_riordan(R, cap=_cap(args))
-    elif cmd == "rtutte":
-        G = formats.parse_rpg(_read(args.file))
-        p = relative_tutte(G, cap=_cap(args))
-    elif cmd == "bracket":
-        L = formats.parse_vld(_read(args.file))
-        p = kauffman_bracket(L, cap=_cap(args))
-    elif cmd == "jones":
-        L = formats.parse_vld(_read(args.file))
-        p = jones(L, cap=_cap(args))
-    elif cmd == "convert":
+    if cmd in _POLYNOMIALS:
+        _, read, polynomial, default_cap = _POLYNOMIALS[cmd]
+        p = polynomial(read(_read(args.file)), cap=_cap(args, default_cap))
+        print(_apply_substitutions(p, args.substitute).canonical())
+        return 0
+    if cmd == "convert":
         return _convert(args)
-    elif cmd == "dual":
+    if cmd == "dual":
         G = formats.parse_rpg(_read(args.file))
         print(formats.serialize_rpg(dual(G)), end="")
         return 0
-    elif cmd == "verify":
+    if cmd == "verify":
         return _verify(args)
-    elif cmd == "selftest":
-        return _selftest()
-    else:  # pragma: no cover - argparse enforces the choices
-        return 2
-    print(_apply_substitutions(p, args.substitute).canonical())
-    return 0
+    failures = _report(list(verify.CHECKS), count=5, seed=2024, max_size=4)
+    print("selftest:", "FAIL" if failures else "PASS")
+    return 1 if failures else 0
 
 
 def _convert(args) -> int:
@@ -152,31 +158,19 @@ def _convert(args) -> int:
 
 
 def _verify(args) -> int:
-    checks = [name for name, on in (("main", args.main),
-                                    ("identities", args.identities),
-                                    ("duality", args.duality),
-                                    ("bracket", args.bracket)) if on]
-    if not checks:
-        checks = ["main", "identities", "duality", "bracket"]
-    failures = 0
-    for report, size in verify.run_suite(checks, args.random, args.seed,
-                                         args.max_size):
-        print(report.line(size))
-        if not report.passed:
-            failures += 1
+    checks = [name for name in verify.CHECKS if getattr(args, name)]
+    failures = _report(checks or list(verify.CHECKS), args.random, args.seed,
+                       args.max_size)
     return 1 if failures else 0
 
 
-def _selftest() -> int:
+def _report(checks: list, count: int, seed: int, max_size: int) -> int:
+    """Print one line per seeded check; return the number that failed."""
     failures = 0
-    for report, size in verify.run_suite(
-            ["main", "identities", "duality", "bracket"],
-            count=5, seed=2024, max_size=4):
+    for report, size in verify.run_suite(checks, count, seed, max_size):
         print(report.line(size))
-        if not report.passed:
-            failures += 1
-    print("selftest:", "FAIL" if failures else "PASS")
-    return 1 if failures else 0
+        failures += not report.passed
+    return failures
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 ``ribbon_to_plane`` draws the ribbon graph combinatorially with the layered
 router, replaces every crossing, twist mark and regular mark by its gadget
 (checkerboard 4-cycle of 0-edges / one 0-edge / one weighted regular edge)
-and contracts the remaining skeleton.  ``plane_to_ribbon`` runs the inverse
-construction through the medial circles of the 0-edge subgraph.
+and contracts the remaining skeleton with ``planemap.contract_where``.
+``plane_to_ribbon`` runs the inverse construction through the medial
+circles of the 0-edge subgraph, walking the side links of
+``ribbon.side_links``.
 ``link_to_tait`` shades a virtual link diagram and extracts its relative
 plane Tait graph with signed regular edges.
 """
@@ -14,15 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedDiagram
-from .planemap import (
-    MapEdge,
-    PlaneMap,
-    RelPlaneGraph,
-    contract,
-    faces,
-)
+from .planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces
 from .poly import ONE, var
-from .ribbon import Edge, RibbonGraph
+from .ribbon import Edge, RibbonGraph, side_links
 from .router import route
 
 
@@ -80,16 +76,10 @@ def ribbon_to_plane(R: RibbonGraph):
         edges.append(e)
         serial += 1
 
-    m = PlaneMap(vertices, edges)
     # contract every skeleton segment; the skeleton is a forest after gadget
     # substitution, so no loop can appear
-    while True:
-        target = next((i for i, e in enumerate(m.edges) if e in skeleton), None)
-        if target is None:
-            break
-        h1, h2 = m.edges[target].ends
-        assert m.vertex_of(h1) != m.vertex_of(h2)
-        m = contract(m, target)
+    m, loops = contract_where(PlaneMap(vertices, edges), skeleton.__contains__)
+    assert loops == 0
 
     zero = {i for i, e in enumerate(m.edges) if e in set(zero_edges)}
     weights = {}
@@ -113,55 +103,34 @@ def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
     edge whose two flags agree is untwisted.
     """
     M = G.map
-    h_halves = set()
-    for ei in G.zero:
-        h_halves.update(M.edges[ei].ends)
-
-    arc_next = {}       # forward (counterclockwise) arc links with payload
-    arc_prev = {}
+    arc, link, _ = side_links(M, G.zero)     # every 0-edge twisted
+    gap = {}            # 0-edge end -> ends up to the next one, counterclockwise
     lone_circles = []   # circles of vertices without any 0-edge end
     for cycle in M.vertices:
-        hs = [h for h in cycle if h in h_halves]
+        hs = [i for i, h in enumerate(cycle) if (h, 0) in link]
         if not hs:
             lone_circles.append([(end, True) for end in cycle])
             continue
-        pos = {h: i for i, h in enumerate(cycle)}
-        m = len(cycle)
-        for i, h in enumerate(hs):
-            nxt = hs[(i + 1) % len(hs)]
-            gap = []
-            j = (pos[h] + 1) % m
-            while cycle[j] != nxt:
-                gap.append(cycle[j])
-                j = (j + 1) % m
-            arc_next[(h, 1)] = ((nxt, 0), gap)
-            arc_prev[(nxt, 0)] = ((h, 1), gap)
-
-    cross = {}
-    for ei in G.zero:
-        h1, h2 = M.edges[ei].ends
-        for s in (0, 1):
-            cross[(h1, s)] = (h2, s)
-            cross[(h2, s)] = (h1, s)
+        for i, j in zip(hs, hs[1:] + [hs[0] + len(cycle)]):
+            gap[cycle[i]] = [cycle[k % len(cycle)] for k in range(i + 1, j)]
 
     circles = []
     flag = {}
     seen = set()
-    for start in sorted(set(arc_next) | set(arc_prev), key=lambda s: (str(s[0]), s[1])):
+    for start in sorted(arc, key=lambda s: (str(s[0]), s[1])):
         if start in seen:
             continue
         circle = []
         slot = start
         while True:
+            nxt = arc[slot]
             seen.add(slot)
-            if slot in arc_next:
-                nxt, gap = arc_next[slot]
-                circle.extend((end, True) for end in gap)
-            else:
-                nxt, gap = arc_prev[slot]
-                circle.extend((end, False) for end in reversed(gap))
             seen.add(nxt)
-            slot = cross[nxt]
+            if slot[1]:     # the arc runs counterclockwise from slot's end
+                circle.extend((end, True) for end in gap[slot[0]])
+            else:
+                circle.extend((end, False) for end in reversed(gap[nxt[0]]))
+            slot = link[nxt]
             if slot == start:
                 break
         circles.append(circle)
@@ -226,11 +195,7 @@ def link_to_tait(L) -> RelPlaneGraph:
     vertex_of_face = {fi: i for i, fi in enumerate(black)}
     # the corner between darts d and sigma(d) carries id d and lies in the
     # face traced through alpha(d)
-    partner = {}
-    for e in M.edges:
-        h1, h2 = e.ends
-        partner[h1] = h2
-        partner[h2] = h1
+    partner = M.partner
     rotations = [tuple(partner[x] for x in walks[fi]) for fi in black]
 
     edges = []

@@ -14,7 +14,7 @@ from .errors import MalformedCode, ParseError
 from . import poly
 from .links import VirtualLinkDiagram, realize_gauss_code
 from .planemap import MapEdge, PlaneMap, RelPlaneGraph
-from .ribbon import Edge, RibbonGraph
+from .ribbon import RibbonGraph, make_edge
 
 
 def _lines(text: str):
@@ -50,12 +50,18 @@ def _parse_weight(text: str, lineno: int) -> poly.Polynomial:
         _fail(lineno, f"bad weight expression: {exc}")
 
 
-# -- ribbon graphs (.rg) ----------------------------------------------
+def _parse_sign(text: str, lineno: int) -> int:
+    if text not in ("+", "-"):
+        _fail(lineno, f"bad sign {text!r}")
+    return 1 if text == "+" else -1
 
 
-def parse_ribbon(text: str) -> RibbonGraph:
-    vertices = []
-    edges = []
+def _map_lines(text: str, vertices: list):
+    """Read the vertex and edge lines of a .rg or .rpg file, in file order.
+
+    Vertex rotations are appended to ``vertices``; each edge line is
+    yielded as (lineno, name, ends, options).
+    """
     for lineno, line in _lines(text):
         if ":" not in line:
             _fail(lineno, "expected 'vertex NAME: …' or 'edge NAME: …'")
@@ -70,37 +76,53 @@ def parse_ribbon(text: str) -> RibbonGraph:
         positional, options = _split_fields(body)
         if len(positional) != 2:
             _fail(lineno, "edge needs exactly two half-edge names")
-        sign_text = options.pop("sign", "+")
-        if sign_text not in ("+", "-"):
-            _fail(lineno, f"bad sign {sign_text!r}")
-        x = _parse_weight(options.pop("x"), lineno) if "x" in options else None
-        y = _parse_weight(options.pop("y"), lineno) if "y" in options else None
-        if options:
-            _fail(lineno, f"unknown options {sorted(options)}")
-        sign = 1 if sign_text == "+" else -1
-        if x is None:
-            x = poly.var(f"x_{name}")
-        if y is None:
-            y = poly.var(f"y_{name}")
-        edges.append(Edge(tuple(positional), sign, x, y, name))
+        yield lineno, name, tuple(positional), options
+
+
+def _build(cls, vertices, edges):
     try:
-        return RibbonGraph(vertices, edges)
+        return cls(vertices, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
+def _vertex_lines(M) -> list[str]:
+    return [f"vertex v{i}: " + " ".join(str(h) for h in cycle)
+            for i, cycle in enumerate(M.vertices)]
+
+
+def _weight_options(label: str, x: poly.Polynomial, y: poly.Polynomial) -> str:
+    """The x=/y= options of the weights that differ from the default x_label, y_label."""
+    out = ""
+    if x != poly.var(f"x_{label}"):
+        out += f" x={x.canonical().replace(' ', '')}"
+    if y != poly.var(f"y_{label}"):
+        out += f" y={y.canonical().replace(' ', '')}"
+    return out
+
+
+# -- ribbon graphs (.rg) ----------------------------------------------
+
+
+def parse_ribbon(text: str) -> RibbonGraph:
+    vertices = []
+    edges = []
+    for lineno, name, ends, options in _map_lines(text, vertices):
+        sign = _parse_sign(options.pop("sign", "+"), lineno)
+        x = _parse_weight(options.pop("x"), lineno) if "x" in options else None
+        y = _parse_weight(options.pop("y"), lineno) if "y" in options else None
+        if options:
+            _fail(lineno, f"unknown options {sorted(options)}")
+        edges.append(make_edge(*ends, sign=sign, label=name, x=x, y=y))
+    return _build(RibbonGraph, vertices, edges)
+
+
 def serialize_ribbon(R: RibbonGraph) -> str:
-    out = []
-    for i, cycle in enumerate(R.vertices):
-        out.append(f"vertex v{i}: " + " ".join(str(h) for h in cycle))
+    out = _vertex_lines(R)
     for e in R.edges:
         sign = "+" if e.sign > 0 else "-"
-        line = f"edge {e.label}: {e.ends[0]} {e.ends[1]} sign={sign}"
-        if e.x != poly.var(f"x_{e.label}"):
-            line += f" x={e.x.canonical().replace(' ', '')}"
-        if e.y != poly.var(f"y_{e.label}"):
-            line += f" y={e.y.canonical().replace(' ', '')}"
-        out.append(line)
+        out.append(f"edge {e.label}: {e.ends[0]} {e.ends[1]} sign={sign}"
+                   + _weight_options(e.label, e.x, e.y))
     return "\n".join(out) + "\n"
 
 
@@ -113,25 +135,12 @@ def parse_rpg(text: str) -> RelPlaneGraph:
     zero = set()
     weights = {}
     signs = {}
-    for lineno, line in _lines(text):
-        if ":" not in line:
-            _fail(lineno, "expected 'vertex NAME: …' or 'edge NAME: …'")
-        head, body = line.split(":", 1)
-        head = head.split()
-        if len(head) != 2 or head[0] not in ("vertex", "edge"):
-            _fail(lineno, f"unrecognized directive {head[0] if head else ''!r}")
-        kind, name = head
-        if kind == "vertex":
-            vertices.append(tuple(body.split()))
-            continue
-        positional, options = _split_fields(body)
-        if len(positional) != 2:
-            _fail(lineno, "edge needs exactly two half-edge names")
+    for lineno, name, ends, options in _map_lines(text, vertices):
         ekind = options.pop("kind", "regular")
         if ekind not in ("regular", "zero"):
             _fail(lineno, f"bad kind {ekind!r}")
         idx = len(edges)
-        edges.append(MapEdge(tuple(positional), name))
+        edges.append(MapEdge(ends, name))
         if ekind == "zero":
             if options:
                 _fail(lineno, "a zero edge takes no weights or sign")
@@ -143,24 +152,16 @@ def parse_rpg(text: str) -> RelPlaneGraph:
             else poly.var(f"y_{name}")
         weights[idx] = (x, y)
         if "sign" in options:
-            sign_text = options.pop("sign")
-            if sign_text not in ("+", "-"):
-                _fail(lineno, f"bad sign {sign_text!r}")
-            signs[idx] = 1 if sign_text == "+" else -1
+            signs[idx] = _parse_sign(options.pop("sign"), lineno)
         if options:
             _fail(lineno, f"unknown options {sorted(options)}")
-    try:
-        M = PlaneMap(vertices, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    M = _build(PlaneMap, vertices, edges)
     M.require_plane()
     return RelPlaneGraph(M, zero, weights, signs)
 
 
 def serialize_rpg(G: RelPlaneGraph) -> str:
-    out = []
-    for i, cycle in enumerate(G.map.vertices):
-        out.append(f"vertex v{i}: " + " ".join(str(h) for h in cycle))
+    out = _vertex_lines(G.map)
     for i, e in enumerate(G.map.edges):
         line = f"edge {e.label}: {e.ends[0]} {e.ends[1]}"
         if i in G.zero:
@@ -169,12 +170,7 @@ def serialize_rpg(G: RelPlaneGraph) -> str:
         line += " kind=regular"
         if i in G.signs:
             line += f" sign={'+' if G.signs[i] > 0 else '-'}"
-        x, y = G.weights[i]
-        if x != poly.var(f"x_{e.label}"):
-            line += f" x={x.canonical().replace(' ', '')}"
-        if y != poly.var(f"y_{e.label}"):
-            line += f" y={y.canonical().replace(' ', '')}"
-        out.append(line)
+        out.append(line + _weight_options(e.label, *G.weights[i]))
     return "\n".join(out) + "\n"
 
 
@@ -265,10 +261,7 @@ def parse_vld(text: str) -> VirtualLinkDiagram:
             if c not in index:
                 raise ParseError(f"arc {name!r} references unknown crossing {c!r}")
         edges.append(MapEdge((f"{ca}.{ha}", f"{cb}.{hb}"), name))
-    try:
-        M = PlaneMap(vertices, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    M = _build(PlaneMap, vertices, edges)
     L = VirtualLinkDiagram(M, kinds, over, None, 0)
     if orients:
         by_label = {e.label: e for e in edges}

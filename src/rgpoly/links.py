@@ -3,25 +3,21 @@
 A diagram is a 4-valent plane map whose vertices are crossings, classical
 (with a designated over strand) or virtual.  Crossing-free unknot
 components are carried as a counter since they have no vertices to sit on.
+The bracket runs on ``poly.state_sum`` with the weight pair (A, B) at every
+classical crossing.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import MalformedCode, MalformedDiagram, MissingOrientation, SizeLimit
+from .errors import MalformedCode, MalformedDiagram, MissingOrientation
 from .planemap import PlaneMap
-from .poly import Polynomial, monomial
+from .poly import Polynomial, monomial, state_sum, var
 from .router import route
 from .util import UnionFind
 
 DEFAULT_CROSSING_CAP = 20
-
-JONES_SUBS = {
-    "A": "t^(-1/4)",
-    "B": "t^(1/4)",
-    "d": "-t^(1/2) - t^(-1/2)",
-}
 
 
 class VirtualLinkDiagram:
@@ -80,11 +76,7 @@ class VirtualLinkDiagram:
 
     def strand_components(self) -> list:
         """Dart cycles of the strands, each starting at its minimal out-dart."""
-        partner = {}
-        for e in self.map.edges:
-            h1, h2 = e.ends
-            partner[h1] = h2
-            partner[h2] = h1
+        partner = self.map.partner
         comps = []
         seen = set()
         for start in sorted(partner, key=str):
@@ -141,18 +133,14 @@ def kauffman_bracket(L: VirtualLinkDiagram,
                      cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states."""
     classical = L.classical
-    n = len(classical)
-    if n > cap:
-        raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
-    total = Polynomial.const(0)
-    for mask in range(1 << n):
+
+    def term(mask):
         state = {ci: ("A" if mask >> i & 1 else "B")
                  for i, ci in enumerate(classical)}
-        alpha = bin(mask).count("1")
-        delta = split(L, state)
-        total = total + monomial(1, {"A": alpha, "B": n - alpha,
-                                     "d": delta - 1})
-    return total
+        return monomial(1, {"d": split(L, state) - 1})
+
+    return state_sum([(var("A"), var("B"))] * len(classical), cap,
+                     "{n} classical crossings exceeds the cap {cap}", term)
 
 
 def writhe(L: VirtualLinkDiagram) -> int:
@@ -226,7 +214,6 @@ def realize_gauss_code(code: str) -> VirtualLinkDiagram:
             raise MalformedCode(f"crossing {label} has inconsistent signs")
 
     labels = sorted(passes)
-    index = {lb: i for i, lb in enumerate(labels)}
     sign_of = {lb: passes[lb][0][1] for lb in labels}
     terminals = [[(lb, "W"), (lb, "S"), (lb, "E"), (lb, "N")] for lb in labels]
 

@@ -1,22 +1,25 @@
 """Genus-0 combinatorial maps and the relative Tutte polynomial.
 
-A plane map is an untwisted rotation system whose face count satisfies the
-Euler relation v - e + f = 2k.  On top of it sit relative plane graphs: a
-marked subset H of 0-edges, weights on the remaining (regular) edges, and
-the all-subset relative Tutte polynomial whose contracted remainders are
-weighted by psi = d^(delta-k) * w^(v-k), with delta counting the circles
-immersing to the medial graph.
+A plane map is the untwisted, unweighted case of the rotation-system core
+in ``ribbon``: a ``RibbonGraph`` whose edges are ``MapEdge`` records and
+whose face count satisfies the Euler relation v - e + f = 2k.  Its medial
+circles are the side cycles of ``ribbon.side_links`` with every ribbon
+twisted.  On top of it sit relative plane graphs: a marked subset H of
+0-edges, weights on the remaining (regular) edges, and the all-subset
+relative Tutte polynomial whose contracted remainders are weighted by
+psi = d^(delta-k) * w^(v-k), with delta counting the circles immersing to
+the medial graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .errors import GenusError, SizeLimit
-from .poly import ONE, Polynomial, monomial, var
-from .ribbon import DEFAULT_EDGE_CAP
-from .util import UnionFind, count_cycles
+from .errors import GenusError
+from .poly import Polynomial, monomial, state_sum, var
+from .ribbon import DEFAULT_EDGE_CAP, RibbonGraph, side_links
+from .util import count_cycles
 
 
 @dataclass(frozen=True)
@@ -25,41 +28,8 @@ class MapEdge:
     label: str
 
 
-class PlaneMap:
-    """Rotation system with untwisted edges."""
-
-    def __init__(self, vertices: Sequence[Sequence], edges: Sequence[MapEdge]):
-        self.vertices = [tuple(v) for v in vertices]
-        self.edges = list(edges)
-        self._home = {h: i for i, v in enumerate(self.vertices) for h in v}
-        self._validate()
-
-    def _validate(self):
-        placed = [h for v in self.vertices for h in v]
-        if len(placed) != len(self._home):
-            raise ValueError("a half-edge occurs more than once in the rotation system")
-        matched = [h for e in self.edges for h in e.ends]
-        if len(matched) != len(set(matched)) or set(matched) != set(placed):
-            raise ValueError("edge ends are not a perfect matching on the half-edges")
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def vertex_of(self, h) -> int:
-        return self._home[h]
-
-    def components(self, subset: Iterable[int] | None = None) -> int:
-        uf = UnionFind(range(self.num_vertices))
-        indices = range(self.num_edges) if subset is None else subset
-        for ei in indices:
-            h1, h2 = self.edges[ei].ends
-            uf.union(self._home[h1], self._home[h2])
-        return uf.count
+class PlaneMap(RibbonGraph):
+    """Rotation system with untwisted, unweighted edges (``MapEdge``)."""
 
     def euler_deficit(self) -> int:
         """v - e + f - 2k; zero exactly for genus-0 maps."""
@@ -72,20 +42,13 @@ class PlaneMap:
             raise GenusError(
                 f"rotation system is not genus 0: Euler deficit {deficit}")
 
-    def __repr__(self):
-        return f"PlaneMap(v={self.num_vertices}, e={self.num_edges})"
-
 
 def faces(M: PlaneMap) -> list[list]:
     """Face walks: cycles of the next-dart map d -> rotation-next of partner(d).
 
     Isolated vertices contribute singleton walks ("iso", vertex index).
     """
-    partner = {}
-    for e in M.edges:
-        h1, h2 = e.ends
-        partner[h1] = h2
-        partner[h2] = h1
+    partner = M.partner
     succ = {}
     for cycle in M.vertices:
         m = len(cycle)
@@ -135,31 +98,37 @@ def contract(M: PlaneMap, ei: int) -> PlaneMap:
     return PlaneMap(vertices, edges)
 
 
+def contract_where(m: PlaneMap, match: Callable) -> tuple[PlaneMap, int]:
+    """Contract edges ``e`` with ``match(e)``, first match first, until none is left.
+
+    Returns the contracted map and the number of matching edges that were
+    loops by the time they were reached, and so were deleted.
+    """
+    loops = 0
+    i = 0
+    while i < len(m.edges):
+        if not match(m.edges[i]):
+            i += 1
+            continue
+        h1, h2 = m.edges[i].ends
+        if m.vertex_of(h1) == m.vertex_of(h2):
+            loops += 1
+        # contracting keeps the order of the other edges, and those before
+        # i do not match, so the scan resumes at i
+        m = contract(m, i)
+    return m, loops
+
+
 def medial_circles(M: PlaneMap) -> int:
     """Circles of the straight-ahead ("crossed lines") tracing of the map.
 
     The tracing follows boundary sides along vertex rotations and keeps the
     same side when traversing an edge, so the two strands cross over each
-    edge midpoint.  An isolated vertex contributes one circle.
+    edge midpoint: the side cycles with every ribbon twisted.  An isolated
+    vertex contributes one circle.
     """
-    arc = {}
-    isolated = 0
-    for cycle in M.vertices:
-        if not cycle:
-            isolated += 1
-            continue
-        m = len(cycle)
-        for i, h in enumerate(cycle):
-            nxt = cycle[(i + 1) % m]
-            arc[(h, 1)] = (nxt, 0)
-            arc[(nxt, 0)] = (h, 1)
-    cross = {}
-    for e in M.edges:
-        h1, h2 = e.ends
-        for s in (0, 1):
-            cross[(h1, s)] = (h2, s)
-            cross[(h2, s)] = (h1, s)
-    return isolated + count_cycles(arc, cross)
+    arc, link, bare = side_links(M, range(M.num_edges))
+    return bare + count_cycles(arc, link)
 
 
 class RelPlaneGraph:
@@ -197,19 +166,12 @@ class ContractionResult:
     deleted_loops: int
 
 
-def submap(M: PlaneMap, subset: Iterable[int]) -> tuple[PlaneMap, list[str]]:
-    """Spanning submap on the given edges; returns it with surviving labels."""
-    subset = sorted(set(subset))
-    keep = set()
-    edges = []
-    labels = []
-    for ei in subset:
-        e = M.edges[ei]
-        keep.update(e.ends)
-        edges.append(e)
-        labels.append(e.label)
+def submap(M: PlaneMap, subset: Iterable[int]) -> PlaneMap:
+    """Spanning submap on the given edges."""
+    edges = [M.edges[ei] for ei in sorted(set(subset))]
+    keep = {h for e in edges for h in e.ends}
     vertices = [tuple(h for h in v if h in keep) for v in M.vertices]
-    return PlaneMap(vertices, edges), labels
+    return PlaneMap(vertices, edges)
 
 
 def contract_all(G: RelPlaneGraph, F: Iterable[int]) -> ContractionResult:
@@ -222,20 +184,9 @@ def contract_all(G: RelPlaneGraph, F: Iterable[int]) -> ContractionResult:
     if set(F) & G.zero:
         raise ValueError("F must consist of regular edges")
     M = G.map
-    m, _ = submap(M, F + sorted(G.zero))
     f_labels = {M.edges[ei].label for ei in F}
-    deleted = 0
-    while True:
-        target = next((i for i, e in enumerate(m.edges) if e.label in f_labels),
-                      None)
-        if target is None:
-            break
-        h1, h2 = m.edges[target].ends
-        if m.vertex_of(h1) == m.vertex_of(h2):
-            deleted += 1
-            m = delete(m, target)
-        else:
-            m = contract(m, target)
+    m, deleted = contract_where(submap(M, F + sorted(G.zero)),
+                                lambda e: e.label in f_labels)
     return ContractionResult(m, deleted)
 
 
@@ -256,25 +207,18 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     X^(k(F union H) - k(G)) Y^(n(F)) psi(H_F).
     """
     regular = G.regular_indices()
-    if len(regular) > cap:
-        raise SizeLimit(
-            f"{len(regular)} regular edges exceeds the enumeration cap {cap}")
     M = G.map
     kG = M.components()
     H = sorted(G.zero)
-    total = Polynomial.const(0)
-    for mask in range(1 << len(regular)):
+
+    def term(mask):
         F = [regular[i] for i in range(len(regular)) if mask >> i & 1]
         kFH = M.components(F + H)
-        kF = M.components(F)
-        nF = len(F) - M.num_vertices + kF
-        hf = contract_all(G, F)
-        weight = ONE
-        for i, ei in enumerate(regular):
-            weight = weight * (G.weights[ei][0] if mask >> i & 1
-                               else G.weights[ei][1])
-        total = total + weight * monomial(1, {"X": kFH - kG, "Y": nF}) * psi(hf)
-    return total
+        nF = len(F) - M.num_vertices + M.components(F)
+        return monomial(1, {"X": kFH - kG, "Y": nF}) * psi(contract_all(G, F))
+
+    return state_sum([G.weights[ei] for ei in regular], cap,
+                     "{n} regular edges exceeds the enumeration cap {cap}", term)
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

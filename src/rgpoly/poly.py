@@ -8,6 +8,11 @@ d = sqrt(X*Y), w = sqrt(X/Y), Z = 1/sqrt(X*Y), A = t^(-1/4), B = t^(1/4).
 Variables live in a process-wide registry with a fixed total order
 (registration order).  The symbols X, Y, Z, A, B, d, w, t are built in;
 per-edge weight symbols such as ``x_e`` are registered on demand.
+
+``state_sum`` is the one loop behind the three state sums (Bollobas-Riordan,
+relative Tutte, Kauffman bracket): it weights every subset of an indexed
+ground set and adds the terms in place, so assembly is linear in their
+number.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import NonMonomialNegativePower, ParseError
+from .errors import NonMonomialNegativePower, ParseError, SizeLimit
 
 _BUILTINS = ("X", "Y", "Z", "A", "B", "d", "w", "t")
 
@@ -63,6 +68,16 @@ def _mul_keys(k1: Key, k2: Key) -> Key:
     return tuple(sorted(exps.items()))
 
 
+def _accumulate(terms: dict, items) -> None:
+    """Add (key, coefficient) pairs into ``terms`` in place, dropping zeros."""
+    for k, c in items:
+        nc = terms.get(k, 0) + c
+        if nc:
+            terms[k] = nc
+        else:
+            del terms[k]
+
+
 class Polynomial:
     """Immutable exact Laurent polynomial.
 
@@ -96,14 +111,8 @@ class Polynomial:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
         terms = dict(self._terms)
-        for k, c in other._terms.items():
-            nc = terms.get(k, 0) + c
-            if nc:
-                terms[k] = nc
-            else:
-                del terms[k]
+        _accumulate(terms, _coerce(other)._terms.items())
         return Polynomial(terms)
 
     __radd__ = __add__
@@ -120,14 +129,9 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
         terms: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = _mul_keys(k1, k2)
-                nc = terms.get(k, 0) + c1 * c2
-                if nc:
-                    terms[k] = nc
-                else:
-                    del terms[k]
+        _accumulate(terms, ((_mul_keys(k1, k2), c1 * c2)
+                            for k1, c1 in self._terms.items()
+                            for k2, c2 in other._terms.items()))
         return Polynomial(terms)
 
     __rmul__ = __mul__
@@ -157,6 +161,8 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {()}:  # a constant hashes like the int it equals
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- substitution -------------------------------------------------
@@ -169,7 +175,7 @@ class Polynomial:
         any quarter-integer power as long as the result stays exact.
         """
         repl = {register(n): _coerce(p) for n, p in mapping.items()}
-        out = Polynomial()
+        out: dict = {}
         cache: dict = {}
         for key, c in self._terms.items():
             kept = tuple(kv for kv in key if kv[0] not in repl)
@@ -177,8 +183,8 @@ class Polynomial:
             for vid, e4 in key:
                 if vid in repl:
                     term = term * _power_cached(repl[vid], e4, vid, cache)
-            out = out + term
-        return out
+            _accumulate(out, term._terms.items())
+        return Polynomial(out)
 
     def substitute(self, name: str, value: Union["Polynomial", int]) -> "Polynomial":
         return self.subs({name: value})
@@ -300,6 +306,26 @@ def _power_cached(q: Polynomial, e4: int, vid: int, cache: dict) -> Polynomial:
             f"cannot raise multi-term value {q} to power {Fraction(e4, 4)}")
     cache[(vid, e4)] = out
     return out
+
+
+def state_sum(weights: list, cap: int, too_many: str, term) -> Polynomial:
+    """Sum over all subsets S of range(len(weights)), given as bit masks, of
+    prod(x_i for i in S) * prod(y_i for i not in S) * term(mask).
+
+    ``weights`` lists one (x, y) pair per element.  More than ``cap``
+    elements raise SizeLimit with ``too_many`` formatted with ``n`` and
+    ``cap``.
+    """
+    n = len(weights)
+    if n > cap:
+        raise SizeLimit(too_many.format(n=n, cap=cap))
+    terms: dict = {}
+    for mask in range(1 << n):
+        weight = ONE
+        for i, (x, y) in enumerate(weights):
+            weight = weight * (x if mask >> i & 1 else y)
+        _accumulate(terms, (weight * term(mask))._terms.items())
+    return Polynomial(terms)
 
 
 def swap_vars(p: Polynomial, a: str, b: str) -> Polynomial:

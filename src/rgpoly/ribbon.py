@@ -1,20 +1,36 @@
-"""Ribbon graphs as signed rotation systems.
+"""Ribbon graphs as signed rotation systems, and the rotation-system core.
 
 A ribbon graph is a surface built from vertex-discs and edge-ribbons; here
 it is stored combinatorially as a cyclic order of half-edges around every
-vertex plus a sign per edge (-1 for a half-twisted ribbon).  The module
-computes connected components, nullity and boundary components of spanning
-subgraphs, the doubly weighted Bollobas-Riordan polynomial, and converts
-to and from arrow presentations.
+vertex plus a sign per edge (-1 for a half-twisted ribbon).
+
+``RibbonGraph`` is the one map class of the package.  Its constructor
+validates the rotation system once and indexes every half-edge by its
+vertex; it also provides the lazily built partner map and the component
+count of spanning subgraphs.  A plane map (``planemap.PlaneMap``) is the
+untwisted, unweighted case.
+
+``side_links`` is the one side-cycle tracer.  Every half-edge carries two
+side slots, disc arcs join the slots of consecutive half-edges in a
+restricted rotation, and each ribbon links the slots of its two ends,
+crosswise when untwisted and side to same side when twisted.  The cycles
+of the two matchings are the boundary components of a ribbon subgraph,
+the medial circles of a plane map (every ribbon twisted) and the vertex
+circles that ``plane_to_ribbon`` rebuilds.
+
+On top of the core the module computes nullity and boundary components of
+spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial, and
+converts to and from arrow presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Container, Iterable, Sequence
 
-from .errors import MalformedPresentation, SizeLimit
-from .poly import ONE, Polynomial, monomial, var
+from .errors import MalformedPresentation
+from .poly import Polynomial, monomial, state_sum, var
 from .util import UnionFind, count_cycles
 
 DEFAULT_EDGE_CAP = 24
@@ -44,22 +60,24 @@ def make_edge(h1, h2, sign=1, label=None, x=None, y=None) -> Edge:
 
 
 class RibbonGraph:
-    """Signed rotation system: vertices are cyclic half-edge sequences."""
+    """Rotation system: vertices are cyclic half-edge sequences.
 
-    def __init__(self, vertices: Sequence[Sequence], edges: Sequence[Edge]):
+    The core reads only the ``ends`` of each edge: ``Edge`` records make a
+    signed, weighted ribbon graph, ``planemap.MapEdge`` records a plane map.
+    """
+
+    def __init__(self, vertices: Sequence[Sequence], edges: Sequence):
         self.vertices = [tuple(v) for v in vertices]
         self.edges = list(edges)
+        self._home = {h: i for i, v in enumerate(self.vertices) for h in v}
         self._validate()
 
     def _validate(self):
-        placed = [h for v in self.vertices for h in v]
-        if len(placed) != len(set(placed)):
+        if sum(map(len, self.vertices)) != len(self._home):
             raise ValueError("a half-edge occurs more than once in the rotation system")
         matched = [h for e in self.edges for h in e.ends]
-        if sorted(map(repr, matched)) != sorted(map(repr, placed)):
+        if len(matched) != len(self._home) or set(matched) != self._home.keys():
             raise ValueError("edge ends are not a perfect matching on the half-edges")
-        if len(matched) != len(set(matched)):
-            raise ValueError("a half-edge occurs in more than one edge")
 
     @property
     def num_vertices(self) -> int:
@@ -70,26 +88,41 @@ class RibbonGraph:
         return len(self.edges)
 
     def vertex_of(self, h) -> int:
-        for i, v in enumerate(self.vertices):
-            if h in v:
-                return i
-        raise KeyError(h)
+        return self._home[h]
+
+    @cached_property
+    def partner(self) -> dict:
+        """The other end of every half-edge's edge."""
+        out = {}
+        for e in self.edges:
+            h1, h2 = e.ends
+            out[h1] = h2
+            out[h2] = h1
+        return out
 
     def all_edges(self) -> frozenset:
         return frozenset(range(len(self.edges)))
 
+    def union_find(self, subset: Iterable[int] | None = None) -> UnionFind:
+        """Vertices joined along the edges in ``subset`` (default: all edges)."""
+        uf = UnionFind(range(len(self.vertices)))
+        home = self._home
+        for ei in range(len(self.edges)) if subset is None else subset:
+            h1, h2 = self.edges[ei].ends
+            uf.union(home[h1], home[h2])
+        return uf
+
+    def components(self, subset: Iterable[int] | None = None) -> int:
+        """Connected components of the spanning subgraph on ``subset``."""
+        return self.union_find(subset).count
+
     def __repr__(self):
-        return f"RibbonGraph(v={self.num_vertices}, e={self.num_edges})"
+        return f"{type(self).__name__}(v={self.num_vertices}, e={self.num_edges})"
 
 
 def components(R: RibbonGraph, subset: Iterable[int]) -> int:
     """Number of connected components of the spanning subgraph on ``subset``."""
-    uf = UnionFind(range(R.num_vertices))
-    home = {h: i for i, v in enumerate(R.vertices) for h in v}
-    for ei in subset:
-        h1, h2 = R.edges[ei].ends
-        uf.union(home[h1], home[h2])
-    return uf.count
+    return R.components(subset)
 
 
 def nullity(R: RibbonGraph, subset: Iterable[int]) -> int:
@@ -98,41 +131,47 @@ def nullity(R: RibbonGraph, subset: Iterable[int]) -> int:
     return len(subset) - R.num_vertices + components(R, subset)
 
 
-def boundary_components(R: RibbonGraph, subset: Iterable[int]) -> int:
-    """Boundary walks of the surface with all vertex-discs and only F's ribbons.
+def side_links(R: RibbonGraph, edges: Iterable[int],
+               untwisted: Container[int] = ()) -> tuple[dict, dict, int]:
+    """The two slot matchings whose cycles are traced side by side.
 
-    Each half-edge carries two side slots; disc arcs join slots of
-    consecutive half-edges in the (restricted) rotation, and a ribbon joins
-    its partner slots crosswise when untwisted and directly when twisted.
+    Only the half-edges of ``edges`` take part, each with side slots
+    (h, 0) and (h, 1).  ``arc`` joins (h, 1) to (g, 0) for g the successor
+    of h in the rotation restricted to those half-edges.  ``link`` joins
+    the slots of each edge's ends crosswise, (h1, 0)-(h2, 1) and
+    (h1, 1)-(h2, 0), for an edge in ``untwisted``, and side to same side
+    otherwise.  Returns (arc, link, bare), where ``bare`` counts the
+    vertices left without a half-edge; each is a cycle by itself.
     """
-    subset = set(subset)
-    in_sub = {h for ei in subset for h in R.edges[ei].ends}
+    link = {}
+    for ei in edges:
+        h1, h2 = R.edges[ei].ends
+        t = 1 if ei in untwisted else 0
+        link[(h1, 0)] = (h2, t)
+        link[(h2, t)] = (h1, 0)
+        link[(h1, 1)] = (h2, 1 - t)
+        link[(h2, 1 - t)] = (h1, 1)
     arc = {}
-    isolated = 0
+    bare = 0
     for cycle in R.vertices:
-        rot = [h for h in cycle if h in in_sub]
+        rot = [h for h in cycle if (h, 0) in link]
         if not rot:
-            isolated += 1
+            bare += 1
             continue
-        m = len(rot)
-        for i, h in enumerate(rot):
-            arc[(h, 1)] = (rot[(i + 1) % m], 0)
-            arc[(rot[(i + 1) % m], 0)] = (h, 1)
-    rib = {}
-    for ei in subset:
-        e = R.edges[ei]
-        h1, h2 = e.ends
-        if e.sign == 1:
-            rib[(h1, 0)] = (h2, 1)
-            rib[(h2, 1)] = (h1, 0)
-            rib[(h1, 1)] = (h2, 0)
-            rib[(h2, 0)] = (h1, 1)
-        else:
-            rib[(h1, 0)] = (h2, 0)
-            rib[(h2, 0)] = (h1, 0)
-            rib[(h1, 1)] = (h2, 1)
-            rib[(h2, 1)] = (h1, 1)
-    return isolated + count_cycles(arc, rib)
+        prev = rot[-1]
+        for h in rot:
+            arc[(prev, 1)] = (h, 0)
+            arc[(h, 0)] = (prev, 1)
+            prev = h
+    return arc, link, bare
+
+
+def boundary_components(R: RibbonGraph, subset: Iterable[int]) -> int:
+    """Boundary walks of the surface with all vertex-discs and only F's ribbons."""
+    subset = set(subset)
+    untwisted = {ei for ei in subset if R.edges[ei].sign == 1}
+    arc, link, bare = side_links(R, subset, untwisted)
+    return bare + count_cycles(arc, link)
 
 
 def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
@@ -143,21 +182,17 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     X^(k(F)-k(R)) Y^(n(F)) Z^(k(F)-bc(F)+n(F)).
     """
     m = R.num_edges
-    if m > cap:
-        raise SizeLimit(f"{m} edges exceeds the enumeration cap {cap}")
-    kR = components(R, range(m))
-    total = Polynomial.const(0)
-    for mask in range(1 << m):
+    kR = R.components()
+
+    def term(mask):
         subset = [i for i in range(m) if mask >> i & 1]
-        k = components(R, subset)
+        k = R.components(subset)
         n = len(subset) - R.num_vertices + k
         bc = boundary_components(R, subset)
-        weight = ONE
-        for i, e in enumerate(R.edges):
-            weight = weight * (e.x if mask >> i & 1 else e.y)
-        total = total + weight * monomial(
-            1, {"X": k - kR, "Y": n, "Z": k - bc + n})
-    return total
+        return monomial(1, {"X": k - kR, "Y": n, "Z": k - bc + n})
+
+    return state_sum([(e.x, e.y) for e in R.edges], cap,
+                     "{n} edges exceeds the enumeration cap {cap}", term)
 
 
 # -- arrow presentations ---------------------------------------------
@@ -169,8 +204,8 @@ class ArrowPresentation:
 
     ``circles`` is a list of cyclic sequences of (label, direction) pairs;
     the direction flag records whether the arrow points along the circle's
-    traversal.  ``weights`` and ``signsource`` travel alongside so a ribbon
-    graph can be rebuilt with the same edge data.
+    traversal.  ``weights`` travel alongside so a ribbon graph can be
+    rebuilt with the same edge data.
     """
 
     circles: list

@@ -1,4 +1,5 @@
-"""Small shared helpers."""
+"""Small shared helpers: a union-find with a component count, and the
+cycle counter that closes the side links built by ``ribbon.side_links``."""
 
 from __future__ import annotations
 

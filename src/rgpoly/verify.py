@@ -104,19 +104,17 @@ def grow_plane_map(rng: random.Random, n_edges: int) -> PlaneMap:
         if rng.random() < 0.1:
             rotations.append([])
         M = PlaneMap(rotations, edges)
-        walks = faces(M)
-        partner = {h: (e.ends[0] if e.ends[1] == h else e.ends[1])
-                   for e in edges for h in e.ends}
+        partner = M.partner
+        comp_of = M.union_find().find
         corner_lists = []
-        comp_of = _component_ids(M)
-        for walk in walks:
+        for walk in faces(M):
             if len(walk) == 1 and isinstance(walk[0], tuple) and walk[0][0] == "iso":
                 corners = [("iso", walk[0][1])]
-                comp = comp_of[walk[0][1]]
+                comp = comp_of(walk[0][1])
             else:
                 corners = [("dart", M.vertex_of(partner[d]), partner[d])
                            for d in walk]
-                comp = comp_of[M.vertex_of(walk[0])]
+                comp = comp_of(M.vertex_of(walk[0]))
             corner_lists.append((comp, corners))
         fi = rng.randrange(len(corner_lists))
         comp1, corners1 = corner_lists[fi]
@@ -134,14 +132,6 @@ def grow_plane_map(rng: random.Random, n_edges: int) -> PlaneMap:
     M = PlaneMap(rotations, edges)
     M.require_plane()
     return M
-
-
-def _component_ids(M: PlaneMap):
-    from .util import UnionFind
-    uf = UnionFind(range(M.num_vertices))
-    for e in M.edges:
-        uf.union(M.vertex_of(e.ends[0]), M.vertex_of(e.ends[1]))
-    return {v: uf.find(v) for v in range(M.num_vertices)}
 
 
 def generate_rpg(rng: random.Random, n_edges: int) -> RelPlaneGraph:
@@ -262,29 +252,28 @@ def check_bracket(L, seed=None) -> CheckReport:
 # -- suite driver -----------------------------------------------------
 
 
+def _check_identities(R: RibbonGraph, seed=None) -> CheckReport:
+    from .convert import ribbon_to_plane
+    G, cert = ribbon_to_plane(R)
+    return check_subset_identities(R, G, cert, seed=seed)
+
+
+CHECKS = {      # check name -> (instance generator, check)
+    "main": (generate_ribbon, check_main_theorem),
+    "identities": (generate_ribbon, _check_identities),
+    "duality": (generate_rpg, check_duality),
+    "bracket": (generate_link, check_bracket),
+}
+
+
 def run_suite(checks: list[str], count: int, seed: int, max_size: int):
     """Yield (CheckReport, size) for ``count`` seeded instances per check."""
-    from .convert import ribbon_to_plane
     for name in checks:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}")
+        generator, check = CHECKS[name]
         for i in range(count):
             inst_seed = seed * 1009 + i
             rng = random.Random(inst_seed)
-            if name == "main":
-                size = rng.randint(0, max_size)
-                R = generate_ribbon(rng, size)
-                yield check_main_theorem(R, seed=inst_seed), size
-            elif name == "identities":
-                size = rng.randint(0, max_size)
-                R = generate_ribbon(rng, size)
-                G, cert = ribbon_to_plane(R)
-                yield check_subset_identities(R, G, cert, seed=inst_seed), size
-            elif name == "duality":
-                size = rng.randint(0, max_size)
-                G = generate_rpg(rng, size)
-                yield check_duality(G, seed=inst_seed), size
-            elif name == "bracket":
-                size = rng.randint(0, max_size)
-                L = generate_link(rng, size)
-                yield check_bracket(L, seed=inst_seed), size
-            else:
-                raise ValueError(f"unknown check {name!r}")
+            size = rng.randint(0, max_size)
+            yield check(generator(rng, size), seed=inst_seed), size

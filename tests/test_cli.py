@@ -31,6 +31,11 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
 def test_br(files, capsys):
     code, out = run(capsys, "br", files["loop.rg"])
     assert code == 0
@@ -87,6 +92,48 @@ def test_exit_code_2_on_bad_input(files, capsys):
     assert code == 2
     code, _ = run(capsys, "br", files["torus.rpg"] + ".missing")
     assert code == 2
+
+
+def test_exit_code_2_on_bad_cap_environment(files, capsys, monkeypatch):
+    monkeypatch.setenv("RGPOLY_CAP", "abc")
+    code, err = run_err(capsys, "br", files["loop.rg"])
+    assert code == 2
+    assert err.startswith("error:") and "RGPOLY_CAP" in err
+
+
+def test_exit_code_2_on_directory_input(files, capsys, tmp_path):
+    code, err = run_err(capsys, "br", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_exit_code_2_on_non_utf8_input(capsys, tmp_path):
+    path = tmp_path / "latin1.rg"
+    path.write_bytes("vertex v\xe9: a b\nedge e: a b\n".encode("latin-1"))
+    code, err = run_err(capsys, "br", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_negative_cap_rejected(files, capsys, monkeypatch):
+    code, err = run_err(capsys, "br", files["loop.rg"], "--cap", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "nonnegative" in err
+    monkeypatch.setenv("RGPOLY_CAP", "-1")
+    code, err = run_err(capsys, "br", files["loop.rg"])
+    assert code == 2
+    assert err.startswith("error:") and "nonnegative" in err
+
+
+def test_link_commands_default_to_crossing_cap(capsys, tmp_path):
+    # 21 classical crossings: over the 20-crossing default, under the
+    # 24-edge cap of br and rtutte
+    path = tmp_path / "kinks.vld"
+    path.write_text("gauss " + "".join(f"O{i}+U{i}+" for i in range(1, 22)))
+    for cmd in ("bracket", "jones"):
+        code, err = run_err(capsys, cmd, str(path))
+        assert code == 2
+        assert "exceeds the cap 20" in err
 
 
 def test_verify_command(files, capsys):

@@ -1,0 +1,81 @@
+"""Golden CLI outputs: sha256 digests of stdout, recorded at commit 5c9572b,
+before ribbon graphs and plane maps shared one rotation-system core.
+
+Every command runs in a fresh interpreter, because term order in
+``canonical()`` follows the order in which the process first registered
+each variable.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+from rgpoly import formats
+from rgpoly.verify import generate
+
+# (kind, seed, size) -> file suffix, serializer
+INSTANCES = {
+    ("ribbon", 1, 4): (".rg", formats.serialize_ribbon),
+    ("ribbon", 2, 5): (".rg", formats.serialize_ribbon),
+    ("rpg", 6, 6): (".rpg", formats.serialize_rpg),
+    ("rpg", 3, 6): (".rpg", formats.serialize_rpg),
+    ("link", 3, 3): (".vld", formats.serialize_vld),
+    ("link", 5, 4): (".vld", formats.serialize_vld),
+}
+COMMANDS = {
+    "ribbon": (["br"], ["convert", "--to=plane"]),
+    "rpg": (["rtutte"], ["dual"], ["convert", "--to=ribbon"]),
+    "link": (["bracket"], ["jones"], ["convert", "--to=tait"]),
+}
+
+GOLDEN = {
+    "br ribbon:1:4":
+        "007d61a253f3e4bcb46039a09859f1e7be025acfdcb4e175bcced677eadbf3df",
+    "convert --to=plane ribbon:1:4":
+        "a4d31bf895ff20e511728af97e819abfb66852dbf6c695c16dec6a04a858b43d",
+    "br ribbon:2:5":
+        "6834425cc1d1695bc20d9ff23a97fe866ceb74956109f2cf9d81d51d614404f5",
+    "convert --to=plane ribbon:2:5":
+        "2a76a9a338d45d95f64cac6037dd6d9ad93b1bc7c56722e3250705fe8709439a",
+    "rtutte rpg:6:6":
+        "783b015997eb607f5c0df8aa644411cb08b2fdaeb34f69ef9513be807a38715c",
+    "dual rpg:6:6":
+        "2d6772253d3fcb4fdb20fe89ec35d61896fb043b3290ba8be650338ce081f04b",
+    "convert --to=ribbon rpg:6:6":
+        "32ddd09a28b99f6cb9653ee97ef69953f1b9b9d27321d4d02bf0a522bf886a62",
+    "rtutte rpg:3:6":
+        "d71d52a79100fce7541164a6dce5753db5eaf5d411518e9246c63fa7d50396d9",
+    "dual rpg:3:6":
+        "0157200692f9c0e3b8fb3c304cb4e5babd855a2c9b6992adc372e7b372530b07",
+    "convert --to=ribbon rpg:3:6":
+        "458f6928eed294527bcdbd27a5bc8c7b58b56f986bb26dcf12cc83c227be37aa",
+    "bracket link:3:3":
+        "de051237b2c908ab929b524c3c705df6adad0d0bbff1d97d7c973dafef9d03c6",
+    "jones link:3:3":
+        "37ee889685c8b50591e05339e14005b01d23e02de29e647f321c962c2263454e",
+    "convert --to=tait link:3:3":
+        "c6eeff25a563d262f38a75749ff9ecbec6f4f3e5dfa0b882aa90d67d825166a4",
+    "bracket link:5:4":
+        "13413ac7a18a29dfba51a9f967c3f2d89e49696e34f0658856d139b3d85d2e31",
+    "jones link:5:4":
+        "72ef2ac847e7e100048bc17cd0088024327caf8fdf364dd6e278fa2e02cf734d",
+    "convert --to=tait link:5:4":
+        "023823ad3fdf396120ceedaa74cabb0979f14375490757451474ac0a2b520916",
+}
+
+
+def cli_digests(tmp_path) -> dict:
+    out = {}
+    for (kind, seed, size), (suffix, serialize) in INSTANCES.items():
+        path = tmp_path / f"{kind}_{seed}_{size}{suffix}"
+        path.write_text(serialize(generate(kind, seed, size)))
+        for args in COMMANDS[kind]:
+            proc = subprocess.run([sys.executable, "-m", "rgpoly.cli", *args,
+                                   str(path)], capture_output=True, check=True)
+            key = f"{' '.join(args)} {kind}:{seed}:{size}"
+            out[key] = hashlib.sha256(proc.stdout).hexdigest()
+    return out
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path):
+    assert cli_digests(tmp_path) == GOLDEN

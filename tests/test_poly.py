@@ -89,6 +89,13 @@ def test_swap_vars():
     assert swap_vars(p, "X", "Y") == Y * Y * X + 2 * Y
 
 
+def test_hash_agrees_with_equality_on_ints():
+    assert len({Polynomial.const(3), 3}) == 1
+    assert len({Polynomial.const(0), 0}) == 1
+    assert Polynomial.const(-2) in {-2}
+    assert hash(X + 1) == hash(1 + X)
+
+
 def test_pow_negative_monomial():
     m = monomial(1, {"X": 1})
     assert m ** -2 == monomial(1, {"X": -2})
