@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input: a parse or
-validation error, an unreadable or non-UTF-8 input file, or a bad cap.
+validation error, an unreadable or non-UTF-8 input file, a bad cap, a bad
+substitution target, or a negative verify count or size.
 The enumeration cap (24 edges for br/rtutte, 20 classical crossings for
 bracket/jones) may be overridden with the RGPOLY_CAP environment variable
 or the --cap flag; either must be a nonnegative integer.
@@ -98,7 +99,10 @@ def _apply_substitutions(p: poly.Polynomial, specs: list) -> poly.Polynomial:
                 matched = [pattern]
             for name in matched:
                 mapping[name] = value
-    return p.subs(mapping) if mapping else p
+    try:
+        return p.subs(mapping) if mapping else p
+    except ValueError as exc:   # register() rejects a VAR that is no name
+        raise RgpolyError(f"bad substitution: {exc}") from None
 
 
 def _read(path: str) -> str:
@@ -158,6 +162,9 @@ def _convert(args) -> int:
 
 
 def _verify(args) -> int:
+    for flag, value in (("--random", args.random), ("--max-size", args.max_size)):
+        if value < 0:
+            raise RgpolyError(f"{flag} must be nonnegative, got {value}")
     checks = [name for name in verify.CHECKS if getattr(args, name)]
     failures = _report(checks or list(verify.CHECKS), args.random, args.seed,
                        args.max_size)

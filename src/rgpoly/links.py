@@ -4,7 +4,8 @@ A diagram is a 4-valent plane map whose vertices are crossings, classical
 (with a designated over strand) or virtual.  Crossing-free unknot
 components are carried as a counter since they have no vertices to sit on.
 The bracket runs on ``poly.state_sum`` with the weight pair (A, B) at every
-classical crossing.
+classical crossing; ``split`` counts each state's circles with the shared
+cycle counter ``util.count_cycles``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import MalformedCode, MalformedDiagram, MissingOrientation
 from .planemap import PlaneMap
 from .poly import Polynomial, monomial, state_sum, var
 from .router import route
-from .util import UnionFind
+from .util import count_cycles
 
 DEFAULT_CROSSING_CAP = 20
 
@@ -59,10 +60,6 @@ class VirtualLinkDiagram:
     def rotation_next(self, ci: int, dart):
         cycle = self.map.vertices[ci]
         return cycle[(cycle.index(dart) + 1) % 4]
-
-    def rotation_prev(self, ci: int, dart):
-        cycle = self.map.vertices[ci]
-        return cycle[(cycle.index(dart) - 1) % 4]
 
     def mirror(self) -> "VirtualLinkDiagram":
         """Swap the over strand at every classical crossing."""
@@ -109,24 +106,19 @@ def split(L: VirtualLinkDiagram, state) -> int:
 
     The A-splitting joins each over dart to its rotation predecessor (the
     arcs bounding the two corners swept counterclockwise by the over
-    strand); the B-splitting joins it to the successor.  Virtual crossings
-    connect opposite darts.
+    strand), the B-splitting to its successor; virtual crossings join
+    opposite darts.  ``count_cycles`` closes this matching against the arcs.
     """
-    darts = [h for e in L.map.edges for h in e.ends]
-    uf = UnionFind(darts)
-    for e in L.map.edges:
-        uf.union(*e.ends)
+    smoothing = {}
     for ci, cycle in enumerate(L.map.vertices):
         if L.kinds[ci] == "virtual":
-            uf.union(cycle[0], cycle[2])
-            uf.union(cycle[1], cycle[3])
-            continue
-        for o in L.over[ci]:
-            if state[ci] == "A":
-                uf.union(o, L.rotation_prev(ci, o))
-            else:
-                uf.union(o, L.rotation_next(ci, o))
-    return uf.count + L.free_loops
+            pairs = ((cycle[0], cycle[2]), (cycle[1], cycle[3]))
+        else:
+            turn = -1 if state[ci] == "A" else 1
+            pairs = ((o, cycle[(cycle.index(o) + turn) % 4]) for o in L.over[ci])
+        for a, b in pairs:
+            smoothing[a], smoothing[b] = b, a
+    return count_cycles(L.map.partner, smoothing) + L.free_loops
 
 
 def kauffman_bracket(L: VirtualLinkDiagram,

@@ -6,9 +6,11 @@ whose face count satisfies the Euler relation v - e + f = 2k.  Its medial
 circles are the side cycles of ``ribbon.side_links`` with every ribbon
 twisted.  On top of it sit relative plane graphs: a marked subset H of
 0-edges, weights on the remaining (regular) edges, and the all-subset
-relative Tutte polynomial whose contracted remainders are weighted by
-psi = d^(delta-k) * w^(v-k), with delta counting the circles immersing to
-the medial graph.
+relative Tutte polynomial.  It weights the remainder H_F of contracting F in
+F union H by psi = d^(delta-k) * w^(v-k), delta counting its medial circles,
+and reads all three off G: k(H_F) = k(F union H), v(H_F) = k(F), and
+n(F) + delta(H_F) = side cycles of F union H with F untwisted.  The
+reference path ``psi(contract_all(G, F))`` builds H_F.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import GenusError
 from .poly import Polynomial, monomial, state_sum, var
-from .ribbon import DEFAULT_EDGE_CAP, RibbonGraph, side_links
-from .util import count_cycles
+from .ribbon import DEFAULT_EDGE_CAP, RibbonGraph, side_cycles
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ def medial_circles(M: PlaneMap) -> int:
     edge midpoint: the side cycles with every ribbon twisted.  An isolated
     vertex contributes one circle.
     """
-    arc, link, bare = side_links(M, range(M.num_edges))
-    return bare + count_cycles(arc, link)
+    return side_cycles(M, range(M.num_edges))
 
 
 class RelPlaneGraph:
@@ -204,7 +204,10 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
 
     Sums over all subsets F of regular edges the term
     (prod_{e in F} x_e)(prod_{e in E minus (F union H)} y_e)
-    X^(k(F union H) - k(G)) Y^(n(F)) psi(H_F).
+    X^(k(F union H) - k(G)) Y^(n(F)) psi(H_F), without building H_F:
+    k(H_F) = k(F union H), v(H_F) = k(F), and n(F) + delta(H_F) is the
+    side-cycle count of F union H with F untwisted.  The reference path
+    ``psi(contract_all(G, F))`` builds H_F.
     """
     regular = G.regular_indices()
     M = G.map
@@ -213,9 +216,11 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
 
     def term(mask):
         F = [regular[i] for i in range(len(regular)) if mask >> i & 1]
-        kFH = M.components(F + H)
-        nF = len(F) - M.num_vertices + M.components(F)
-        return monomial(1, {"X": kFH - kG, "Y": nF}) * psi(contract_all(G, F))
+        kF, kFH = M.components(F), M.components(F + H)
+        nF = len(F) - M.num_vertices + kF
+        delta = side_cycles(M, F + H, set(F)) - nF
+        return monomial(1, {"X": kFH - kG, "Y": nF, "d": delta - kFH,
+                            "w": kF - kFH})
 
     return state_sum([G.weights[ei] for ei in regular], cap,
                      "{n} regular edges exceeds the enumeration cap {cap}", term)

@@ -199,11 +199,12 @@ class Polynomial:
         """Deterministic text form; ``parse`` inverts it exactly."""
         if not self._terms:
             return "0"
-        n = len(_names)
+        # ids absent from self are 0 in every term and cannot change the order
+        vids = sorted({vid for key in self._terms for vid, _ in key})
 
         def dense(key: Key) -> tuple:
             m = dict(key)
-            return tuple(m.get(i, 0) for i in range(n))
+            return tuple(m.get(i, 0) for i in vids)
 
         items = sorted(self._terms.items(), key=lambda kv: dense(kv[0]),
                        reverse=True)
@@ -299,8 +300,6 @@ def _power_cached(q: Polynomial, e4: int, vid: int, cache: dict) -> Polynomial:
         out = _term_power(q, e4)
     elif e4 > 0 and e4 % 4 == 0:
         out = q ** (e4 // 4)
-    elif q.is_zero() and e4 > 0 and e4 % 4 == 0:
-        out = ZERO
     else:
         raise NonMonomialNegativePower(
             f"cannot raise multi-term value {q} to power {Fraction(e4, 4)}")
@@ -406,15 +405,15 @@ class _Parser:
             raise ParseError(f"expected {op!r} at position {pos} in {self.text!r}")
 
     def parse(self) -> Polynomial:
-        out = self.term()
+        terms = dict(self.term()._terms)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.i += 1
                 t = self.term()
-                out = out + t if val == "+" else out - t
+                _accumulate(terms, (t if val == "+" else -t)._terms.items())
             elif kind is None:
-                return out
+                return Polynomial(terms)
             else:
                 _, _, pos = self.peek()
                 raise ParseError(f"unexpected token at position {pos} in {self.text!r}")
@@ -484,6 +483,8 @@ class _Parser:
             if kind != "num":
                 raise ParseError(f"expected a denominator at position {pos} in {self.text!r}")
             den = int(val)
+            if not den:
+                raise ParseError(f"zero denominator at position {pos} in {self.text!r}")
         f = Fraction(num, den) * 4
         if f.denominator != 1:
             raise ParseError(f"exponent {num}/{den} is not a quarter-integer")

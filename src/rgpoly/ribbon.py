@@ -10,13 +10,13 @@ vertex; it also provides the lazily built partner map and the component
 count of spanning subgraphs.  A plane map (``planemap.PlaneMap``) is the
 untwisted, unweighted case.
 
-``side_links`` is the one side-cycle tracer.  Every half-edge carries two
-side slots, disc arcs join the slots of consecutive half-edges in a
-restricted rotation, and each ribbon links the slots of its two ends,
-crosswise when untwisted and side to same side when twisted.  The cycles
-of the two matchings are the boundary components of a ribbon subgraph,
-the medial circles of a plane map (every ribbon twisted) and the vertex
-circles that ``plane_to_ribbon`` rebuilds.
+``side_links`` is the one side-cycle tracer and ``side_cycles`` counts its
+cycles.  Every half-edge carries two side slots, disc arcs join the slots
+of consecutive half-edges in a restricted rotation, and each ribbon links
+the slots of its two ends, crosswise when untwisted and side to same side
+when twisted.  The cycles are the boundary components of a ribbon
+subgraph, the medial circles of a plane map (every ribbon twisted) and the
+vertex circles that ``plane_to_ribbon`` rebuilds.
 
 On top of the core the module computes nullity and boundary components of
 spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial, and
@@ -166,12 +166,17 @@ def side_links(R: RibbonGraph, edges: Iterable[int],
     return arc, link, bare
 
 
+def side_cycles(R: RibbonGraph, edges: Iterable[int],
+                untwisted: Container[int] = ()) -> int:
+    """Number of side cycles of ``side_links``, bare vertices included."""
+    arc, link, bare = side_links(R, edges, untwisted)
+    return bare + count_cycles(arc, link)
+
+
 def boundary_components(R: RibbonGraph, subset: Iterable[int]) -> int:
     """Boundary walks of the surface with all vertex-discs and only F's ribbons."""
     subset = set(subset)
-    untwisted = {ei for ei in subset if R.edges[ei].sign == 1}
-    arc, link, bare = side_links(R, subset, untwisted)
-    return bare + count_cycles(arc, link)
+    return side_cycles(R, subset, {ei for ei in subset if R.edges[ei].sign == 1})
 
 
 def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:

@@ -1,5 +1,5 @@
-"""Small shared helpers: a union-find with a component count, and the
-cycle counter that closes the side links built by ``ribbon.side_links``."""
+"""Small shared helpers: a union-find with a component count, and the one
+cycle counter, behind ``ribbon.side_cycles`` and the bracket's ``split``."""
 
 from __future__ import annotations
 
@@ -33,9 +33,6 @@ class UnionFind:
             self.count -= 1
             return True
         return False
-
-    def same(self, a, b):
-        return self.find(a) == self.find(b)
 
 
 def count_cycles(links_a: dict, links_b: dict) -> int:

@@ -2,14 +2,36 @@
 
 These deliberately avoid the library's subset-enumeration code paths: the
 Tutte oracle is a plain deletion-contraction recursion on an abstract
-multigraph, and the bracket oracle is a from-scratch state sum working on
-planar diagram combinatorics only.
+multigraph, the bracket oracle is a from-scratch state sum working on
+planar diagram combinatorics only, and the relative Tutte oracle builds
+every contracted remainder H_F with ``contract_all`` and weights it with
+``psi``.
 """
 
 from __future__ import annotations
 
-from rgpoly.poly import ONE, Polynomial, var
+from rgpoly.planemap import RelPlaneGraph, contract_all, psi
+from rgpoly.poly import ONE, Polynomial, monomial, var
 from rgpoly.util import UnionFind
+
+
+def relative_tutte_by_contraction(G: RelPlaneGraph) -> Polynomial:
+    """Sum over subsets F of regular edges of the weights of F and of the
+    unchosen regular edges times X^(k(F u H) - k(G)) Y^(n(F)) psi(H_F)."""
+    M = G.map
+    regular = G.regular_indices()
+    H = sorted(G.zero)
+    total = Polynomial.const(0)
+    for mask in range(1 << len(regular)):
+        F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
+        term = ONE
+        for ei in regular:
+            x, y = G.weights[ei]
+            term = term * (x if ei in F else y)
+        nF = len(F) - M.num_vertices + M.components(F)
+        X_Y = monomial(1, {"X": M.components(F + H) - M.components(), "Y": nF})
+        total = total + term * X_Y * psi(contract_all(G, F))
+    return total
 
 
 def tutte_deletion_contraction(n_vertices: int, edges: list) -> Polynomial:
@@ -42,7 +64,7 @@ def _is_bridge(nv, edges, i):
         if j != i:
             uf.union(u, v)
     u, v = edges[i]
-    return not uf.same(u, v)
+    return uf.find(u) != uf.find(v)
 
 
 def _contracted(nv, edges, i):
@@ -67,8 +89,6 @@ def _contracted(nv, edges, i):
 
 import re as _re
 from fractions import Fraction
-
-from rgpoly.poly import monomial
 
 
 def _parse_code(code):

@@ -125,6 +125,34 @@ def test_negative_cap_rejected(files, capsys, monkeypatch):
     assert err.startswith("error:") and "nonnegative" in err
 
 
+def test_exit_code_2_on_zero_denominator_exponent(files, capsys, tmp_path):
+    path = tmp_path / "bad.rg"
+    path.write_text("vertex v: a b\nedge e: a b x=x^(1/0)\n")
+    code, err = run_err(capsys, "br", str(path))
+    assert code == 2 and err.startswith("error:")
+    code, err = run_err(capsys, "br", files["loop.rg"],
+                        "--substitute", "X=X^(1/0)")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_exit_code_2_on_bad_substitution_name(files, capsys):
+    code, err = run_err(capsys, "br", files["loop.rg"], "--substitute", "bad name=1")
+    assert code == 2
+    assert err.startswith("error:") and "bad name" in err
+
+
+def test_exit_code_2_on_negative_verify_size(capsys):
+    code, err = run_err(capsys, "verify", "--max-size=-1")
+    assert code == 2
+    assert err.startswith("error:") and "--max-size" in err
+
+
+def test_exit_code_2_on_negative_verify_count(capsys):
+    code, err = run_err(capsys, "verify", "--random=-3")
+    assert code == 2
+    assert err.startswith("error:") and "--random" in err
+
+
 def test_link_commands_default_to_crossing_cap(capsys, tmp_path):
     # 21 classical crossings: over the 20-crossing default, under the
     # 24-edge cap of br and rtutte

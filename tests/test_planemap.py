@@ -17,11 +17,12 @@ from rgpoly.planemap import (
     relative_tutte,
     submap,
 )
+from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.poly import ONE, var
-from rgpoly.ribbon import RibbonGraph, boundary_components, make_edge
-from rgpoly.verify import grow_plane_map
+from rgpoly.ribbon import RibbonGraph, boundary_components, make_edge, side_cycles
+from rgpoly.verify import generate, grow_plane_map
 
-from helpers import whitney_rank_polynomial
+from helpers import relative_tutte_by_contraction, whitney_rank_polynomial
 
 
 def triangle():
@@ -160,3 +161,31 @@ def test_dual_involution_preserves_polynomial():
         G = RelPlaneGraph(M, zero)
         GG = dual(dual(G))
         assert relative_tutte(GG) == relative_tutte(G)
+
+
+def seeded_relative_plane_graphs():
+    """Generated relative plane graphs, and those of ribbon graphs and links."""
+    for seed in range(1, 5):
+        for size in range(9):
+            yield generate("rpg", seed, size)
+    for seed in range(1, 4):
+        for size in range(6):
+            yield ribbon_to_plane(generate("ribbon", seed, size))[0]
+        for size in range(7):
+            yield link_to_tait(generate("link", seed, size))
+
+
+def test_relative_tutte_matches_contraction_oracle():
+    for G in seeded_relative_plane_graphs():
+        assert relative_tutte(G) == relative_tutte_by_contraction(G), G
+
+
+def test_side_cycles_count_medial_circles_of_contracted_remainder():
+    # n(F) + delta(H_F) = side cycles of F u H with F untwisted, H twisted
+    for G in seeded_relative_plane_graphs():
+        M, H, regular = G.map, sorted(G.zero), G.regular_indices()
+        for mask in range(1 << len(regular)):
+            F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
+            nF = len(F) - M.num_vertices + M.components(F)
+            delta = medial_circles(contract_all(G, F).map)
+            assert side_cycles(M, F + H, set(F)) - nF == delta, (G, F)

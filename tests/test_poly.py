@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from fractions import Fraction
 
@@ -82,6 +85,37 @@ def test_parse_errors():
         parse("X^(1/3)")
     with pytest.raises(ParseError):
         parse("$")
+
+
+def test_zero_denominator_exponent_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse("x^(1/0)")
+
+
+def test_parse_adds_terms_in_place():
+    assert parse("X^0 + 1 - X + X") == 2
+    assert poly.ONE == 1    # X^0 parses to the shared ONE, which must stay 1
+    p = parse(" + ".join(f"{i + 1}*X^{i}" for i in range(500)))
+    assert p.subs({"X": 1}) == sum(range(1, 501)) and parse(p.canonical()) == p
+
+
+_RENDER = """
+import sys
+from rgpoly import poly
+from rgpoly.ribbon import bollobas_riordan
+from rgpoly.verify import generate
+if sys.argv[1] == "crowded":
+    for i in range(5000):
+        poly.register(f"unrelated_{i}")
+print(bollobas_riordan(generate("ribbon", 5, 6)).canonical())
+"""
+
+
+def test_canonical_ignores_unrelated_registered_names():
+    def render(mode):
+        return subprocess.run([sys.executable, "-c", _RENDER, mode],
+                              capture_output=True, check=True).stdout
+    assert render("crowded") == render("fresh")
 
 
 def test_swap_vars():
