@@ -5,8 +5,8 @@ router, replaces every crossing, twist mark and regular mark by its gadget
 (checkerboard 4-cycle of 0-edges / one 0-edge / one weighted regular edge)
 and contracts the remaining skeleton with ``planemap.contract_where``.
 ``plane_to_ribbon`` runs the inverse construction through the medial
-circles of the 0-edge subgraph, walking the side links of
-``ribbon.side_links``.
+circles of the 0-edge subgraph, walking the int side slots of
+``ribbon.side_slots``.
 ``link_to_tait`` shades a virtual link diagram and extracts its relative
 plane Tait graph with signed regular edges.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import MalformedDiagram
 from .planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces
 from .poly import ONE, var
-from .ribbon import Edge, RibbonGraph, side_links
+from .ribbon import SAME_SIDE, Edge, RibbonGraph, side_slots
 from .router import route
 
 
@@ -103,39 +103,36 @@ def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
     edge whose two flags agree is untwisted.
     """
     M = G.map
-    arc, link, _ = side_links(M, G.zero)     # every 0-edge twisted
-    gap = {}            # 0-edge end -> ends up to the next one, counterclockwise
-    lone_circles = []   # circles of vertices without any 0-edge end
-    for cycle in M.vertices:
-        hs = [i for i, h in enumerate(cycle) if (h, 0) in link]
-        if not hs:
-            lone_circles.append([(end, True) for end in cycle])
-            continue
-        for i, j in zip(hs, hs[1:] + [hs[0] + len(cycle)]):
-            gap[cycle[i]] = [cycle[k % len(cycle)] for k in range(i + 1, j)]
+    sl = side_slots(M, dict.fromkeys(G.zero, SAME_SIDE))   # regular edges CLOSED
+    zero_darts = {h for i in G.zero for h in M.edges[i].ends}
 
     circles = []
-    flag = {}
-    seen = set()
-    for start in sorted(arc, key=lambda s: (str(s[0]), s[1])):
-        if start in seen:
+    seen = bytearray(len(sl.arc))
+    starts = sorted((s for s in range(len(sl.arc)) if sl.darts[s >> 1] in zero_darts),
+                    key=lambda s: (str(sl.darts[s >> 1]), s & 1))
+    for start in starts:
+        if seen[start]:
             continue
         circle = []
-        slot = start
+        s = start
         while True:
-            nxt = arc[slot]
-            seen.add(slot)
-            seen.add(nxt)
-            if slot[1]:     # the arc runs counterclockwise from slot's end
-                circle.extend((end, True) for end in gap[slot[0]])
-            else:
-                circle.extend((end, False) for end in reversed(gap[nxt[0]]))
-            slot = link[nxt]
-            if slot == start:
+            seen[s] = 1
+            t = sl.arc[s]
+            # a regular end is passed through its closed link; reaching its
+            # side 0 means the arc runs counterclockwise
+            while sl.darts[t >> 1] not in zero_darts:
+                circle.append((sl.darts[t >> 1], not t & 1))
+                t = sl.arc[t ^ 1]
+            seen[t] = 1
+            s = sl.link[t]
+            if s == start:
                 break
         circles.append(circle)
-    circles.extend(lone_circles)
+    # vertices without any 0-edge end are circles of their own
+    circles.extend([(end, True) for end in cycle] for cycle in M.vertices
+                   if not zero_darts.intersection(cycle))
 
+    flag = {}
     for circle in circles:
         for end, f in circle:
             flag[end] = f

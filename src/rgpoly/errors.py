@@ -35,3 +35,8 @@ class GenusError(RgpolyError):
 
 class ParseError(RgpolyError):
     """Malformed input text; message carries the position."""
+
+
+class RenderError(RgpolyError):
+    """Polynomial whose text form cannot be produced, such as a coefficient
+    past the interpreter's limit on integer-to-string conversion."""

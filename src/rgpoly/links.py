@@ -4,8 +4,12 @@ A diagram is a 4-valent plane map whose vertices are crossings, classical
 (with a designated over strand) or virtual.  Crossing-free unknot
 components are carried as a counter since they have no vertices to sit on.
 The bracket runs on ``poly.state_sum`` with the weight pair (A, B) at every
-classical crossing; ``split`` counts each state's circles with the shared
-cycle counter ``util.count_cycles``.
+classical crossing.  ``bracket_kernel`` compiles the diagram once: the arcs
+are the fixed matching, and since a virtual crossing only joins opposite
+darts (Kauffman 1999, "Virtual knot theory"), the virtual crossings
+collapse into a matching on the 4n darts of the n classical crossings.
+Each state then picks the A or B splitting at every classical crossing and
+counts its circles with ``util.count_cycles`` in O(n).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .errors import MalformedCode, MalformedDiagram, MissingOrientation
 from .planemap import PlaneMap
 from .poly import Polynomial, monomial, state_sum, var
 from .router import route
-from .util import count_cycles
+from .util import CycleKernel
 
 DEFAULT_CROSSING_CAP = 20
 
@@ -101,37 +105,52 @@ class VirtualLinkDiagram:
                 f"free_loops={self.free_loops})")
 
 
-def split(L: VirtualLinkDiagram, state) -> int:
-    """Number of closed curves after splitting every classical crossing.
+def bracket_kernel(L: VirtualLinkDiagram) -> CycleKernel:
+    """The bracket's state circles, compiled once per diagram.
 
-    The A-splitting joins each over dart to its rotation predecessor (the
-    arcs bounding the two corners swept counterclockwise by the over
-    strand), the B-splitting to its successor; virtual crossings join
-    opposite darts.  ``count_cycles`` closes this matching against the arcs.
+    The nodes are the darts, the arcs ``partner``.  Classical crossing j
+    owns nodes 4j..4j+3 in rotation order; a state's mask bit j set picks
+    its A-splitting, which joins each over dart to its rotation predecessor
+    (the arcs bounding the two corners swept counterclockwise by the over
+    strand), and a clear bit the B-splitting, to its successor.  A virtual
+    crossing only joins opposite darts, so the arcs and the virtual
+    crossings collapse once into a matching on the 4n classical darts;
+    strands that meet no classical crossing and the free loops are counted
+    once.
     """
-    smoothing = {}
-    for ci, cycle in enumerate(L.map.vertices):
-        if L.kinds[ci] == "virtual":
-            pairs = ((cycle[0], cycle[2]), (cycle[1], cycle[3]))
-        else:
-            turn = -1 if state[ci] == "A" else 1
-            pairs = ((o, cycle[(cycle.index(o) + turn) % 4]) for o in L.over[ci])
-        for a, b in pairs:
-            smoothing[a], smoothing[b] = b, a
-    return count_cycles(L.map.partner, smoothing) + L.free_loops
+    M = L.map
+    classical = L.classical
+    order = classical + [ci for ci in range(M.num_vertices)
+                         if L.kinds[ci] == "virtual"]
+    node = {h: 4 * b + i for b, ci in enumerate(order)
+            for i, h in enumerate(M.vertices[ci])}
+    arc = [0] * len(node)
+    for h, g in M.partner.items():
+        arc[node[h]] = node[g]
+    opposite = [s ^ 2 for s in range(len(arc))]
+    choices = []
+    for ci in classical:
+        over_even = L.over[ci] == frozenset(M.vertices[ci][0::2])
+        choices.append((1, 3) if over_even else (3, 1))    # (B, A) xors
+    return CycleKernel(arc, opposite, choices, L.free_loops)
+
+
+def split(L: VirtualLinkDiagram, state) -> int:
+    """Number of closed curves after splitting every classical crossing
+    ``ci`` by ``state[ci]``, "A" or "B"; see ``bracket_kernel``."""
+    mask = sum(1 << j for j, ci in enumerate(L.classical) if state[ci] == "A")
+    return bracket_kernel(L).cycles(mask)
 
 
 def kauffman_bracket(L: VirtualLinkDiagram,
                      cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states."""
-    classical = L.classical
+    kernel = bracket_kernel(L)
 
     def term(mask):
-        state = {ci: ("A" if mask >> i & 1 else "B")
-                 for i, ci in enumerate(classical)}
-        return monomial(1, {"d": split(L, state) - 1})
+        return monomial(1, {"d": kernel.cycles(mask) - 1})
 
-    return state_sum([(var("A"), var("B"))] * len(classical), cap,
+    return state_sum([(var("A"), var("B"))] * len(L.classical), cap,
                      "{n} classical crossings exceeds the cap {cap}", term)
 
 
@@ -188,7 +207,12 @@ def realize_gauss_code(code: str) -> VirtualLinkDiagram:
             m = _TOKEN.match(chunk, pos)
             if m is None:
                 raise MalformedCode(f"bad token at {chunk[pos:]!r}")
-            word.append((m.group(1), int(m.group(2)), m.group(3)))
+            try:
+                label = int(m.group(2))
+            except ValueError:      # past the interpreter's integer-string limit
+                raise MalformedCode(f"crossing label of {len(m.group(2))} digits "
+                                    f"is too long") from None
+            word.append((m.group(1), label, m.group(3)))
             pos = m.end()
         words.append(word)
     free_loops = sum(1 for w in words if not w)

@@ -3,14 +3,22 @@
 A plane map is the untwisted, unweighted case of the rotation-system core
 in ``ribbon``: a ``RibbonGraph`` whose edges are ``MapEdge`` records and
 whose face count satisfies the Euler relation v - e + f = 2k.  Its medial
-circles are the side cycles of ``ribbon.side_links`` with every ribbon
+circles are the side cycles of ``ribbon.side_slots`` with every ribbon
 twisted.  On top of it sit relative plane graphs: a marked subset H of
 0-edges, weights on the remaining (regular) edges, and the all-subset
 relative Tutte polynomial.  It weights the remainder H_F of contracting F in
 F union H by psi = d^(delta-k) * w^(v-k), delta counting its medial circles,
 and reads all three off G: k(H_F) = k(F union H), v(H_F) = k(F), and
-n(F) + delta(H_F) = side cycles of F union H with F untwisted.  The
-reference path ``psi(contract_all(G, F))`` builds H_F.
+n(F) + delta(H_F) = side cycles of F union H with F untwisted.
+
+``relative_kernel`` compiles this once per graph.  The side slots take
+their arcs over the full rotation; a regular edge outside F self-links the
+two sides of each end, which drops it, so the arcs serve every F.  The
+0-edges are always present and twisted, so the side cycles collapse once
+onto the 4m slots of the m regular edges, and k(F), k(F union H) come from
+a union-find over F's ends alone, on vertex ids and on the components of H.  A state costs
+O(m), not O(size of G).  The reference path ``psi(contract_all(G, F))``
+builds H_F.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import GenusError
 from .poly import Polynomial, monomial, state_sum, var
-from .ribbon import DEFAULT_EDGE_CAP, RibbonGraph, side_cycles
+from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph,
+                     side_cycles, side_kernel)
+from .util import CycleKernel, Merges
 
 
 @dataclass(frozen=True)
@@ -211,19 +221,38 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     """
     regular = G.regular_indices()
     M = G.map
+    nv = M.num_vertices
     kG = M.components()
-    H = sorted(G.zero)
+    kernel, joins, joins_h, kH = relative_kernel(G)
 
     def term(mask):
-        F = [regular[i] for i in range(len(regular)) if mask >> i & 1]
-        kF, kFH = M.components(F), M.components(F + H)
-        nF = len(F) - M.num_vertices + kF
-        delta = side_cycles(M, F + H, set(F)) - nF
+        kF = nv - joins.count(mask)
+        kFH = kH - joins_h.count(mask)
+        nF = mask.bit_count() - nv + kF
+        delta = kernel.cycles(mask) - nF
         return monomial(1, {"X": kFH - kG, "Y": nF, "d": delta - kFH,
                             "w": kF - kFH})
 
     return state_sum([G.weights[ei] for ei in regular], cap,
                      "{n} regular edges exceeds the enumeration cap {cap}", term)
+
+
+def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, Merges, int]:
+    """The compiled state of ``relative_tutte``, built once per graph.
+
+    Returns the side-cycle kernel of F union H with H twisted and fixed, on
+    the 4 * |regular| slots of the regular edges, then the joins of F on the
+    vertices and on the components of H, and k(H).
+    """
+    M = G.map
+    regular = G.regular_indices()
+    present = dict.fromkeys(G.zero, SAME_SIDE)
+    present.update(dict.fromkeys(regular, CROSSWISE))
+    kernel = side_kernel(M, present, regular)
+    uf = M.union_find(G.zero)
+    ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends) for ei in regular]
+    joins_h = Merges([(uf.find(u), uf.find(v)) for u, v in ends])
+    return kernel, Merges(ends), joins_h, uf.count
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import NonMonomialNegativePower, ParseError, SizeLimit
+from .errors import NonMonomialNegativePower, ParseError, RenderError, SizeLimit
 
 _BUILTINS = ("X", "Y", "Z", "A", "B", "d", "w", "t")
 
@@ -335,6 +335,17 @@ def swap_vars(p: Polynomial, a: str, b: str) -> Polynomial:
 # -- rendering helpers ------------------------------------------------
 
 
+def _decimal(n: int) -> str:
+    """``str(n)``, but a RenderError past the interpreter's limit on
+    integer-to-string conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = abs(n).bit_length() * 30103 // 100000
+        raise RenderError(f"a number of over {digits} digits is too large "
+                          f"to print") from None
+
+
 def _render_term(key: Key, c: int) -> str:
     factors = []
     extras = [(vid, e4) for vid, e4 in key if vid >= _NUM_BUILTINS]
@@ -342,10 +353,10 @@ def _render_term(key: Key, c: int) -> str:
     for vid, e4 in extras + builtin:
         factors.append(_render_factor(vid, e4))
     if not factors:
-        return str(abs(c))
+        return _decimal(abs(c))
     body = "*".join(factors)
     if abs(c) != 1:
-        body = f"{abs(c)}*{body}"
+        body = f"{_decimal(abs(c))}*{body}"
     return body
 
 
@@ -355,8 +366,8 @@ def _render_factor(vid: int, e4: int) -> str:
         return name
     f = Fraction(e4, 4)
     if f.denominator == 1:
-        return f"{name}^{f.numerator}"
-    return f"{name}^({f.numerator}/{f.denominator})"
+        return f"{name}^{_decimal(f.numerator)}"
+    return f"{name}^({_decimal(f.numerator)}/{f.denominator})"
 
 
 # -- parsing ----------------------------------------------------------
@@ -398,6 +409,13 @@ class _Parser:
         tok = self.peek()
         self.i += 1
         return tok
+
+    def number(self, val: str, pos: int) -> int:
+        try:
+            return int(val)
+        except ValueError:      # past the interpreter's integer-string limit
+            raise ParseError(f"integer of {len(val)} digits at position {pos} "
+                             f"is too long") from None
 
     def expect_op(self, op: str):
         kind, val, pos = self.take()
@@ -441,7 +459,7 @@ class _Parser:
     def factor(self) -> Polynomial:
         kind, val, pos = self.take()
         if kind == "num":
-            return Polynomial.const(int(val))
+            return Polynomial.const(self.number(val, pos))
         if kind != "name":
             raise ParseError(f"expected a variable or number at position {pos} in {self.text!r}")
         name = val
@@ -471,7 +489,7 @@ class _Parser:
         kind, val, pos = self.take()
         if kind != "num":
             raise ParseError(f"expected an integer at position {pos} in {self.text!r}")
-        return sign * int(val)
+        return sign * self.number(val, pos)
 
     def signed_fraction(self) -> int:
         num = self.signed_int()
@@ -482,7 +500,7 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "num":
                 raise ParseError(f"expected a denominator at position {pos} in {self.text!r}")
-            den = int(val)
+            den = self.number(val, pos)
             if not den:
                 raise ParseError(f"zero denominator at position {pos} in {self.text!r}")
         f = Fraction(num, den) * 4

@@ -10,28 +10,35 @@ vertex; it also provides the lazily built partner map and the component
 count of spanning subgraphs.  A plane map (``planemap.PlaneMap``) is the
 untwisted, unweighted case.
 
-``side_links`` is the one side-cycle tracer and ``side_cycles`` counts its
-cycles.  Every half-edge carries two side slots, disc arcs join the slots
-of consecutive half-edges in a restricted rotation, and each ribbon links
-the slots of its two ends, crosswise when untwisted and side to same side
-when twisted.  The cycles are the boundary components of a ribbon
-subgraph, the medial circles of a plane map (every ribbon twisted) and the
-vertex circles that ``plane_to_ribbon`` rebuilds.
+The compile step of the state sums lives here.  ``side_slots`` gives
+every half-edge two int side slots, four per edge.  Disc arcs join the
+slots of consecutive half-edges in the full rotation, the same for every
+state.  Each ribbon links the slots of its two ends, crosswise when
+untwisted and side to same side when twisted; an absent edge links the two
+sides of each end to each other, which is the same as dropping its
+half-edges from the rotation.  The cycles are the boundary components of a
+ribbon subgraph, the medial circles of a plane map (every ribbon twisted)
+and the vertex circles that ``plane_to_ribbon`` rebuilds.
+``side_kernel`` compiles these slots into a ``util.CycleKernel``: the
+edges outside the enumerated set have fixed links and collapse once, so
+each state of a sum over m edges fills 4m links and costs O(m), however
+many fixed edges the map has.
 
 On top of the core the module computes nullity and boundary components of
-spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial, and
-converts to and from arrow presentations.
+spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial (all
+edges live, nothing to collapse), and converts to and from arrow
+presentations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedPresentation
 from .poly import Polynomial, monomial, state_sum, var
-from .util import UnionFind, count_cycles
+from .util import CycleKernel, Merges, UnionFind
 
 DEFAULT_EDGE_CAP = 24
 
@@ -131,52 +138,88 @@ def nullity(R: RibbonGraph, subset: Iterable[int]) -> int:
     return len(subset) - R.num_vertices + components(R, subset)
 
 
-def side_links(R: RibbonGraph, edges: Iterable[int],
-               untwisted: Container[int] = ()) -> tuple[dict, dict, int]:
+# How an edge links the slots (h1, 0), (h1, 1), (h2, 0), (h2, 1) of its
+# block 4b..4b+3: slot s goes to s ^ CLOSED when the edge is absent, to
+# s ^ SAME_SIDE for a twisted ribbon and to s ^ CROSSWISE for an untwisted one.
+CLOSED, SAME_SIDE, CROSSWISE = 1, 2, 3
+
+
+@dataclass
+class SideSlots:
+    """Int side slots of every half-edge: slot s is side s & 1 of darts[s >> 1]."""
+
+    darts: list
+    arc: list
+    link: list
+    bare: int
+
+
+def side_slots(R: RibbonGraph, present: Mapping[int, int],
+               state: Sequence[int] = ()) -> SideSlots:
     """The two slot matchings whose cycles are traced side by side.
 
-    Only the half-edges of ``edges`` take part, each with side slots
-    (h, 0) and (h, 1).  ``arc`` joins (h, 1) to (g, 0) for g the successor
-    of h in the rotation restricted to those half-edges.  ``link`` joins
-    the slots of each edge's ends crosswise, (h1, 0)-(h2, 1) and
-    (h1, 1)-(h2, 0), for an edge in ``untwisted``, and side to same side
-    otherwise.  Returns (arc, link, bare), where ``bare`` counts the
-    vertices left without a half-edge; each is a cycle by itself.
+    Edge ``state[j]`` owns the block of slots 4j..4j+3 and the other edges
+    follow in index order.  ``arc`` joins (h, 1) to (g, 0) for g the
+    successor of h in the full rotation.  ``link`` joins the slots of edge
+    e by ``present[e]`` (SAME_SIDE or CROSSWISE), and an edge missing from
+    ``present`` by CLOSED, which is the same as dropping its half-edges
+    from the rotation.  ``bare`` counts the vertices without a half-edge;
+    each is a cycle by itself.
     """
-    link = {}
-    for ei in edges:
-        h1, h2 = R.edges[ei].ends
-        t = 1 if ei in untwisted else 0
-        link[(h1, 0)] = (h2, t)
-        link[(h2, t)] = (h1, 0)
-        link[(h1, 1)] = (h2, 1 - t)
-        link[(h2, 1 - t)] = (h1, 1)
-    arc = {}
+    live = set(state)
+    order = list(state) + [e for e in range(len(R.edges)) if e not in live]
+    darts: list = []
+    link: list = []
+    for b, e in enumerate(order):
+        darts += R.edges[e].ends
+        x = present.get(e, CLOSED)
+        link += (4 * b ^ x, (4 * b + 1) ^ x, (4 * b + 2) ^ x, (4 * b + 3) ^ x)
+    slot = {h: 2 * i for i, h in enumerate(darts)}
+    arc = [0] * len(link)
     bare = 0
     for cycle in R.vertices:
-        rot = [h for h in cycle if (h, 0) in link]
-        if not rot:
+        if not cycle:
             bare += 1
             continue
-        prev = rot[-1]
-        for h in rot:
-            arc[(prev, 1)] = (h, 0)
-            arc[(h, 0)] = (prev, 1)
-            prev = h
-    return arc, link, bare
+        prev = slot[cycle[-1]] + 1
+        for h in cycle:
+            s = slot[h]
+            arc[prev], arc[s] = s, prev
+            prev = s + 1
+    return SideSlots(darts, arc, link, bare)
+
+
+def side_kernel(R: RibbonGraph, present: Mapping[int, int],
+                state: Sequence[int] = ()) -> CycleKernel:
+    """The side cycles of ``side_slots``, compiled over the states of ``state``.
+
+    Bit j of a state's mask puts edge ``state[j]`` in with ``present``'s
+    link; a clear bit leaves it out.  Every other edge is fixed and
+    collapses once, so the kernel has 4 * len(state) live slots.
+    """
+    s = side_slots(R, present, state)
+    return CycleKernel(s.arc, s.link, [(CLOSED, present[e]) for e in state],
+                       s.bare)
 
 
 def side_cycles(R: RibbonGraph, edges: Iterable[int],
                 untwisted: Container[int] = ()) -> int:
-    """Number of side cycles of ``side_links``, bare vertices included."""
-    arc, link, bare = side_links(R, edges, untwisted)
-    return bare + count_cycles(arc, link)
+    """Side cycles of the ribbons ``edges``, twisted unless in ``untwisted``,
+    bare vertices included."""
+    present = {ei: CROSSWISE if ei in untwisted else SAME_SIDE for ei in edges}
+    return side_kernel(R, present).cycles(0)
+
+
+def twist_links(R: RibbonGraph) -> dict:
+    """Every edge's ribbon links by its sign: CROSSWISE untwisted, SAME_SIDE twisted."""
+    return {ei: CROSSWISE if e.sign == 1 else SAME_SIDE
+            for ei, e in enumerate(R.edges)}
 
 
 def boundary_components(R: RibbonGraph, subset: Iterable[int]) -> int:
     """Boundary walks of the surface with all vertex-discs and only F's ribbons."""
-    subset = set(subset)
-    return side_cycles(R, subset, {ei for ei in subset if R.edges[ei].sign == 1})
+    links = twist_links(R)
+    return side_kernel(R, {ei: links[ei] for ei in set(subset)}).cycles(0)
 
 
 def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
@@ -184,16 +227,20 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
 
     Sums over all 2^|E| spanning subgraphs F the term
     (prod_{e in F} x_e)(prod_{e not in F} y_e)
-    X^(k(F)-k(R)) Y^(n(F)) Z^(k(F)-bc(F)+n(F)).
+    X^(k(F)-k(R)) Y^(n(F)) Z^(k(F)-bc(F)+n(F)),
+    on one kernel whose 4|E| slots are all live.
     """
     m = R.num_edges
+    nv = R.num_vertices
     kR = R.components()
+    kernel = side_kernel(R, twist_links(R), range(m))
+    joins = Merges([(R.vertex_of(h1), R.vertex_of(h2))
+                    for h1, h2 in (e.ends for e in R.edges)])
 
     def term(mask):
-        subset = [i for i in range(m) if mask >> i & 1]
-        k = R.components(subset)
-        n = len(subset) - R.num_vertices + k
-        bc = boundary_components(R, subset)
+        k = nv - joins.count(mask)
+        n = mask.bit_count() - nv + k
+        bc = kernel.cycles(mask)
         return monomial(1, {"X": k - kR, "Y": n, "Z": k - bc + n})
 
     return state_sum([(e.x, e.y) for e in R.edges], cap,

@@ -135,6 +135,33 @@ def test_exit_code_2_on_zero_denominator_exponent(files, capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_exit_code_2_on_integer_past_the_string_limit(capsys, tmp_path):
+    # CPython refuses int <-> str conversions of more than 4300 digits
+    path = tmp_path / "huge.rg"
+    path.write_text(f"vertex v: a b\nedge e: a b sign=+ x={'7' * 5000}\n")
+    code, err = run_err(capsys, "br", str(path))
+    assert code == 2 and err.startswith("error:") and "too long" in err
+
+
+def test_exit_code_2_on_number_too_large_to_print(capsys, tmp_path):
+    # each weight parses, but the product of two has a coefficient of 8000
+    # digits, or an exponent of 4301
+    path = tmp_path / "wide.rg"
+    for weight in ("3" * 4000, "Y^" + "9" * 4300):
+        path.write_text(f"vertex v: a b c d\nedge e: a b sign=+ x={weight}\n"
+                        f"edge f: c d sign=+ x={weight}\n")
+        code, err = run_err(capsys, "br", str(path))
+        assert code == 2 and err.startswith("error:") and "too large" in err
+
+
+def test_exit_code_2_on_crossing_label_past_the_string_limit(capsys, tmp_path):
+    path = tmp_path / "huge.vld"
+    label = "9" * 5000
+    path.write_text(f"gauss O{label}+U{label}+\n")
+    code, err = run_err(capsys, "bracket", str(path))
+    assert code == 2 and err.startswith("error:") and "too long" in err
+
+
 def test_exit_code_2_on_bad_substitution_name(files, capsys):
     code, err = run_err(capsys, "br", files["loop.rg"], "--substitute", "bad name=1")
     assert code == 2

@@ -1,9 +1,12 @@
-"""Parser fuzzing: arbitrary text raises nothing but ``RgpolyError``.
+"""Parser fuzzing: arbitrary text raises nothing but ``RgpolyError``, and
+canonical text parses back to the polynomial it came from.
 
 Each parser gets a few hundred derandomized examples, drawn both from
 arbitrary characters and from lines of the file grammars, so that many inputs
 get past the line parser and reach the validation of the maps.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -67,3 +70,21 @@ def test_parse_vld_raises_only_rgpoly_errors(text):
 @given(_EXPRS)
 def test_poly_parse_raises_only_rgpoly_errors(text):
     _only_rgpoly_errors(poly.parse, text)
+
+
+_NAMES = ["X", "Y", "Z", "A", "B", "d", "w", "t", "x_e", "y_e", "x_12",
+          "x_minus", "x_q0_3", "y_long_label"]
+_MONOMIALS = st.tuples(
+    st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30)),
+    st.dictionaries(st.sampled_from(_NAMES),
+                    st.integers(-24, 24).map(lambda e4: Fraction(e4, 4)),
+                    max_size=4))
+
+
+@_FUZZ
+@given(st.lists(_MONOMIALS, max_size=6))
+def test_canonical_text_parses_back(monomials):
+    p = poly.Polynomial.const(0)
+    for coeff, powers in monomials:
+        p = p + poly.monomial(coeff, powers)
+    assert poly.parse(p.canonical()) == p
