@@ -5,8 +5,8 @@ router, replaces every crossing, twist mark and regular mark by its gadget
 (checkerboard 4-cycle of 0-edges / one 0-edge / one weighted regular edge)
 and contracts the remaining skeleton with ``planemap.contract_where``.
 ``plane_to_ribbon`` runs the inverse construction through the medial
-circles of the 0-edge subgraph, walking the int side slots of
-``ribbon.side_slots``.
+circles of the 0-edge subgraph, read with ``util.cycles`` off the int side
+slots of ``ribbon.side_slots``.
 ``link_to_tait`` shades a virtual link diagram and extracts its relative
 plane Tait graph with signed regular edges.
 """
@@ -20,6 +20,7 @@ from .planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces
 from .poly import ONE, var
 from .ribbon import SAME_SIDE, Edge, RibbonGraph, side_slots
 from .router import route
+from .util import cycles
 
 
 @dataclass
@@ -43,7 +44,7 @@ def ribbon_to_plane(R: RibbonGraph):
     vertices = [list(rd.map.vertices[ti]) for ti in rd.terminal_vertices]
     edges = list(rd.map.edges)          # skeleton segments
     skeleton = set(edges)
-    zero_edges = []
+    zero_edges = set()
     reg_of = {}                         # regular MapEdge -> ribbon edge index
     serial = 0
 
@@ -59,7 +60,7 @@ def ribbon_to_plane(R: RibbonGraph):
         for i, (za, zb) in enumerate(cycle_halves):
             e = MapEdge((za, zb), f"q{serial}_{i}")
             edges.append(e)
-            zero_edges.append(e)
+            zero_edges.add(e)
         serial += 1
 
     for (ci, mi), vi in rd.mark_vertices.items():
@@ -72,7 +73,7 @@ def ribbon_to_plane(R: RibbonGraph):
             reg_of[e] = ci
         else:
             e = MapEdge((ga, gb), f"t{serial}")
-            zero_edges.append(e)
+            zero_edges.add(e)
         edges.append(e)
         serial += 1
 
@@ -81,7 +82,7 @@ def ribbon_to_plane(R: RibbonGraph):
     m, loops = contract_where(PlaneMap(vertices, edges), skeleton.__contains__)
     assert loops == 0
 
-    zero = {i for i, e in enumerate(m.edges) if e in set(zero_edges)}
+    zero = {i for i, e in enumerate(m.edges) if e in zero_edges}
     weights = {}
     g_to_r = {}
     for i, e in enumerate(m.edges):
@@ -106,28 +107,13 @@ def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
     sl = side_slots(M, dict.fromkeys(G.zero, SAME_SIDE))   # regular edges CLOSED
     zero_darts = {h for i in G.zero for h in M.edges[i].ends}
 
-    circles = []
-    seen = bytearray(len(sl.arc))
     starts = sorted((s for s in range(len(sl.arc)) if sl.darts[s >> 1] in zero_darts),
                     key=lambda s: (str(sl.darts[s >> 1]), s & 1))
-    for start in starts:
-        if seen[start]:
-            continue
-        circle = []
-        s = start
-        while True:
-            seen[s] = 1
-            t = sl.arc[s]
-            # a regular end is passed through its closed link; reaching its
-            # side 0 means the arc runs counterclockwise
-            while sl.darts[t >> 1] not in zero_darts:
-                circle.append((sl.darts[t >> 1], not t & 1))
-                t = sl.arc[t ^ 1]
-            seen[t] = 1
-            s = sl.link[t]
-            if s == start:
-                break
-        circles.append(circle)
+    # a regular end is passed through its closed link, entered at an arc target
+    # (odd position); entering at side 0 means the arc runs counterclockwise
+    circles = [[(sl.darts[t >> 1], not t & 1) for t in cycle[1::2]
+                if sl.darts[t >> 1] not in zero_darts]
+               for cycle in cycles(sl.arc, sl.link, starts)]
     # vertices without any 0-edge end are circles of their own
     circles.extend([(end, True) for end in cycle] for cycle in M.vertices
                    if not zero_darts.intersection(cycle))

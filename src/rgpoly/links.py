@@ -9,7 +9,8 @@ are the fixed matching, and since a virtual crossing only joins opposite
 darts (Kauffman 1999, "Virtual knot theory"), the virtual crossings
 collapse into a matching on the 4n darts of the n classical crossings.
 Each state then picks the A or B splitting at every classical crossing and
-counts its circles with ``util.count_cycles`` in O(n).
+counts its circles with ``util.count_cycles`` in O(n).  The strands are the
+cycles of the arcs and the opposite darts, listed by ``util.cycles``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import MalformedCode, MalformedDiagram, MissingOrientation
 from .planemap import PlaneMap
 from .poly import Polynomial, monomial, state_sum, var
 from .router import route
-from .util import CycleKernel
+from .util import CycleKernel, cycles
 
 DEFAULT_CROSSING_CAP = 20
 
@@ -77,32 +78,27 @@ class VirtualLinkDiagram:
 
     def strand_components(self) -> list:
         """Dart cycles of the strands, each starting at its minimal out-dart."""
-        partner = self.map.partner
-        comps = []
-        seen = set()
-        for start in sorted(partner, key=str):
-            if start in seen:
-                continue
-            cycle = []
-            out = start
-            while True:
-                cycle.append(out)
-                seen.add(out)
-                incoming = partner[out]
-                cycle.append(incoming)
-                seen.add(incoming)
-                ci = self.map.vertex_of(incoming)
-                out = self.rotation_next(ci, self.rotation_next(ci, incoming))
-                if out == start:
-                    break
-            comps.append(cycle)
-        return comps
+        darts, arc, opposite = dart_slots(self)
+        starts = sorted(range(len(darts)), key=lambda s: str(darts[s]))
+        return [[darts[s] for s in cycle] for cycle in cycles(arc, opposite, starts)]
 
     def __repr__(self):
         n = len(self.classical)
         return (f"VirtualLinkDiagram(classical={n}, "
                 f"virtual={self.map.num_vertices - n}, "
                 f"free_loops={self.free_loops})")
+
+
+def dart_slots(L: VirtualLinkDiagram) -> tuple[list, list, list]:
+    """The darts, 4b..4b+3 in rotation order at the b-th crossing (classical
+    ones first), and the arc and opposite-dart matchings on them."""
+    M = L.map
+    order = L.classical + [ci for ci in range(M.num_vertices)
+                           if L.kinds[ci] == "virtual"]
+    darts = [h for ci in order for h in M.vertices[ci]]
+    node = {h: s for s, h in enumerate(darts)}
+    partner = M.partner
+    return darts, [node[partner[h]] for h in darts], [s ^ 2 for s in range(len(darts))]
 
 
 def bracket_kernel(L: VirtualLinkDiagram) -> CycleKernel:
@@ -119,17 +115,9 @@ def bracket_kernel(L: VirtualLinkDiagram) -> CycleKernel:
     once.
     """
     M = L.map
-    classical = L.classical
-    order = classical + [ci for ci in range(M.num_vertices)
-                         if L.kinds[ci] == "virtual"]
-    node = {h: 4 * b + i for b, ci in enumerate(order)
-            for i, h in enumerate(M.vertices[ci])}
-    arc = [0] * len(node)
-    for h, g in M.partner.items():
-        arc[node[h]] = node[g]
-    opposite = [s ^ 2 for s in range(len(arc))]
+    _, arc, opposite = dart_slots(L)
     choices = []
-    for ci in classical:
+    for ci in L.classical:
         over_even = L.over[ci] == frozenset(M.vertices[ci][0::2])
         choices.append((1, 3) if over_even else (3, 1))    # (B, A) xors
     return CycleKernel(arc, opposite, choices, L.free_loops)

@@ -19,6 +19,9 @@ onto the 4m slots of the m regular edges, and k(F), k(F union H) come from
 a union-find over F's ends alone, on vertex ids and on the components of H.  A state costs
 O(m), not O(size of G).  The reference path ``psi(contract_all(G, F))``
 builds H_F.
+
+``contract_where`` is the one splice of rotations, behind ``contract``,
+``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
 """
 
 from __future__ import annotations
@@ -88,46 +91,45 @@ def faces(M: PlaneMap) -> list[list]:
 
 def delete(M: PlaneMap, ei: int) -> PlaneMap:
     """Remove edge ``ei`` from the map, keeping all vertices."""
-    dropped = set(M.edges[ei].ends)
-    vertices = [tuple(h for h in v if h not in dropped) for v in M.vertices]
-    edges = [e for i, e in enumerate(M.edges) if i != ei]
-    return PlaneMap(vertices, edges)
+    return submap(M, (i for i in range(M.num_edges) if i != ei))
 
 
 def contract(M: PlaneMap, ei: int) -> PlaneMap:
     """Contract a non-loop edge by splicing the end rotations; a loop is deleted."""
-    h1, h2 = M.edges[ei].ends
-    u, v = M.vertex_of(h1), M.vertex_of(h2)
-    if u == v:
-        return delete(M, ei)
-    cu, cv = list(M.vertices[u]), list(M.vertices[v])
-    iu, iv = cu.index(h1), cv.index(h2)
-    merged = tuple(cu[iu + 1:] + cu[:iu] + cv[iv + 1:] + cv[:iv])
-    vertices = [merged if i == u else tuple(c)
-                for i, c in enumerate(M.vertices) if i != v]
-    edges = [e for i, e in enumerate(M.edges) if i != ei]
-    return PlaneMap(vertices, edges)
+    target = M.edges[ei]
+    return contract_where(M, lambda e: e is target)[0]
 
 
 def contract_where(m: PlaneMap, match: Callable) -> tuple[PlaneMap, int]:
-    """Contract edges ``e`` with ``match(e)``, first match first, until none is left.
+    """Contract the edges ``e`` with ``match(e)`` in edge order; returns the
+    map, built once at the end, and the number of matching edges that were
+    loops when reached, and so were deleted.
 
-    Returns the contracted map and the number of matching edges that were
-    loops by the time they were reached, and so were deleted.
+    Edge (h1, h2) from u to v puts u's rotation after h1, then v's after h2,
+    in u's place and drops v.
     """
+    rotations = [list(c) for c in m.vertices]
+    home = {h: i for i, c in enumerate(rotations) for h in c}
+    edges = []
     loops = 0
-    i = 0
-    while i < len(m.edges):
-        if not match(m.edges[i]):
-            i += 1
+    for e in m.edges:
+        if not match(e):
+            edges.append(e)
             continue
-        h1, h2 = m.edges[i].ends
-        if m.vertex_of(h1) == m.vertex_of(h2):
+        h1, h2 = e.ends
+        u, v = home[h1], home[h2]
+        cu, cv = rotations[u], rotations[v]
+        if u == v:
             loops += 1
-        # contracting keeps the order of the other edges, and those before
-        # i do not match, so the scan resumes at i
-        m = contract(m, i)
-    return m, loops
+            cu.remove(h1)
+            cu.remove(h2)
+            continue
+        iu, iv = cu.index(h1), cv.index(h2)
+        rotations[u] = cu[iu + 1:] + cu[:iu] + cv[iv + 1:] + cv[:iv]
+        rotations[v] = None
+        for h in cv:
+            home[h] = u
+    return PlaneMap([c for c in rotations if c is not None], edges), loops
 
 
 def medial_circles(M: PlaneMap) -> int:
@@ -249,10 +251,10 @@ def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, Merges, int]
     present = dict.fromkeys(G.zero, SAME_SIDE)
     present.update(dict.fromkeys(regular, CROSSWISE))
     kernel = side_kernel(M, present, regular)
-    uf = M.union_find(G.zero)
+    root = M.roots(G.zero)
     ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends) for ei in regular]
-    joins_h = Merges([(uf.find(u), uf.find(v)) for u, v in ends])
-    return kernel, Merges(ends), joins_h, uf.count
+    joins_h = Merges([(root[u], root[v]) for u, v in ends])
+    return kernel, Merges(ends), joins_h, len(set(root))
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

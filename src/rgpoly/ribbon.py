@@ -6,9 +6,9 @@ vertex plus a sign per edge (-1 for a half-twisted ribbon).
 
 ``RibbonGraph`` is the one map class of the package.  Its constructor
 validates the rotation system once and indexes every half-edge by its
-vertex; it also provides the lazily built partner map and the component
-count of spanning subgraphs.  A plane map (``planemap.PlaneMap``) is the
-untwisted, unweighted case.
+vertex; it also provides the lazily built partner map and the vertex
+classes (``roots``) and component count of spanning subgraphs.  A plane
+map (``planemap.PlaneMap``) is the untwisted, unweighted case.
 
 The compile step of the state sums lives here.  ``side_slots`` gives
 every half-edge two int side slots, four per edge.  Disc arcs join the
@@ -38,7 +38,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedPresentation
 from .poly import Polynomial, monomial, state_sum, var
-from .util import CycleKernel, Merges, UnionFind
+from .util import CycleKernel, Merges, roots
 
 DEFAULT_EDGE_CAP = 24
 
@@ -110,18 +110,16 @@ class RibbonGraph:
     def all_edges(self) -> frozenset:
         return frozenset(range(len(self.edges)))
 
-    def union_find(self, subset: Iterable[int] | None = None) -> UnionFind:
-        """Vertices joined along the edges in ``subset`` (default: all edges)."""
-        uf = UnionFind(range(len(self.vertices)))
+    def roots(self, subset: Iterable[int] | None = None) -> list[int]:
+        """``util.roots`` of the vertices joined along ``subset`` (default: all edges)."""
         home = self._home
-        for ei in range(len(self.edges)) if subset is None else subset:
-            h1, h2 = self.edges[ei].ends
-            uf.union(home[h1], home[h2])
-        return uf
+        edges = self.edges if subset is None else [self.edges[ei] for ei in subset]
+        return roots(len(self.vertices),
+                     [(home[a], home[b]) for a, b in (e.ends for e in edges)])
 
     def components(self, subset: Iterable[int] | None = None) -> int:
         """Connected components of the spanning subgraph on ``subset``."""
-        return self.union_find(subset).count
+        return len(set(self.roots(subset)))
 
     def __repr__(self):
         return f"{type(self).__name__}(v={self.num_vertices}, e={self.num_edges})"

@@ -1,54 +1,47 @@
-"""Small shared helpers: union-finds, the one cycle counter and the compiled
-state kernel that all three state sums run on.
+"""Small shared helpers on int nodes: the one union-find, the one matching
+walker and the compiled state kernel that all three state sums run on.
 
-A state sum counts, per state, the cycles of two perfect matchings on int
-nodes: a fixed ``arc`` matching (disc arcs over the full rotation, or a
-diagram's arcs) and a ``link`` matching that partly depends on the state
-(an edge absent from a state self-links its slots instead of leaving the
-rotation, so the arcs never change).  ``CycleKernel`` compiles this once.
-The live nodes, whose link changes from state to state, come first, four
-per enumerated element.  Every other node has a fixed link, so the walk
-from a live node through arc, fixed link, arc, ... up to the next live
-node is the same in every state: ``collapse`` walks it once and keeps only
-the matching it induces on the live nodes, plus the number of cycles that
-never meet a live node.  A state then fills 4m links and calls
-``count_cycles`` once, so it costs O(m) however large the drawn map is.
+``roots`` gives every node's class once pairs are joined, and ``Merges``
+counts the joins a state's few edges make.  ``cycles`` lists the cycles of
+two perfect matchings node by node; ``count_cycles`` only counts them.
+
+A state sum counts, per state, the cycles of two such matchings: a fixed
+``arc`` matching (disc arcs over the full rotation, or a diagram's arcs)
+and a ``link`` matching that partly depends on the state (an edge absent
+from a state self-links its slots instead of leaving the rotation, so the
+arcs never change).  ``CycleKernel`` compiles this once.  The live nodes,
+whose link changes from state to state, come first, four per enumerated
+element.  Every other node has a fixed link, so the walk from a live node
+through arc, fixed link, arc, ... up to the next live node is the same in
+every state: ``collapse`` walks it once and keeps only the matching it
+induces on the live nodes, plus the number of cycles that never meet a live
+node.  A state then fills 4m links and calls ``count_cycles`` once, so it
+costs O(m) however large the drawn map is.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
-class UnionFind:
-    """Union-find over arbitrary hashable items, with component count."""
+def roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The class of every node of range(n) once each pair is joined.
 
-    def __init__(self, items=()):
-        self.parent = {}
-        self.count = 0
-        for item in items:
-            self.add(item)
+    Two nodes get the same representative node exactly when a chain of
+    pairs joins them, so ``len(set(roots(n, pairs)))`` counts the classes.
+    """
+    parent = list(range(n))
 
-    def add(self, item):
-        if item not in self.parent:
-            self.parent[item] = item
-            self.count += 1
+    def find(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
 
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.count -= 1
-            return True
-        return False
+    for u, v in pairs:
+        u, v = find(u), find(v)
+        if u != v:
+            parent[u] = v
+    return [find(u) for u in range(n)]
 
 
 class Merges:
@@ -103,6 +96,31 @@ def count_cycles(a: Sequence[int], b: Sequence[int],
             seen[node] = 1
             node = b[node]
     return cycles
+
+
+def cycles(a: Sequence[int], b: Sequence[int],
+           starts: Iterable[int]) -> list[list[int]]:
+    """The cycles of two perfect matchings on range(len(a)) through ``starts``.
+
+    Each cycle is listed once, from the first of ``starts`` on it, as
+    s, a[s], b[a[s]], a[b[a[s]]], ...: even positions are reached by b
+    (or start), odd positions by a.
+    """
+    seen = bytearray(len(a))
+    out = []
+    for node in starts:
+        if seen[node]:
+            continue
+        cycle = []
+        while not seen[node]:
+            seen[node] = 1
+            cycle.append(node)
+            node = a[node]
+            seen[node] = 1
+            cycle.append(node)
+            node = b[node]
+        out.append(cycle)
+    return out
 
 
 def collapse(arc: Sequence[int], fixed: Sequence[int], live: int) -> tuple[list, int]:

@@ -25,9 +25,10 @@ from .poly import monomial, swap_vars, var
 from .ribbon import (
     RibbonGraph,
     bollobas_riordan,
-    boundary_components,
     components,
     make_edge,
+    side_kernel,
+    twist_links,
 )
 
 HALF = Fraction(1, 2)
@@ -105,7 +106,7 @@ def grow_plane_map(rng: random.Random, n_edges: int) -> PlaneMap:
             rotations.append([])
         M = PlaneMap(rotations, edges)
         partner = M.partner
-        comp_of = M.union_find().find
+        comp_of = M.roots().__getitem__
         corner_lists = []
         for walk in faces(M):
             if len(walk) == 1 and isinstance(walk[0], tuple) and walk[0][0] == "iso":
@@ -178,8 +179,10 @@ def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
 
 def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
                             seed=None) -> CheckReport:
-    """Per-subset bookkeeping behind the main theorem, for every F."""
+    """Per-subset bookkeeping behind the main theorem, for every F: H_F
+    from the reference ``contract_all``, bc(F') off one kernel of R."""
     regular = G.regular_indices()
+    bc = side_kernel(R, twist_links(R), range(R.num_edges))
     ok = True
     detail = ""
     for mask in range(1 << len(regular)):
@@ -190,7 +193,7 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
         kFH = G.map.components(F + sorted(G.zero))
         kF = G.map.components(F)
         nF = len(F) - G.map.num_vertices + kF
-        bcFr = boundary_components(R, Fr)
+        bcFr = bc.cycles(sum(1 << ri for ri in Fr))
         checks = {
             "|E(F)|=|E(F')|": len(F) == len(Fr),
             "k(H_F)=k(FuH)": kHF == kFH,

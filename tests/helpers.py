@@ -11,15 +11,136 @@ The per-state oracles keep the library's earlier dict-keyed state bodies:
 side slots (h, side) traced over the rotation restricted to the present
 half-edges, union-finds over all vertices, and the bracket's smoothing
 matching over every dart.  The compiled kernel must agree with them.
+
+The structural oracles keep the library's earlier step-by-step bodies:
+contraction that builds and validates one map per contracted edge, the
+strand walk over ``partner`` and the rotations, and a dict-keyed
+union-find of its own.
 """
 
 from __future__ import annotations
 
 from rgpoly.links import VirtualLinkDiagram
-from rgpoly.planemap import RelPlaneGraph, contract_all, psi
+from rgpoly.planemap import PlaneMap, RelPlaneGraph, contract_all, psi, submap
 from rgpoly.poly import ONE, Polynomial, monomial, var
 from rgpoly.ribbon import RibbonGraph
-from rgpoly.util import UnionFind
+
+
+class UnionFind:
+    """Union-find over arbitrary hashable items, with component count."""
+
+    def __init__(self, items=()):
+        self.parent = {}
+        self.count = 0
+        for item in items:
+            self.add(item)
+
+    def add(self, item):
+        if item not in self.parent:
+            self.parent[item] = item
+            self.count += 1
+
+    def find(self, item):
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.count -= 1
+            return True
+        return False
+
+
+def union_find_by_dicts(R: RibbonGraph, subset=None) -> UnionFind:
+    """Vertices joined along the edges in ``subset`` (default: all edges)."""
+    uf = UnionFind(range(R.num_vertices))
+    for ei in range(R.num_edges) if subset is None else subset:
+        h1, h2 = R.edges[ei].ends
+        uf.union(R.vertex_of(h1), R.vertex_of(h2))
+    return uf
+
+
+# -- contraction one map per step ----------------------------------------
+
+
+def delete_by_steps(M: PlaneMap, ei: int) -> PlaneMap:
+    """Remove edge ``ei`` from the map, keeping all vertices."""
+    dropped = set(M.edges[ei].ends)
+    vertices = [tuple(h for h in v if h not in dropped) for v in M.vertices]
+    edges = [e for i, e in enumerate(M.edges) if i != ei]
+    return PlaneMap(vertices, edges)
+
+
+def contract_by_steps(M: PlaneMap, ei: int) -> PlaneMap:
+    """Contract a non-loop edge by splicing the end rotations; a loop is deleted."""
+    h1, h2 = M.edges[ei].ends
+    u, v = M.vertex_of(h1), M.vertex_of(h2)
+    if u == v:
+        return delete_by_steps(M, ei)
+    cu, cv = list(M.vertices[u]), list(M.vertices[v])
+    iu, iv = cu.index(h1), cv.index(h2)
+    merged = tuple(cu[iu + 1:] + cu[:iu] + cv[iv + 1:] + cv[:iv])
+    vertices = [merged if i == u else tuple(c)
+                for i, c in enumerate(M.vertices) if i != v]
+    edges = [e for i, e in enumerate(M.edges) if i != ei]
+    return PlaneMap(vertices, edges)
+
+
+def contract_where_by_steps(m: PlaneMap, match) -> tuple[PlaneMap, int]:
+    """Contract edges ``e`` with ``match(e)``, first match first, building
+    and validating a map after every contraction; returns the map and the
+    number of matching edges that were loops when reached."""
+    loops = 0
+    i = 0
+    while i < len(m.edges):
+        if not match(m.edges[i]):
+            i += 1
+            continue
+        h1, h2 = m.edges[i].ends
+        if m.vertex_of(h1) == m.vertex_of(h2):
+            loops += 1
+        m = contract_by_steps(m, i)
+    return m, loops
+
+
+def contract_all_by_steps(G: RelPlaneGraph, F) -> tuple[PlaneMap, int]:
+    """H_F and its deleted loops, contracting F in F u H one map per step."""
+    M = G.map
+    F = sorted(set(F))
+    f_labels = {M.edges[ei].label for ei in F}
+    return contract_where_by_steps(submap(M, F + sorted(G.zero)),
+                                   lambda e: e.label in f_labels)
+
+
+def strand_components_by_dicts(L: VirtualLinkDiagram) -> list:
+    """Dart cycles of the strands, walked over ``partner`` and the rotation."""
+    M = L.map
+    partner = M.partner
+    comps = []
+    seen = set()
+    for start in sorted(partner, key=str):
+        if start in seen:
+            continue
+        cycle = []
+        out = start
+        while True:
+            cycle.append(out)
+            seen.add(out)
+            incoming = partner[out]
+            cycle.append(incoming)
+            seen.add(incoming)
+            ci = M.vertex_of(incoming)
+            out = L.rotation_next(ci, L.rotation_next(ci, incoming))
+            if out == start:
+                break
+        comps.append(cycle)
+    return comps
 
 
 def count_cycles_by_dicts(links_a: dict, links_b: dict) -> int:

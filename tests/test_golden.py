@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 from rgpoly import formats
+from rgpoly.convert import link_to_tait, plane_to_ribbon, ribbon_to_plane
+from rgpoly.planemap import dual, faces
 from rgpoly.verify import generate
 
 # (kind, seed, size) -> file suffix, serializer
@@ -79,3 +81,48 @@ def cli_digests(tmp_path) -> dict:
 
 def test_cli_outputs_match_recorded_digests(tmp_path):
     assert cli_digests(tmp_path) == GOLDEN
+
+
+# -- structural outputs, hashed in-process -----------------------------
+#
+# Maps, rotations, face walks, strands and component counts carry no
+# polynomial text, so their bytes do not depend on the variable registry
+# and one in-process pass can hash them.  Recorded at commit 674aa98,
+# before contraction spliced all edges into one map and the strand and
+# circle walks moved onto ``util.cycles``.
+
+STRUCTURAL_GOLDEN = \
+    "c8c8c718778e05c42528f2a1cd2157a7d521f770cd0cdff5b9c85b5f004de99b"
+
+
+def structural_digest() -> str:
+    h = hashlib.sha256()
+
+    def put(item):
+        h.update(item.encode() if isinstance(item, str) else repr(item).encode())
+        h.update(b"\0")
+
+    for seed in range(30):
+        for size in range(7):
+            R = generate("ribbon", seed, size)
+            G, cert = ribbon_to_plane(R)
+            put(formats.serialize_rpg(G))
+            put(cert.g_to_r)
+            put(faces(G.map))
+            put([R.components(F) for F in _subsets(R.num_edges)])
+            H = generate("rpg", seed, size)
+            put(faces(H.map))
+            put(formats.serialize_rpg(dual(H)))
+            put(formats.serialize_ribbon(plane_to_ribbon(H)))
+            L = generate("link", seed, size)
+            put(formats.serialize_rpg(link_to_tait(L)))
+            put(L.strand_components())
+    return h.hexdigest()
+
+
+def _subsets(m):
+    return [[i for i in range(m) if mask >> i & 1] for mask in range(1 << m)]
+
+
+def test_structural_outputs_match_recorded_digest():
+    assert structural_digest() == STRUCTURAL_GOLDEN
