@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import MalformedCode, ParseError
+from .errors import MalformedCode, MalformedDiagram, ParseError
 from . import poly
 from .links import VirtualLinkDiagram, realize_gauss_code
 from .planemap import MapEdge, PlaneMap, RelPlaneGraph
@@ -288,7 +288,7 @@ def parse_vld(text: str) -> VirtualLinkDiagram:
 
 def serialize_vld(L: VirtualLinkDiagram) -> str:
     if L.free_loops:
-        raise ValueError("free loops cannot be serialized; use a gauss line")
+        raise MalformedDiagram("free loops cannot be serialized; use a gauss line")
     out = []
     names = {}
     for ci, cycle in enumerate(L.map.vertices):

@@ -134,12 +134,15 @@ def kauffman_bracket(L: VirtualLinkDiagram,
                      cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states."""
     kernel = bracket_kernel(L)
+    n = len(L.classical)
 
     def term(mask):
-        return monomial(1, {"d": kernel.cycles(mask) - 1})
+        return (kernel.cycles(mask) - 1,)
 
-    return state_sum([(var("A"), var("B"))] * len(L.classical), cap,
-                     "{n} classical crossings exceeds the cap {cap}", term)
+    # a state has 0 to closed + 2n circles
+    bound = kernel.closed + 2 * n + 1
+    return state_sum([(var("A"), var("B"))] * n, ("d",), bound, term, cap,
+                     "{n} classical crossings exceeds the cap {cap}")
 
 
 def writhe(L: VirtualLinkDiagram) -> int:

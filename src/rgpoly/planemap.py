@@ -27,7 +27,7 @@ builds H_F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .errors import GenusError
 from .poly import Polynomial, monomial, state_sum, var
@@ -100,19 +100,23 @@ def contract(M: PlaneMap, ei: int) -> PlaneMap:
     return contract_where(M, lambda e: e is target)[0]
 
 
-def contract_where(m: PlaneMap, match: Callable) -> tuple[PlaneMap, int]:
+def contract_where(m: PlaneMap, match: Callable,
+                   keep: Container[int] | None = None) -> tuple[PlaneMap, int]:
     """Contract the edges ``e`` with ``match(e)`` in edge order; returns the
     map, built once at the end, and the number of matching edges that were
     loops when reached, and so were deleted.
 
+    Edge indices outside ``keep`` (default: every edge) are deleted first.
     Edge (h1, h2) from u to v puts u's rotation after h1, then v's after h2,
     in u's place and drops v.
     """
-    rotations = [list(c) for c in m.vertices]
+    kept = m.edges if keep is None else [e for i, e in enumerate(m.edges) if i in keep]
+    live = {h for e in kept for h in e.ends}
+    rotations = [[h for h in c if h in live] for c in m.vertices]
     home = {h: i for i, c in enumerate(rotations) for h in c}
     edges = []
     loops = 0
-    for e in m.edges:
+    for e in kept:
         if not match(e):
             edges.append(e)
             continue
@@ -180,10 +184,7 @@ class ContractionResult:
 
 def submap(M: PlaneMap, subset: Iterable[int]) -> PlaneMap:
     """Spanning submap on the given edges."""
-    edges = [M.edges[ei] for ei in sorted(set(subset))]
-    keep = {h for e in edges for h in e.ends}
-    vertices = [tuple(h for h in v if h in keep) for v in M.vertices]
-    return PlaneMap(vertices, edges)
+    return contract_where(M, lambda e: False, set(subset))[0]
 
 
 def contract_all(G: RelPlaneGraph, F: Iterable[int]) -> ContractionResult:
@@ -192,13 +193,12 @@ def contract_all(G: RelPlaneGraph, F: Iterable[int]) -> ContractionResult:
     Loops encountered during contraction are deleted; the count of such
     deletions equals the nullity of F.
     """
-    F = sorted(set(F))
-    if set(F) & G.zero:
+    F = set(F)
+    if F & G.zero:
         raise ValueError("F must consist of regular edges")
     M = G.map
     f_labels = {M.edges[ei].label for ei in F}
-    m, deleted = contract_where(submap(M, F + sorted(G.zero)),
-                                lambda e: e.label in f_labels)
+    m, deleted = contract_where(M, lambda e: e.label in f_labels, F | G.zero)
     return ContractionResult(m, deleted)
 
 
@@ -232,29 +232,39 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
         kFH = kH - joins_h.count(mask)
         nF = mask.bit_count() - nv + kF
         delta = kernel.cycles(mask) - nF
-        return monomial(1, {"X": kFH - kG, "Y": nF, "d": delta - kFH,
-                            "w": kF - kFH})
+        return kFH - kG, nF, delta - kFH, kF - kFH
 
-    return state_sum([G.weights[ei] for ei in regular], cap,
-                     "{n} regular edges exceeds the enumeration cap {cap}", term)
+    # 0 <= k(F), k(F u H), k(G) <= nv, 0 <= n(F) <= m, and the side
+    # cycles n(F) + delta lie in [0, closed + 2m]
+    m = len(regular)
+    bound = nv + m + kernel.closed + 2 * m
+    return state_sum([G.weights[ei] for ei in regular], ("X", "Y", "d", "w"),
+                     bound, term, cap,
+                     "{n} regular edges exceeds the enumeration cap {cap}")
 
 
 def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, Merges, int]:
     """The compiled state of ``relative_tutte``, built once per graph.
 
     Returns the side-cycle kernel of F union H with H twisted and fixed, on
-    the 4 * |regular| slots of the regular edges, then the joins of F on the
-    vertices and on the components of H, and k(H).
+    the 4 * |regular| slots of the regular edges, then ``relative_joins``.
     """
-    M = G.map
     regular = G.regular_indices()
     present = dict.fromkeys(G.zero, SAME_SIDE)
     present.update(dict.fromkeys(regular, CROSSWISE))
-    kernel = side_kernel(M, present, regular)
+    return (side_kernel(G.map, present, regular), *relative_joins(G))
+
+
+def relative_joins(G: RelPlaneGraph) -> tuple[Merges, Merges, int]:
+    """The joins of F on the vertices and on the components of H, F given
+    as a mask over the regular edges, and k(H): k(F) = v - joins and
+    k(F u H) = k(H) - joins on H's components."""
+    M = G.map
     root = M.roots(G.zero)
-    ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends) for ei in regular]
+    ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends)
+            for ei in G.regular_indices()]
     joins_h = Merges([(root[u], root[v]) for u, v in ends])
-    return kernel, Merges(ends), joins_h, len(set(root))
+    return Merges(ends), joins_h, len(set(root))
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

@@ -11,14 +11,26 @@ per-edge weight symbols such as ``x_e`` are registered on demand.
 
 ``state_sum`` is the one loop behind the three state sums (Bollobas-Riordan,
 relative Tutte, Kauffman bracket): it weights every subset of an indexed
-ground set and adds the terms in place, so assembly is linear in their
-number.
+ground set, and no state builds a ``Polynomial``.  Inside it a monomial is
+one int: each variable of the weights and of the term owns a bit field of
+its exponent vector, holding exp4 plus a bias, so negative exponents pack
+too (Kronecker substitution).  A field's bias is the largest |exp4| the
+variable can reach, summed over the elements from the weights and bounded
+for the term by the caller; the field is wide enough for twice the bias,
+so adding packed ints multiplies monomials and no sum carries into the
+next field.  The weight products of the low and high halves of the mask
+are tabulated once as lists of (packed int, coefficient), a multi-term
+weight being a longer list on the same path; a state adds its term's
+exponents to one entry of each and accumulates one int key in place.
+Each distinct key is decoded once, at the end, into the sorted
+(vid, exp4) key that every ``Polynomial`` uses.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import NonMonomialNegativePower, ParseError, RenderError, SizeLimit
@@ -307,24 +319,119 @@ def _power_cached(q: Polynomial, e4: int, vid: int, cache: dict) -> Polynomial:
     return out
 
 
-def state_sum(weights: list, cap: int, too_many: str, term) -> Polynomial:
+def state_sum(weights: list, names: tuple, bound: int, term,
+              cap: int, too_many: str) -> Polynomial:
     """Sum over all subsets S of range(len(weights)), given as bit masks, of
-    prod(x_i for i in S) * prod(y_i for i not in S) * term(mask).
+    prod(x_i for i in S) * prod(y_i for i not in S) * prod(v^e_v), where
+    ``term(mask)`` returns the int exponents e_v of the variables ``names``.
 
-    ``weights`` lists one (x, y) pair per element.  More than ``cap``
-    elements raise SizeLimit with ``too_many`` formatted with ``n`` and
-    ``cap``.
+    ``weights`` lists one (x, y) pair per element.  Every exponent that
+    ``term`` returns lies in [-bound, bound].  More than ``cap`` elements
+    raise SizeLimit with ``too_many`` formatted with ``n`` and ``cap``,
+    before anything is built.
+
+    A monomial is one int, its exponent vector packed into the bit fields
+    of ``_Fields``, so multiplying monomials adds ints.  The weight
+    products of the low and the high half of the mask bits are tabulated
+    once, as lists of (packed int, coefficient); a state adds its term's
+    exponents times the field units to one entry of each and accumulates
+    the sums in place.  A multi-term weight is a longer list on the same
+    path.  Each distinct int is decoded once at the end.
     """
     n = len(weights)
     if n > cap:
         raise SizeLimit(too_many.format(n=n, cap=cap))
-    terms: dict = {}
-    for mask in range(1 << n):
-        weight = ONE
-        for i, (x, y) in enumerate(weights):
-            weight = weight * (x if mask >> i & 1 else y)
-        _accumulate(terms, (weight * term(mask))._terms.items())
-    return Polynomial(terms)
+    fields = _Fields(weights, names, bound)
+    units = [4 << fields.offset[register(name)] for name in names]
+    packed = [(fields.pack(x), fields.pack(y)) for x, y in weights]
+    half = n // 2
+    low = [[(k + fields.base, c) for k, c in t] for t in _products(packed[:half])]
+    acc: dict = {}
+    for hi, highs in enumerate(_products(packed[half:])):
+        hi <<= half
+        for lo, lows in enumerate(low):
+            e = sum(map(mul, units, term(hi | lo)))
+            for k1, c1 in lows:
+                for k2, c2 in highs:
+                    key = e + k1 + k2
+                    acc[key] = acc.get(key, 0) + c1 * c2
+    return Polynomial({fields.decode(key): c for key, c in acc.items() if c})
+
+
+class _Fields:
+    """The bit fields of ``state_sum``'s packed exponent vectors.
+
+    Every variable of a weight or of the term gets a field, in vid order.
+    A field holds exp4 plus a bias, the largest |exp4| the variable can
+    reach in a state: 4 * bound if it is among the term's names, plus, per
+    element, its largest |exp4| in either weight.  A field is wide enough
+    for twice its bias, so every reachable exponent packs into [0, 2 * bias]
+    and a sum of packed vectors never carries from one field into the next.
+    The bias sum is ``base``: a state's key is base + its packed vectors.
+    """
+
+    def __init__(self, weights: list, names: tuple, bound: int):
+        span = dict.fromkeys((register(name) for name in names), 4 * bound)
+        for x, y in weights:
+            top: dict = {}
+            for key in (*x._terms, *y._terms):
+                for vid, e4 in key:
+                    top[vid] = max(top.get(vid, 0), abs(e4))
+            for vid, e4 in top.items():
+                span[vid] = span.get(vid, 0) + e4
+        self.offset = {}
+        self.fields = []
+        self.base = pos = 0
+        for vid in sorted(span):
+            bias = span[vid]
+            width = (2 * bias).bit_length()
+            self.offset[vid] = pos
+            self.fields.append((pos, (1 << width) - 1, _Pairs(vid, bias)))
+            self.base += bias << pos
+            pos += width
+
+    def pack(self, p: Polynomial) -> list:
+        """The terms of ``p`` as (packed exponent vector, coefficient) pairs."""
+        return [(sum(e4 << self.offset[vid] for vid, e4 in key), c)
+                for key, c in p._terms.items()]
+
+    def decode(self, key: int) -> Key:
+        """The sorted (vid, exp4) key of base + a packed exponent vector."""
+        return tuple([pair for off, mask, pairs in self.fields
+                      if (pair := pairs[key >> off & mask])])
+
+
+class _Pairs(dict):
+    """A field's value -> its (vid, exp4) pair, None for exp4 0; each pair
+    is made once, and the decoded keys share it."""
+
+    __slots__ = ("vid", "bias")
+
+    def __init__(self, vid: int, bias: int):
+        super().__init__()
+        self.vid, self.bias = vid, bias
+
+    def __missing__(self, value: int):
+        e4 = value - self.bias
+        pair = self[value] = (self.vid, e4) if e4 else None
+        return pair
+
+
+def _products(pairs: list) -> list:
+    """Packed weight products over ``pairs``, indexed by mask: bit i set
+    picks x_i, clear picks y_i.  Equal keys merge and zeros drop."""
+    table = [[(0, 1)]]
+    for x, y in pairs:
+        table = [_times(t, y) for t in table] + [_times(t, x) for t in table]
+    return table
+
+
+def _times(a: list, b: list) -> list:
+    out: dict = {}
+    for k1, c1 in a:
+        for k2, c2 in b:
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return [kc for kc in out.items() if kc[1]]
 
 
 def swap_vars(p: Polynomial, a: str, b: str) -> Polynomial:

@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedPresentation
-from .poly import Polynomial, monomial, state_sum, var
+from .poly import Polynomial, state_sum, var
 from .util import CycleKernel, Merges, roots
 
 DEFAULT_EDGE_CAP = 24
@@ -238,11 +238,12 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     def term(mask):
         k = nv - joins.count(mask)
         n = mask.bit_count() - nv + k
-        bc = kernel.cycles(mask)
-        return monomial(1, {"X": k - kR, "Y": n, "Z": k - bc + n})
+        return k - kR, n, k - kernel.cycles(mask) + n
 
-    return state_sum([(e.x, e.y) for e in R.edges], cap,
-                     "{n} edges exceeds the enumeration cap {cap}", term)
+    # 0 <= k, kR <= nv, 0 <= n <= m and 0 <= bc <= closed + 2m
+    bound = nv + m + kernel.closed + 2 * m
+    return state_sum([(e.x, e.y) for e in R.edges], ("X", "Y", "Z"), bound,
+                     term, cap, "{n} edges exceeds the enumeration cap {cap}")
 
 
 # -- arrow presentations ---------------------------------------------

@@ -19,6 +19,7 @@ from .planemap import (
     dual,
     faces,
     medial_circles,
+    relative_joins,
     relative_tutte,
 )
 from .poly import monomial, swap_vars, var
@@ -180,9 +181,13 @@ def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
 def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
                             seed=None) -> CheckReport:
     """Per-subset bookkeeping behind the main theorem, for every F: H_F
-    from the reference ``contract_all``, bc(F') off one kernel of R."""
+    from the reference ``contract_all``, bc(F') off one kernel of R, and
+    k(F), k(F u H) from the joins of F's ends, on G's vertices and on H's
+    classes, set up once."""
     regular = G.regular_indices()
     bc = side_kernel(R, twist_links(R), range(R.num_edges))
+    nv = G.map.num_vertices
+    joins, joins_h, kH = relative_joins(G)
     ok = True
     detail = ""
     for mask in range(1 << len(regular)):
@@ -190,9 +195,9 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
         Fr = [cert.g_to_r[ei] for ei in F]
         hf = contract_all(G, F)
         kHF = hf.map.components()
-        kFH = G.map.components(F + sorted(G.zero))
-        kF = G.map.components(F)
-        nF = len(F) - G.map.num_vertices + kF
+        kFH = kH - joins_h.count(mask)
+        kF = nv - joins.count(mask)
+        nF = len(F) - nv + kF
         bcFr = bc.cycles(sum(1 << ri for ri in Fr))
         checks = {
             "|E(F)|=|E(F')|": len(F) == len(Fr),

@@ -12,6 +12,10 @@ side slots (h, side) traced over the rotation restricted to the present
 half-edges, union-finds over all vertices, and the bracket's smoothing
 matching over every dart.  The compiled kernel must agree with them.
 
+``state_sum_by_products`` keeps the earlier accumulator of
+``poly.state_sum``: every state multiplies its weight polynomials and a
+``monomial`` of its term's exponents.
+
 The structural oracles keep the library's earlier step-by-step bodies:
 contraction that builds and validates one map per contracted edge, the
 strand walk over ``partner`` and the rotations, and a dict-keyed
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from rgpoly.links import VirtualLinkDiagram
 from rgpoly.planemap import PlaneMap, RelPlaneGraph, contract_all, psi, submap
+from rgpoly.errors import SizeLimit
 from rgpoly.poly import ONE, Polynomial, monomial, var
 from rgpoly.ribbon import RibbonGraph
 
@@ -64,6 +69,22 @@ def union_find_by_dicts(R: RibbonGraph, subset=None) -> UnionFind:
         h1, h2 = R.edges[ei].ends
         uf.union(R.vertex_of(h1), R.vertex_of(h2))
     return uf
+
+
+def state_sum_by_products(weights, names, bound, term, cap, too_many) -> Polynomial:
+    """``poly.state_sum`` one state at a time: the product of the state's
+    weights times the monomial of ``term(mask)``, added up; ``bound`` is
+    not used."""
+    n = len(weights)
+    if n > cap:
+        raise SizeLimit(too_many.format(n=n, cap=cap))
+    total = Polynomial.const(0)
+    for mask in range(1 << n):
+        weight = ONE
+        for i, (x, y) in enumerate(weights):
+            weight = weight * (x if mask >> i & 1 else y)
+        total = total + weight * monomial(1, dict(zip(names, term(mask))))
+    return total
 
 
 # -- contraction one map per step ----------------------------------------

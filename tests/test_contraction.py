@@ -96,3 +96,23 @@ def test_one_map_per_contraction(monkeypatch):
     built[0] = 0
     contract_all(G, G.regular_indices())
     assert built[0] <= 2
+
+
+def test_contract_all_builds_one_map(monkeypatch):
+    # contract_where drops the edges outside F u H itself, so no submap of
+    # F u H is built and validated first
+    graphs = list(_relative_plane_graphs())
+    built = [0]
+    init = RibbonGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RibbonGraph, "__init__", counting_init)
+    for G in graphs:
+        regular = G.regular_indices()
+        for F in ([], regular, regular[::2]):
+            built[0] = 0
+            contract_all(G, F)
+            assert built[0] == 1, (G, F)

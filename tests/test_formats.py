@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rgpoly.errors import GenusError, ParseError
+from rgpoly.errors import GenusError, MalformedDiagram, ParseError, RgpolyError
 from rgpoly.formats import (
     parse_ribbon,
     parse_rpg,
@@ -11,7 +11,7 @@ from rgpoly.formats import (
     serialize_rpg,
     serialize_vld,
 )
-from rgpoly.links import jones, kauffman_bracket, writhe
+from rgpoly.links import jones, kauffman_bracket, realize_gauss_code, writhe
 from rgpoly.planemap import relative_tutte
 from rgpoly.poly import parse
 from rgpoly.ribbon import bollobas_riordan
@@ -86,3 +86,11 @@ def test_round_trips_on_random_instances():
         L2 = parse_vld(serialize_vld(L))
         assert kauffman_bracket(L2) == kauffman_bracket(L)
         assert writhe(L2) == writhe(L)
+
+
+def test_serialize_vld_rejects_free_loops_with_a_library_error():
+    L = realize_gauss_code("O1+U1+ | ")
+    assert L.free_loops == 1
+    with pytest.raises(MalformedDiagram, match="free loops") as info:
+        serialize_vld(L)
+    assert isinstance(info.value, RgpolyError)

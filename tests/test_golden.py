@@ -7,12 +7,18 @@ each variable.
 """
 
 import hashlib
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 from rgpoly import formats
 from rgpoly.convert import link_to_tait, plane_to_ribbon, ribbon_to_plane
-from rgpoly.planemap import dual, faces
+from rgpoly.links import jones, kauffman_bracket
+from rgpoly.planemap import RelPlaneGraph, dual, faces, relative_tutte
+from rgpoly.poly import ZERO, monomial, var
+from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
 from rgpoly.verify import generate
 
 # (kind, seed, size) -> file suffix, serializer
@@ -126,3 +132,93 @@ def _subsets(m):
 
 def test_structural_outputs_match_recorded_digest():
     assert structural_digest() == STRUCTURAL_GOLDEN
+
+
+# -- polynomials, hashed in-process as sorted terms --------------------
+#
+# ``canonical()`` orders terms and factors by registry id, so the in-process
+# pass hashes each polynomial as its sorted list of terms, each term with
+# its factors sorted (as ``perfbench/workloads.canonical_terms`` does): the
+# digest does not depend on which names the process registered first.
+# Recorded at commit 20449f8, before the state sums packed their exponent
+# vectors into ints.
+
+POLYNOMIAL_GOLDEN = \
+    "f9774314f686e3e18541a55a9a5fd6a1f1a06611666c3718b2c4636fe9a8bb95"
+
+_SEPARATOR = re.compile(r" ([+-]) ")
+
+
+def sorted_terms(p) -> str:
+    text = p.canonical()
+    if text == "0":
+        return text
+    first = "+"
+    if text.startswith("-"):
+        first, text = "-", text[1:]
+    parts = _SEPARATOR.split(text)
+    signed = [(first, parts[0])] + list(zip(parts[1::2], parts[2::2]))
+    return " ".join(sorted(sign + "*".join(sorted(body.split("*")))
+                           for sign, body in signed))
+
+
+def _weight(rng, name):
+    """A weight drawn from multi-term, zero, non-unit, negative,
+    quarter-exponent, builtin and huge-exponent polynomials."""
+    v = var(name)
+    return rng.choice([
+        v,
+        1 + var("t"),
+        ZERO,
+        -3 * v,
+        var("Y") * v,
+        monomial(1, {"Z": -1}),
+        monomial(2, {"t": Fraction(1, 4), name: -1}),
+        var("d") - 2 * var("t") ** 2,
+        v + monomial(-1, {"u_big": 10 ** 12}),
+    ])
+
+
+def weighted_ribbon(seed, size) -> RibbonGraph:
+    R = generate("ribbon", seed, size)
+    rng = random.Random(seed * 7919 + size)
+    return RibbonGraph(R.vertices, [
+        make_edge(*e.ends, sign=e.sign, label=e.label,
+                  x=_weight(rng, f"x_{e.label}"), y=_weight(rng, f"y_{e.label}"))
+        for e in R.edges])
+
+
+def weighted_rpg(seed, size) -> RelPlaneGraph:
+    G = generate("rpg", seed, size)
+    rng = random.Random(seed * 7919 + size)
+    return RelPlaneGraph(G.map, G.zero, {
+        ei: (_weight(rng, f"x_{ei}"), _weight(rng, f"y_{ei}"))
+        for ei in G.regular_indices()})
+
+
+def polynomial_digest() -> str:
+    h = hashlib.sha256()
+
+    def put(p):
+        h.update(sorted_terms(p).encode())
+        h.update(b"\0")
+
+    for seed in range(30):
+        for size in range(7):
+            R = generate("ribbon", seed, size)
+            put(bollobas_riordan(R))
+            put(relative_tutte(ribbon_to_plane(R)[0]))
+            L = generate("link", seed, size)
+            put(kauffman_bracket(L))
+            put(jones(L))
+            put(relative_tutte(link_to_tait(L)))
+            if seed < 10:
+                W = weighted_ribbon(seed, size)
+                put(bollobas_riordan(W))
+                put(relative_tutte(ribbon_to_plane(W)[0]))
+                put(relative_tutte(weighted_rpg(seed, size)))
+    return h.hexdigest()
+
+
+def test_polynomials_match_recorded_digest():
+    assert polynomial_digest() == POLYNOMIAL_GOLDEN

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -6,9 +7,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import state_sum_by_products
 from rgpoly import poly
-from rgpoly.errors import NonMonomialNegativePower, ParseError
-from rgpoly.poly import Polynomial, monomial, parse, swap_vars, var
+from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
+from rgpoly.poly import ZERO, Polynomial, monomial, parse, state_sum, swap_vars, var
 
 X, Y, Z, A, B, d, w, t = (var(n) for n in "XYZABdwt")
 
@@ -184,3 +186,73 @@ def test_substitution_is_homomorphic(p, q, r):
 @given(polynomials())
 def test_parse_canonical_round_trip(p):
     assert parse(p.canonical()) == p
+
+
+# -- the packed state-sum accumulator ----------------------------------
+
+_NAMES = [("X", "Y", "Z"), ("X", "Y", "d", "w"), ("d",)]
+_TOO_MANY = "{n} elements exceeds the cap {cap}"
+
+
+def _weight(rng, i):
+    """Monomials, multi-term, zero, non-unit and negative coefficients,
+    quarter, negative and 10^30 exponents, and the builtins themselves."""
+    v = var(f"x_s{i}")
+    return rng.choice([
+        v, -v, 3 * v, 1 + t, ZERO, Polynomial.const(-2),
+        monomial(5, {f"x_s{i}": Fraction(-3, 4), "t": Fraction(1, 2)}),
+        Y, monomial(1, {"Z": -1}), d, d - 2 * X * Y + 1,
+        monomial(-1, {"t": 10 ** 30}), v * monomial(7, {"y_s": -(10 ** 30)}),
+    ])
+
+
+def _term(rng, names, bound, n):
+    """Seeded exponents in [-bound, bound]: all -bound at mask 0 and all
+    +bound at the full mask, so the builtins' fields reach both ends."""
+    full = (1 << n) - 1
+    table = [tuple(rng.randint(-bound, bound) for _ in names) for _ in range(full + 1)]
+    table[0] = (-bound,) * len(names)
+    table[full] = (bound,) * len(names)
+    return table.__getitem__
+
+
+def _both(weights, names, bound, term):
+    got = state_sum(weights, names, bound, term, 24, _TOO_MANY)
+    want = state_sum_by_products(weights, names, bound, term, 24, _TOO_MANY)
+    got.check_invariants()
+    return got, want
+
+
+def test_state_sum_matches_products_oracle():
+    for seed in range(40):
+        rng = random.Random(seed)
+        for n in range(7):
+            names = _NAMES[(seed + n) % len(_NAMES)]
+            bound = rng.randint(0, 5)
+            weights = [(_weight(rng, i), _weight(rng, i)) for i in range(n)]
+            got, want = _both(weights, names, bound, _term(rng, names, bound, n))
+            assert got == want, (seed, n, weights)
+
+
+def test_state_sum_fields_hold_extreme_exponents():
+    # the full mask takes every element's largest exponents, mask 0 the
+    # most negative ones, and the term adds +-bound there: each field's
+    # value reaches both ends of its range
+    big = 10 ** 30
+    for names in _NAMES:
+        for n in range(6):
+            weights = [(monomial(1, {"Y": 1, "d": Fraction(1, 4), "t": big + i}),
+                        monomial(-3, {"Y": -1, "d": Fraction(-1, 4), "t": -big - i}))
+                       for i in range(n)]
+            for bound in (0, 1, 3, 2 ** 40):
+                rng = random.Random(bound + n)
+                got, want = _both(weights, names, bound, _term(rng, names, bound, n))
+                assert got == want, (names, n, bound)
+
+
+def test_state_sum_cap_is_checked_before_any_table():
+    def term(mask):
+        raise AssertionError("no state may run past the cap")
+
+    with pytest.raises(SizeLimit, match="25 elements exceeds the cap 24"):
+        state_sum([(None, None)] * 25, ("X",), 0, term, 24, _TOO_MANY)
