@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 bad input: a parse or
 validation error, an unreadable or non-UTF-8 input file, a bad cap, a bad
-substitution target, or a negative verify count or size.
+substitution target, or a negative verify count or size; 141 (128 +
+SIGPIPE) when the reader closes standard output early, as ``head`` does.
 The enumeration cap (24 edges for br/rtutte, 20 classical crossings for
 bracket/jones) may be overridden with the RGPOLY_CAP environment variable
 or the --cap flag; either must be a nonnegative integer.
@@ -118,10 +119,17 @@ def _read(path: str) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
     except RgpolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output to devnull, so
+        # that flushing stdout at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def _dispatch(args) -> int:

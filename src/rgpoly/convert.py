@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedDiagram
 from .planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces
 from .poly import ONE, var
 from .ribbon import SAME_SIDE, Edge, RibbonGraph, side_slots
@@ -141,10 +140,6 @@ def link_to_tait(L) -> RelPlaneGraph:
     components contribute isolated vertices.
     """
     M = L.map
-    for cycle in M.vertices:
-        if len(cycle) != 4:
-            raise MalformedDiagram(
-                f"crossing of degree {len(cycle)}, expected 4")
     walks = faces(M)
     face_of = {}
     for fi, walk in enumerate(walks):

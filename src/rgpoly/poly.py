@@ -9,6 +9,10 @@ Variables live in a process-wide registry with a fixed total order
 (registration order).  The symbols X, Y, Z, A, B, d, w, t are built in;
 per-edge weight symbols such as ``x_e`` are registered on demand.
 
+``canonical()`` writes and ``parse`` reads a text form: terms joined by +
+and -, each a run of signs and then factors joined by *, each a number or
+a name with an optional ^n or ^(p/q), p/q a quarter-integer.
+
 ``state_sum`` is the one loop behind the three state sums (Bollobas-Riordan,
 relative Tutte, Kauffman bracket): it weights every subset of an indexed
 ground set, and no state builds a ``Polynomial``.  Inside it a monomial is
@@ -479,147 +483,72 @@ def _render_factor(vid: int, e4: int) -> str:
 
 # -- parsing ----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character at position {pos}: {rest[0]!r}")
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def number(self, val: str, pos: int) -> int:
-        try:
-            return int(val)
-        except ValueError:      # past the interpreter's integer-string limit
-            raise ParseError(f"integer of {len(val)} digits at position {pos} "
-                             f"is too long") from None
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} at position {pos} in {self.text!r}")
-
-    def parse(self) -> Polynomial:
-        terms = dict(self.term()._terms)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.i += 1
-                t = self.term()
-                _accumulate(terms, (t if val == "+" else -t)._terms.items())
-            elif kind is None:
-                return Polynomial(terms)
-            else:
-                _, _, pos = self.peek()
-                raise ParseError(f"unexpected token at position {pos} in {self.text!r}")
-
-    def term(self) -> Polynomial:
-        sign = 1
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.i += 1
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        out = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.i += 1
-                out = out * self.factor()
-            else:
-                break
-        return out if sign == 1 else -out
-
-    def factor(self) -> Polynomial:
-        kind, val, pos = self.take()
-        if kind == "num":
-            return Polynomial.const(self.number(val, pos))
-        if kind != "name":
-            raise ParseError(f"expected a variable or number at position {pos} in {self.text!r}")
-        name = val
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "^":
-            self.i += 1
-            e4 = self.exponent()
-        else:
-            e4 = 4
-        return Polynomial({((register(name), e4),): 1}) if e4 else ONE
-
-    def exponent(self) -> int:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "(":
-            self.i += 1
-            e4 = self.signed_fraction()
-            self.expect_op(")")
-            return e4
-        return self.signed_int() * 4
-
-    def signed_int(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.i += 1
-            sign = -1
-        kind, val, pos = self.take()
-        if kind != "num":
-            raise ParseError(f"expected an integer at position {pos} in {self.text!r}")
-        return sign * self.number(val, pos)
-
-    def signed_fraction(self) -> int:
-        num = self.signed_int()
-        kind, val, _ = self.peek()
-        den = 1
-        if kind == "op" and val == "/":
-            self.i += 1
-            kind, val, pos = self.take()
-            if kind != "num":
-                raise ParseError(f"expected a denominator at position {pos} in {self.text!r}")
-            den = self.number(val, pos)
-            if not den:
-                raise ParseError(f"zero denominator at position {pos} in {self.text!r}")
-        f = Fraction(num, den) * 4
-        if f.denominator != 1:
-            raise ParseError(f"exponent {num}/{den} is not a quarter-integer")
-        return int(f)
+_SIGNS = re.compile(r"[-+\s]*")
+_FACTOR = re.compile(r"""(?: (?P<num>\d+) | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+    (?: \s*\^\s* (?:(?P<paren>\()\s*)? (?:(?P<minus>-)\s*)? (?P<p>\d+)\s*
+        (?(paren) (?:/\s*(?P<q>\d+)\s*)? \) ) )?
+    ) \s*(?P<star>\*\s*)?""", re.VERBOSE)
 
 
 def parse(text: str) -> Polynomial:
-    """Parse the textual polynomial grammar back into a value.
+    """Read the text of ``canonical()`` back into a value.
 
-    Terms are joined by ``+``/``-``, factors by ``*``, exponents are
-    ``^n`` or ``^(p/q)`` with q in {1, 2, 4}.
+        text   = term, {sign, term}
+        term   = {sign}, factor, {"*", factor}
+        factor = digits | name, ["^", int | "^(", int, ["/", digits], ")"]
+        int    = ["-"], digits
+
+    where a sign is + or -, space may come before any token and at the end,
+    and p/q is a quarter-integer.  An accepted text registers, left to right, the name
+    of each factor with a nonzero exponent, even in a term with coefficient
+    0; a rejected text registers none.  Each ParseError names a position.
     """
-    return _Parser(text).parse()
+    terms, pos = [], 0      # (coefficient, {name: exp4}) per term, position
+    while pos < len(text) or not terms:
+        if terms and text[pos] not in "+-":
+            raise ParseError(f"unexpected {text[pos]!r} at position {pos} in {text!r}")
+        signs = _SIGNS.match(text, pos)
+        coeff, exps, star = -1 if signs.group().count("-") % 2 else 1, {}, "*"
+        pos = signs.end()
+        while star:
+            m = _FACTOR.match(text, pos)
+            if m is None:
+                raise ParseError(
+                    f"expected a name or number at position {pos} in {text!r}")
+            num, name, *_, star = m.groups()
+            if num is not None:
+                coeff *= _int(m, "num")
+            elif e4 := _exponent(m, text):
+                exps[name] = exps.get(name, 0) + e4
+            pos = m.end()
+        terms.append((coeff, exps))
+    for name in dict.fromkeys(name for _, exps in terms for name in exps):
+        register(name)
+    out: dict = {}
+    for c, exps in terms:
+        key = tuple(sorted([(_ids[n], e4) for n, e4 in exps.items() if e4]))
+        out[key] = out.get(key, 0) + c
+    return Polynomial({k: c for k, c in out.items() if c})
+
+
+def _exponent(m: re.Match, text: str) -> int:
+    """exp4 of the name factor ``m``; ^n is read as ^(n/1)."""
+    if m["p"] is None:
+        return 4
+    num = -_int(m, "p") if m["minus"] else _int(m, "p")
+    den = 1 if m["q"] is None else _int(m, "q")
+    if not den:
+        raise ParseError(f"zero denominator at position {m.start('q')} in {text!r}")
+    if 4 * num % den:
+        raise ParseError(f"exponent {num}/{den} is not a quarter-integer "
+                         f"at position {m.start('p')} in {text!r}")
+    return 4 * num // den
+
+
+def _int(m: re.Match, group: str) -> int:
+    digits = m[group]
+    try:
+        return int(digits)
+    except ValueError:      # past the interpreter's integer-string limit
+        raise ParseError(f"integer of {len(digits)} digits at position "
+                         f"{m.start(group)} is too long") from None

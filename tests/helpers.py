@@ -16,6 +16,10 @@ matching over every dart.  The compiled kernel must agree with them.
 ``poly.state_sum``: every state multiplies its weight polynomials and a
 ``monomial`` of its term's exponents.
 
+``parse_by_tokens`` keeps the earlier reader of ``poly.parse``: a token
+list and a recursive-descent parser that multiplies one ``Polynomial`` per
+factor.
+
 The structural oracles keep the library's earlier step-by-step bodies:
 contraction that builds and validates one map per contracted edge, the
 strand walk over ``partner`` and the rotations, and a dict-keyed
@@ -24,10 +28,13 @@ union-find of its own.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 from rgpoly.links import VirtualLinkDiagram
 from rgpoly.planemap import PlaneMap, RelPlaneGraph, contract_all, psi, submap
-from rgpoly.errors import SizeLimit
-from rgpoly.poly import ONE, Polynomial, monomial, var
+from rgpoly.errors import ParseError, SizeLimit
+from rgpoly.poly import ONE, Polynomial, _accumulate, monomial, register, var
 from rgpoly.ribbon import RibbonGraph
 
 
@@ -359,15 +366,12 @@ def _contracted(nv, edges, i):
 # A-state and at a negative crossing in the B-state, disoriented
 # otherwise) and counting components.  No plane map is ever built.
 
-import re as _re
-from fractions import Fraction
-
 
 def _parse_code(code):
     words = []
     for chunk in code.split("|"):
         chunk = chunk.strip()
-        words.append(_re.findall(r"([OU])(\d+)([+-])", chunk))
+        words.append(re.findall(r"([OU])(\d+)([+-])", chunk))
     return words
 
 
@@ -419,3 +423,146 @@ def jones_from_gauss_code(code):
              - monomial(1, {"t": Fraction(-1, 2)}),
     })
     return monomial((-1) ** (w % 2), {"t": Fraction(3 * w, 4)}) * bracket
+
+
+# -- the earlier polynomial reader -------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character at position {pos}: {rest[0]!r}")
+        if m.group("num"):
+            tokens.append(("num", m.group("num"), m.start()))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name"), m.start()))
+        else:
+            tokens.append(("op", m.group("op"), m.start()))
+        pos = m.end()
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def number(self, val: str, pos: int) -> int:
+        try:
+            return int(val)
+        except ValueError:      # past the interpreter's integer-string limit
+            raise ParseError(f"integer of {len(val)} digits at position {pos} "
+                             f"is too long") from None
+
+    def expect_op(self, op: str):
+        kind, val, pos = self.take()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r} at position {pos} in {self.text!r}")
+
+    def parse(self) -> Polynomial:
+        terms = dict(self.term()._terms)
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.i += 1
+                t = self.term()
+                _accumulate(terms, (t if val == "+" else -t)._terms.items())
+            elif kind is None:
+                return Polynomial(terms)
+            else:
+                _, _, pos = self.peek()
+                raise ParseError(f"unexpected token at position {pos} in {self.text!r}")
+
+    def term(self) -> Polynomial:
+        sign = 1
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.i += 1
+                if val == "-":
+                    sign = -sign
+            else:
+                break
+        out = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.i += 1
+                out = out * self.factor()
+            else:
+                break
+        return out if sign == 1 else -out
+
+    def factor(self) -> Polynomial:
+        kind, val, pos = self.take()
+        if kind == "num":
+            return Polynomial.const(self.number(val, pos))
+        if kind != "name":
+            raise ParseError(f"expected a variable or number at position {pos} in {self.text!r}")
+        name = val
+        kind, op, _ = self.peek()
+        if kind == "op" and op == "^":
+            self.i += 1
+            e4 = self.exponent()
+        else:
+            e4 = 4
+        return Polynomial({((register(name), e4),): 1}) if e4 else ONE
+
+    def exponent(self) -> int:
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "(":
+            self.i += 1
+            e4 = self.signed_fraction()
+            self.expect_op(")")
+            return e4
+        return self.signed_int() * 4
+
+    def signed_int(self) -> int:
+        sign = 1
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.i += 1
+            sign = -1
+        kind, val, pos = self.take()
+        if kind != "num":
+            raise ParseError(f"expected an integer at position {pos} in {self.text!r}")
+        return sign * self.number(val, pos)
+
+    def signed_fraction(self) -> int:
+        num = self.signed_int()
+        kind, val, _ = self.peek()
+        den = 1
+        if kind == "op" and val == "/":
+            self.i += 1
+            kind, val, pos = self.take()
+            if kind != "num":
+                raise ParseError(f"expected a denominator at position {pos} in {self.text!r}")
+            den = self.number(val, pos)
+            if not den:
+                raise ParseError(f"zero denominator at position {pos} in {self.text!r}")
+        f = Fraction(num, den) * 4
+        if f.denominator != 1:
+            raise ParseError(f"exponent {num}/{den} is not a quarter-integer")
+        return int(f)
+
+
+def parse_by_tokens(text: str) -> Polynomial:
+    return _Parser(text).parse()

@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from rgpoly.cli import main
+from rgpoly.formats import serialize_ribbon
+from rgpoly.verify import generate
 
 LOOP_RG = "vertex v: a b\nedge e: a b sign=+\n"
 TRI_RPG = (
@@ -217,3 +219,16 @@ def test_output_is_deterministic_across_processes(files):
     first = subprocess.run(cmd, capture_output=True, check=True).stdout
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # B_R of this graph prints 290,580 bytes, more than a pipe buffer holds
+    path, err = tmp_path / "big.rg", tmp_path / "stderr"
+    path.write_text(serialize_ribbon(generate("ribbon", 5, 12)))
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "rgpoly.cli", "br", str(path)],
+                                stdout=subprocess.PIPE, stderr=stderr)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert err.read_bytes() == b""      # no traceback

@@ -1,17 +1,20 @@
-"""Parser fuzzing: arbitrary text raises nothing but ``RgpolyError``, and
-canonical text parses back to the polynomial it came from.
+"""Parser fuzzing: arbitrary text raises nothing but ``RgpolyError``,
+canonical text parses back to the polynomial it came from, and ``poly.parse``
+agrees with the earlier token reader ``helpers.parse_by_tokens``.
 
 Each parser gets a few hundred derandomized examples, drawn both from
 arbitrary characters and from lines of the file grammars, so that many inputs
 get past the line parser and reach the validation of the maps.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import parse_by_tokens
 from rgpoly import poly
-from rgpoly.errors import RgpolyError
+from rgpoly.errors import ParseError, RgpolyError
 from rgpoly.formats import parse_ribbon, parse_rpg, parse_vld
 
 _HEADS = [
@@ -70,6 +73,48 @@ def test_parse_vld_raises_only_rgpoly_errors(text):
 @given(_EXPRS)
 def test_poly_parse_raises_only_rgpoly_errors(text):
     _only_rgpoly_errors(poly.parse, text)
+
+
+def _read(parse, text):
+    """("ok", value) or ("error", None); any other exception propagates."""
+    try:
+        return "ok", parse(text)
+    except ParseError:
+        return "error", None
+
+
+@_FUZZ
+@given(_EXPRS)
+def test_poly_parse_matches_token_parser(text):
+    assert _read(poly.parse, text) == _read(parse_by_tokens, text)
+
+
+_ALPHABET = "xX_yd0123456789 \t+-*^()/"
+# factors, some malformed, and what may join them
+_FACTORS = ["X", "x_e", "d", "y_1", "0", "1", "12", "x_e^2", "t^-3", "X^0",
+            "d^(1/2)", "t^(-3/4)", "t^(6/8)", "Y ^ ( - 1 / 2 )", "w^(0/5)",
+            "w^(1/3)", "x^(1/0)", "Y^(0/0)", "2x", "X^", "x^+1", "(X)"]
+_JOINS = ["*", " * ", "+", "-", " + ", " - ", "+-", "- -", "", " ", "^", "**"]
+
+
+def test_poly_parse_matches_token_parser_on_seeded_strings():
+    """Random strings over the grammar's alphabet, and random joins of its
+    factors: the two readers accept the same strings, to equal values."""
+    rng = random.Random(2024)
+    accepted = 0
+    for i in range(4000):
+        if i % 2:
+            text = "".join(rng.choices(_ALPHABET, k=rng.randint(0, 16)))
+        else:
+            pieces = [rng.choice(["", "-", " + "])]
+            for _ in range(rng.randint(1, 6)):
+                # the first six joins, which can be well formed, weigh more
+                pieces += [rng.choice(_FACTORS), rng.choice(_JOINS[:6] * 3 + _JOINS)]
+            text = "".join(pieces[:-1])
+        got = _read(poly.parse, text)
+        assert got == _read(parse_by_tokens, text), text
+        accepted += got[0] == "ok"
+    assert accepted >= 600
 
 
 _NAMES = ["X", "Y", "Z", "A", "B", "d", "w", "t", "x_e", "y_e", "x_12",

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -99,6 +100,40 @@ def test_parse_adds_terms_in_place():
     assert poly.ONE == 1    # X^0 parses to the shared ONE, which must stay 1
     p = parse(" + ".join(f"{i + 1}*X^{i}" for i in range(500)))
     assert p.subs({"X": 1}) == sum(range(1, 501)) and parse(p.canonical()) == p
+
+
+def test_rejected_text_registers_no_name():
+    before = list(poly._names)
+    with pytest.raises(ParseError):
+        parse("fresh_a*fresh_b +")
+    assert poly._names == before
+
+
+def test_accepted_text_registers_names_of_nonzero_exponents_in_order():
+    before = len(poly._names)
+    p = parse("0*fresh_p + fresh_q^2*fresh_q^-2 + fresh_r")
+    assert poly._names[before:] == ["fresh_p", "fresh_q", "fresh_r"]
+    assert p == 1 + var("fresh_r")
+
+
+_fresh = itertools.count()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(4)),
+       st.lists(st.tuples(st.integers(-5, 5),
+                          st.lists(st.tuples(st.integers(0, 5), st.integers(-8, 8)),
+                                   max_size=4)),
+                max_size=4))
+def test_parse_round_trip_under_shuffled_registration(order, monomials):
+    tag = next(_fresh)
+    names = [f"shuffled{tag}_{i}" for i in range(4)] + ["X", "d"]
+    for i in order:
+        poly.register(names[i])
+    p = Polynomial.const(0)
+    for coeff, powers in monomials:
+        p = p + monomial(coeff, {names[i]: Fraction(e4, 4) for i, e4 in powers})
+    assert parse(p.canonical()) == p
 
 
 _RENDER = """
