@@ -16,9 +16,9 @@ their arcs over the full rotation; a regular edge outside F self-links the
 two sides of each end, which drops it, so the arcs serve every F.  The
 0-edges are always present and twisted, so the side cycles collapse once
 onto the 4m slots of the m regular edges, and k(F), k(F union H) come from
-a union-find over F's ends alone, on vertex ids and on the components of H.  A state costs
-O(m), not O(size of G).  The reference path ``psi(contract_all(G, F))``
-builds H_F.
+one union-find pass over F's ends alone, on vertex ids and on the
+components of H.  A state costs O(m), not O(size of G).  The reference path
+``psi(contract_all(G, F))`` builds H_F.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
@@ -225,11 +225,12 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     M = G.map
     nv = M.num_vertices
     kG = M.components()
-    kernel, joins, joins_h, kH = relative_kernel(G)
+    kernel, joins, kH = relative_kernel(G)
 
     def term(mask):
-        kF = nv - joins.count(mask)
-        kFH = kH - joins_h.count(mask)
+        j, jh = joins.count_both(mask)
+        kF = nv - j
+        kFH = kH - jh
         nF = mask.bit_count() - nv + kF
         delta = kernel.cycles(mask) - nF
         return kFH - kG, nF, delta - kFH, kF - kFH
@@ -243,7 +244,7 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
                      "{n} regular edges exceeds the enumeration cap {cap}")
 
 
-def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, Merges, int]:
+def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, int]:
     """The compiled state of ``relative_tutte``, built once per graph.
 
     Returns the side-cycle kernel of F union H with H twisted and fixed, on
@@ -255,16 +256,15 @@ def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, Merges, int]
     return (side_kernel(G.map, present, regular), *relative_joins(G))
 
 
-def relative_joins(G: RelPlaneGraph) -> tuple[Merges, Merges, int]:
+def relative_joins(G: RelPlaneGraph) -> tuple[Merges, int]:
     """The joins of F on the vertices and on the components of H, F given
-    as a mask over the regular edges, and k(H): k(F) = v - joins and
-    k(F u H) = k(H) - joins on H's components."""
+    as a mask over the regular edges, and k(H): with
+    ``j, jh = joins.count_both(mask)``, k(F) = v - j and k(F u H) = k(H) - jh."""
     M = G.map
     root = M.roots(G.zero)
     ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends)
             for ei in G.regular_indices()]
-    joins_h = Merges([(root[u], root[v]) for u, v in ends])
-    return Merges(ends), joins_h, len(set(root))
+    return Merges(ends, root), len(set(root))
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

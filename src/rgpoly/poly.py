@@ -11,7 +11,12 @@ per-edge weight symbols such as ``x_e`` are registered on demand.
 
 ``canonical()`` writes and ``parse`` reads a text form: terms joined by +
 and -, each a run of signs and then factors joined by *, each a number or
-a name with an optional ^n or ^(p/q), p/q a quarter-integer.
+a name with an optional ^n or ^(p/q), p/q a quarter-integer.  Terms come in
+descending lexicographic order of their exponent vectors, the variables
+taken in registry-id order; within a term the registered names come before
+the builtins, each group in registry-id order.  ``canonical()`` sorts by one
+int per term, whose bit fields are laid out so that comparing the ints
+compares the exponent vectors.
 
 ``state_sum`` is the one loop behind the three state sums (Bollobas-Riordan,
 relative Tutte, Kauffman bracket): it weights every subset of an indexed
@@ -33,7 +38,9 @@ Each distinct key is decoded once, at the end, into the sorted
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Mapping, Union
 
@@ -212,25 +219,45 @@ class Polynomial:
     # -- rendering ----------------------------------------------------
 
     def canonical(self) -> str:
-        """Deterministic text form; ``parse`` inverts it exactly."""
+        """Deterministic text form; ``parse`` inverts it exactly.
+
+        Terms come in descending lexicographic order of their exponent
+        vectors, the variables taken in registry-id order.  Within a term
+        the registered names come before the builtins, each group in
+        registry-id order, after the coefficient unless it is 1 or -1.
+
+        The order is one int per term: every variable present owns a bit
+        field as wide as the range [min(0, lo), max(0, hi)] of its exp4,
+        the highest id in the lowest bits, and a term is the sum of
+        exp4 << offset over its factors.  A field holds its whole range, so
+        comparing these ints compares the exponent vectors.  Each distinct
+        (vid, exp4) pair is weighed and rendered once.
+        """
         if not self._terms:
             return "0"
-        # ids absent from self are 0 in every term and cannot change the order
-        vids = sorted({vid for key in self._terms for vid, _ in key})
-
-        def dense(key: Key) -> tuple:
-            m = dict(key)
-            return tuple(m.get(i, 0) for i in vids)
-
-        items = sorted(self._terms.items(), key=lambda kv: dense(kv[0]),
-                       reverse=True)
+        pairs = set(chain.from_iterable(self._terms))
+        lo: dict = {}
+        hi: dict = {}
+        for vid, e4 in pairs:
+            lo[vid] = min(lo.get(vid, 0), e4)
+            hi[vid] = max(hi.get(vid, 0), e4)
+        offset, pos = {}, 0
+        for vid in sorted(lo, reverse=True):
+            offset[vid] = pos
+            pos += (hi[vid] - lo[vid]).bit_length()
+        weight = {pair: pair[1] << offset[pair[0]] for pair in pairs}.__getitem__
+        text = {pair: _render_factor(*pair) for pair in pairs}.__getitem__
         parts = []
-        for i, (key, c) in enumerate(items):
-            body = _render_term(key, c)
-            if i == 0:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
+        for key, c in sorted(self._terms.items(), reverse=True,
+                             key=lambda kc: sum(map(weight, kc[0]))):
+            cut = bisect_left(key, (_NUM_BUILTINS,))
+            body = "*".join(map(text, key[cut:] + key[:cut]))
+            if c not in (1, -1):
+                coeff = _decimal(abs(c))
+                body = f"{coeff}*{body}" if body else coeff
+            parts.append((" + " if c > 0 else " - ") + (body or "1"))
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
 
     def __str__(self) -> str:
@@ -455,20 +482,6 @@ def _decimal(n: int) -> str:
         digits = abs(n).bit_length() * 30103 // 100000
         raise RenderError(f"a number of over {digits} digits is too large "
                           f"to print") from None
-
-
-def _render_term(key: Key, c: int) -> str:
-    factors = []
-    extras = [(vid, e4) for vid, e4 in key if vid >= _NUM_BUILTINS]
-    builtin = [(vid, e4) for vid, e4 in key if vid < _NUM_BUILTINS]
-    for vid, e4 in extras + builtin:
-        factors.append(_render_factor(vid, e4))
-    if not factors:
-        return _decimal(abs(c))
-    body = "*".join(factors)
-    if abs(c) != 1:
-        body = f"{_decimal(abs(c))}*{body}"
-    return body
 
 
 def _render_factor(vid: int, e4: int) -> str:

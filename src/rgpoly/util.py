@@ -2,7 +2,8 @@
 walker and the compiled state kernel that all three state sums run on.
 
 ``roots`` gives every node's class once pairs are joined, and ``Merges``
-counts the joins a state's few edges make.  ``cycles`` lists the cycles of
+counts the joins a state's few edges make, on their ends and, in the same
+pass, on coarser classes of the ends.  ``cycles`` lists the cycles of
 two perfect matchings node by node; ``count_cycles`` only counts them.
 
 A state sum counts, per state, the cycles of two such matchings: a fixed
@@ -51,13 +52,22 @@ class Merges:
     ``mask`` set that join two different classes, so a spanning subgraph
     on n classes has n - count(mask) components.  Each call costs
     O(len(ends)), not O(n).
+
+    Given ``classes``, a coarser class for every end (the components of a
+    fixed subgraph, say), ``count_both(mask)`` also counts the joins the
+    same edges make among those classes, in the same pass.
     """
 
-    def __init__(self, ends: Sequence[tuple]):
+    def __init__(self, ends: Sequence[tuple], classes: Sequence | None = None):
         ids: dict = {}
         self.ends = [(ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)))
                      for u, v in ends]
         self.size = len(ids)
+        # each end's class, numbered after the ends in one parent list
+        cid: dict = {}
+        self.classes = [self.size + cid.setdefault(classes[u], len(cid))
+                        for u in ids] if classes is not None else []
+        self.size_both = self.size + len(cid)
 
     def count(self, mask: int) -> int:
         parent = list(range(self.size))
@@ -72,6 +82,34 @@ class Merges:
                     parent[u] = v
                     joins += 1
         return joins
+
+    def count_both(self, mask: int) -> tuple[int, int]:
+        """``count(mask)`` and the joins among ``classes``.  An edge whose
+        ends were already joined joins no two classes either, as the edges
+        that joined them join their classes, so only a join looks classes
+        up."""
+        parent = list(range(self.size_both))
+        classes = self.classes
+        joins = class_joins = 0
+        for j, (a, b) in enumerate(self.ends):
+            if mask >> j & 1:
+                u, v = a, b
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    parent[u] = v
+                    joins += 1
+                    u, v = classes[a], classes[b]
+                    while parent[u] != u:
+                        u = parent[u]
+                    while parent[v] != v:
+                        v = parent[v]
+                    if u != v:
+                        parent[u] = v
+                        class_joins += 1
+        return joins, class_joins
 
 
 def count_cycles(a: Sequence[int], b: Sequence[int],

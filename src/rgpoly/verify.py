@@ -187,7 +187,7 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     regular = G.regular_indices()
     bc = side_kernel(R, twist_links(R), range(R.num_edges))
     nv = G.map.num_vertices
-    joins, joins_h, kH = relative_joins(G)
+    joins, kH = relative_joins(G)
     ok = True
     detail = ""
     for mask in range(1 << len(regular)):
@@ -195,8 +195,9 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
         Fr = [cert.g_to_r[ei] for ei in F]
         hf = contract_all(G, F)
         kHF = hf.map.components()
-        kFH = kH - joins_h.count(mask)
-        kF = nv - joins.count(mask)
+        j, jh = joins.count_both(mask)
+        kFH = kH - jh
+        kF = nv - j
         nF = len(F) - nv + kF
         bcFr = bc.cycles(sum(1 << ri for ri in Fr))
         checks = {

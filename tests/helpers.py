@@ -20,6 +20,10 @@ matching over every dart.  The compiled kernel must agree with them.
 list and a recursive-descent parser that multiplies one ``Polynomial`` per
 factor.
 
+``canonical_by_dense_keys`` keeps the earlier ``Polynomial.canonical``: a
+dense exponent tuple per term as the sort key, and every factor of every
+term rendered again.
+
 The structural oracles keep the library's earlier step-by-step bodies:
 contraction that builds and validates one map per contracted edge, the
 strand walk over ``partner`` and the rotations, and a dict-keyed
@@ -34,7 +38,17 @@ from fractions import Fraction
 from rgpoly.links import VirtualLinkDiagram
 from rgpoly.planemap import PlaneMap, RelPlaneGraph, contract_all, psi, submap
 from rgpoly.errors import ParseError, SizeLimit
-from rgpoly.poly import ONE, Polynomial, _accumulate, monomial, register, var
+from rgpoly.poly import (
+    _NUM_BUILTINS,
+    ONE,
+    Polynomial,
+    _accumulate,
+    _decimal,
+    monomial,
+    register,
+    var,
+    var_name,
+)
 from rgpoly.ribbon import RibbonGraph
 
 
@@ -566,3 +580,55 @@ class _Parser:
 
 def parse_by_tokens(text: str) -> Polynomial:
     return _Parser(text).parse()
+
+
+# -- the earlier canonical text ----------------------------------------
+
+
+def canonical_by_dense_keys(p: Polynomial) -> str:
+    """The earlier body of ``Polynomial.canonical``: terms sorted by a dense
+    exponent tuple over the variable ids present, each factor rendered per
+    term through a ``Fraction``."""
+    if not p._terms:
+        return "0"
+    # ids absent from p are 0 in every term and cannot change the order
+    vids = sorted({vid for key in p._terms for vid, _ in key})
+
+    def dense(key) -> tuple:
+        m = dict(key)
+        return tuple(m.get(i, 0) for i in vids)
+
+    items = sorted(p._terms.items(), key=lambda kv: dense(kv[0]),
+                   reverse=True)
+    parts = []
+    for i, (key, c) in enumerate(items):
+        body = _render_term(key, c)
+        if i == 0:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts)
+
+
+def _render_term(key, c: int) -> str:
+    factors = []
+    extras = [(vid, e4) for vid, e4 in key if vid >= _NUM_BUILTINS]
+    builtin = [(vid, e4) for vid, e4 in key if vid < _NUM_BUILTINS]
+    for vid, e4 in extras + builtin:
+        factors.append(_render_factor(vid, e4))
+    if not factors:
+        return _decimal(abs(c))
+    body = "*".join(factors)
+    if abs(c) != 1:
+        body = f"{_decimal(abs(c))}*{body}"
+    return body
+
+
+def _render_factor(vid: int, e4: int) -> str:
+    name = var_name(vid)
+    if e4 == 4:
+        return name
+    f = Fraction(e4, 4)
+    if f.denominator == 1:
+        return f"{name}^{_decimal(f.numerator)}"
+    return f"{name}^({_decimal(f.numerator)}/{f.denominator})"

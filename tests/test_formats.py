@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rgpoly.errors import GenusError, MalformedDiagram, ParseError, RgpolyError
 from rgpoly.formats import (
@@ -11,8 +12,14 @@ from rgpoly.formats import (
     serialize_rpg,
     serialize_vld,
 )
-from rgpoly.links import jones, kauffman_bracket, realize_gauss_code, writhe
-from rgpoly.planemap import relative_tutte
+from rgpoly.links import (
+    VirtualLinkDiagram,
+    jones,
+    kauffman_bracket,
+    realize_gauss_code,
+    writhe,
+)
+from rgpoly.planemap import MapEdge, PlaneMap, relative_tutte
 from rgpoly.poly import parse
 from rgpoly.ribbon import bollobas_riordan
 from rgpoly.verify import generate
@@ -94,3 +101,47 @@ def test_serialize_vld_rejects_free_loops_with_a_library_error():
     with pytest.raises(MalformedDiagram, match="free loops") as info:
         serialize_vld(L)
     assert isinstance(info.value, RgpolyError)
+
+
+# -- serialize -> parse -> serialize, on generated instances ----------
+
+_ROUND_TRIP = settings(max_examples=60, derandomize=True, deadline=None,
+                       database=None)
+_SEEDS = st.integers(0, 10 ** 6)
+
+
+@_ROUND_TRIP
+@given(_SEEDS, st.integers(0, 7))
+def test_rg_text_round_trips(seed, size):
+    text = serialize_ribbon(generate("ribbon", seed, size))
+    assert serialize_ribbon(parse_ribbon(text)) == text
+
+
+@_ROUND_TRIP
+@given(_SEEDS, st.integers(0, 7))
+def test_rpg_text_round_trips(seed, size):
+    text = serialize_rpg(generate("rpg", seed, size))
+    assert serialize_rpg(parse_rpg(text)) == text
+
+
+def _darts_named_by_crossing(L: VirtualLinkDiagram) -> VirtualLinkDiagram:
+    """``L`` with dart h of crossing c renamed c.h, as ``parse_vld`` names
+    the darts it reads; ``serialize_vld`` writes dart names as they are."""
+    name = {h: f"c{ci}.{h}" for ci, cycle in enumerate(L.map.vertices)
+            for h in cycle}
+    M = PlaneMap([tuple(map(name.get, cycle)) for cycle in L.map.vertices],
+                 [MapEdge(tuple(map(name.get, e.ends)), e.label)
+                  for e in L.map.edges])
+    over = {ci: frozenset(map(name.get, pair)) for ci, pair in L.over.items()}
+    orientations = None if L.orientations is None else \
+        {name[h]: out for h, out in L.orientations.items()}
+    return VirtualLinkDiagram(M, L.kinds, over, orientations, L.free_loops)
+
+
+@_ROUND_TRIP
+@given(_SEEDS, st.integers(0, 5))
+def test_vld_text_round_trips_up_to_dart_names(seed, size):
+    L = generate("link", seed, size)
+    assume(not L.free_loops)    # not serializable, as above
+    assert serialize_vld(parse_vld(serialize_vld(L))) == \
+        serialize_vld(_darts_named_by_crossing(L))

@@ -13,7 +13,13 @@ from rgpoly.links import (
     kauffman_bracket,
     split,
 )
-from rgpoly.planemap import MapEdge, PlaneMap, relative_kernel, relative_tutte
+from rgpoly.planemap import (
+    MapEdge,
+    PlaneMap,
+    relative_joins,
+    relative_kernel,
+    relative_tutte,
+)
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, boundary_components
 from rgpoly.verify import generate
 
@@ -70,6 +76,18 @@ def _relative_plane_graphs():
 def test_relative_tutte_matches_side_link_oracle():
     for G in _relative_plane_graphs():
         assert relative_tutte(G) == relative_tutte_by_side_links(G), G
+
+
+def test_one_join_pass_counts_components_of_f_and_f_union_h():
+    for G in _relative_plane_graphs():
+        M, H, regular = G.map, sorted(G.zero), G.regular_indices()
+        joins, kH = relative_joins(G)
+        for mask in range(1 << len(regular)):
+            F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
+            j, jh = joins.count_both(mask)
+            assert j == joins.count(mask), (G, F)
+            assert M.num_vertices - j == M.components(F), (G, F)
+            assert kH - jh == M.components(F + H), (G, F)
 
 
 def test_bracket_and_split_match_dict_oracle():

@@ -8,10 +8,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import state_sum_by_products
+from helpers import canonical_by_dense_keys, state_sum_by_products
 from rgpoly import poly
+from rgpoly.convert import ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
+from rgpoly.links import jones, kauffman_bracket
+from rgpoly.planemap import relative_tutte
 from rgpoly.poly import ZERO, Polynomial, monomial, parse, state_sum, swap_vars, var
+from rgpoly.ribbon import bollobas_riordan
+from rgpoly.verify import generate
 
 X, Y, Z, A, B, d, w, t = (var(n) for n in "XYZABdwt")
 
@@ -291,3 +296,46 @@ def test_state_sum_cap_is_checked_before_any_table():
 
     with pytest.raises(SizeLimit, match="25 elements exceeds the cap 24"):
         state_sum([(None, None)] * 25, ("X",), 0, term, 24, _TOO_MANY)
+
+
+# -- canonical text against the earlier dense-key order ----------------
+#
+# The golden polynomial digest sorts terms, so only the CLI digests pin the
+# order of canonical text; these compare it with the earlier renderer.
+
+
+def test_canonical_matches_dense_key_oracle_on_seeded_sums():
+    for seed in range(40):
+        for size in range(8):
+            R = generate("ribbon", seed, size)
+            L = generate("link", seed, size)
+            for p in (bollobas_riordan(R), relative_tutte(ribbon_to_plane(R)[0]),
+                      kauffman_bracket(L), jones(L)):
+                assert p.canonical() == canonical_by_dense_keys(p), (seed, size)
+
+
+_BIG = 10 ** 30
+_EXP4 = st.one_of(st.integers(-12, 12),
+                  st.sampled_from([4 * _BIG, -4 * _BIG, 4 * _BIG + 1, -4 * _BIG - 2]))
+_COEFF = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+                   st.integers(-(10 ** 20), 10 ** 20))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.permutations(range(4)),
+       st.lists(st.tuples(_COEFF, st.lists(st.tuples(st.integers(0, 11), _EXP4),
+                                           max_size=5)),
+                max_size=8))
+def test_canonical_matches_dense_key_oracle(order, monomials):
+    # fresh names registered in shuffled order, so registry-id order is not
+    # name order, interleaved with the builtins; a monomial with no factors
+    # is a bare constant
+    tag = next(_fresh)
+    names = [f"dense{tag}_{i}" for i in range(4)]
+    for i in order:
+        poly.register(names[i])
+    names += list("XYZABdwt")
+    p = Polynomial.const(0)
+    for coeff, powers in monomials:
+        p = p + monomial(coeff, {names[i]: Fraction(e4, 4) for i, e4 in powers})
+    assert p.canonical() == canonical_by_dense_keys(p)
