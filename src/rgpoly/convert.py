@@ -4,6 +4,8 @@
 router, replaces every crossing, twist mark and regular mark by its gadget
 (checkerboard 4-cycle of 0-edges / one 0-edge / one weighted regular edge)
 and contracts the remaining skeleton with ``planemap.contract_where``.
+Crossings, gadget edges and contracted edges are identified by index, so
+edge labels need not be unique.
 ``plane_to_ribbon`` runs the inverse construction through the medial
 circles of the 0-edge subgraph, read with ``util.cycles`` off the int side
 slots of ``ribbon.side_slots``.
@@ -35,60 +37,45 @@ class ConversionCertificate:
 
 def ribbon_to_plane(R: RibbonGraph):
     """Draw R in the plane and return (RelPlaneGraph, ConversionCertificate)."""
-    terminals = [list(v) for v in R.vertices]
-    connections = [tuple(e.ends) for e in R.edges]
     marks = [["reg"] + (["twist"] if e.sign < 0 else []) for e in R.edges]
-    rd = route(terminals, connections, marks)
+    rd = route(R.vertices, [e.ends for e in R.edges], marks)
 
-    vertices = [list(rd.map.vertices[ti]) for ti in rd.terminal_vertices]
+    base = R.num_vertices               # gadget n replaces router vertex base + n
+    vertices = [list(v) for v in rd.map.vertices[:base]]
     edges = list(rd.map.edges)          # skeleton segments
-    skeleton = set(edges)
-    zero_edges = set()
-    reg_of = {}                         # regular MapEdge -> ribbon edge index
-    serial = 0
+    skeleton = range(len(edges))
+    ribbon_edge = []                    # per gadget edge: R's edge, None for a 0-edge
 
-    for rotation in rd.crossing_rotations:
+    for xi in rd.crossing_vertices:
         # four strand-ends in counterclockwise order become four vertices
         # joined by a quadrilateral of 0-edges
-        base = len(vertices)
-        cycle_halves = [(f"q{serial}_{i}a", f"q{serial}_{i}b") for i in range(4)]
-        for i, arm in enumerate(rotation):
-            za = cycle_halves[i][0]
-            zb_prev = cycle_halves[(i - 1) % 4][1]
-            vertices.append([arm, za, zb_prev])
-        for i, (za, zb) in enumerate(cycle_halves):
-            e = MapEdge((za, zb), f"q{serial}_{i}")
-            edges.append(e)
-            zero_edges.add(e)
-        serial += 1
+        n = xi - base
+        cycle_halves = [(f"q{n}_{i}a", f"q{n}_{i}b") for i in range(4)]
+        for i, arm in enumerate(rd.map.vertices[xi]):
+            vertices.append([arm, cycle_halves[i][0], cycle_halves[i - 1][1]])
+        for i, ends in enumerate(cycle_halves):
+            edges.append(MapEdge(ends, f"q{n}_{i}"))
+            ribbon_edge.append(None)
 
     for (ci, mi), vi in rd.mark_vertices.items():
+        n = vi - base
         earlier, later = rd.map.vertices[vi]
-        ga, gb = f"m{serial}a", f"m{serial}b"
+        ga, gb = f"m{n}a", f"m{n}b"
         vertices.append([earlier, ga])
         vertices.append([later, gb])
-        if marks[ci][mi] == "reg":
-            e = MapEdge((ga, gb), R.edges[ci].label)
-            reg_of[e] = ci
-        else:
-            e = MapEdge((ga, gb), f"t{serial}")
-            zero_edges.add(e)
-        edges.append(e)
-        serial += 1
+        reg = marks[ci][mi] == "reg"
+        edges.append(MapEdge((ga, gb), R.edges[ci].label if reg else f"t{n}"))
+        ribbon_edge.append(ci if reg else None)
 
     # contract every skeleton segment; the skeleton is a forest after gadget
-    # substitution, so no loop can appear
-    m, loops = contract_where(PlaneMap(vertices, edges), skeleton.__contains__)
+    # substitution, so no loop can appear, and the gadget edges keep their
+    # order as the edges of G
+    m, loops = contract_where(PlaneMap(vertices, edges), skeleton)
     assert loops == 0
 
-    zero = {i for i, e in enumerate(m.edges) if e in zero_edges}
-    weights = {}
-    g_to_r = {}
-    for i, e in enumerate(m.edges):
-        if e in reg_of:
-            ri = reg_of[e]
-            g_to_r[i] = ri
-            weights[i] = (R.edges[ri].x, R.edges[ri].y)
+    g_to_r = {i: ri for i, ri in enumerate(ribbon_edge) if ri is not None}
+    zero = [i for i, ri in enumerate(ribbon_edge) if ri is None]
+    weights = {i: (R.edges[ri].x, R.edges[ri].y) for i, ri in g_to_r.items()}
     G = RelPlaneGraph(m, zero, weights)
     G.map.require_plane()
     return G, ConversionCertificate(g_to_r)

@@ -238,14 +238,10 @@ def realize_gauss_code(code: str) -> VirtualLinkDiagram:
             connections.append((ends(ou, label)[1], ends(nou, nlabel)[0]))
 
     rd = route(terminals, connections)
-    kinds = {}
-    over = {}
-    for ti in rd.terminal_vertices:
-        kinds[ti] = "classical"
-        rot = rd.map.vertices[ti]
-        over[ti] = frozenset((rot[0], rot[2]))    # the W and E darts
-    for xi in rd.crossing_vertices:
-        kinds[xi] = "virtual"
+    kinds = dict.fromkeys(range(len(terminals)), "classical")
+    kinds.update(dict.fromkeys(rd.crossing_vertices, "virtual"))
+    # the terminals are the first vertices, each with rotation (W, S, E, N)
+    over = {ti: frozenset(rd.map.vertices[ti][::2]) for ti in range(len(terminals))}
     orientations = {}
     for segs in rd.path_segments:
         for da, db in segs:

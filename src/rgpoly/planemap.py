@@ -27,7 +27,7 @@ components of H.  A state costs O(m), not O(size of G).  The reference path
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import GenusError
 from .poly import Polynomial, monomial, state_sum, var
@@ -96,31 +96,31 @@ def delete(M: PlaneMap, ei: int) -> PlaneMap:
 
 def contract(M: PlaneMap, ei: int) -> PlaneMap:
     """Contract a non-loop edge by splicing the end rotations; a loop is deleted."""
-    target = M.edges[ei]
-    return contract_where(M, lambda e: e is target)[0]
+    return contract_where(M, (ei,))[0]
 
 
-def contract_where(m: PlaneMap, match: Callable,
+def contract_where(m: PlaneMap, contract: Container[int],
                    keep: Container[int] | None = None) -> tuple[PlaneMap, int]:
-    """Contract the edges ``e`` with ``match(e)`` in edge order; returns the
-    map, built once at the end, and the number of matching edges that were
-    loops when reached, and so were deleted.
+    """Contract the edges with indices in ``contract``, in edge order, and
+    return the map, built once at the end, and the number of them that were
+    loops when reached, and so were deleted.  Edges are identified by index,
+    never by label; the other kept edges stay in order.
 
     Edge indices outside ``keep`` (default: every edge) are deleted first.
     Edge (h1, h2) from u to v puts u's rotation after h1, then v's after h2,
     in u's place and drops v.
     """
-    kept = m.edges if keep is None else [e for i, e in enumerate(m.edges) if i in keep]
-    live = {h for e in kept for h in e.ends}
+    kept = [i for i in range(m.num_edges) if keep is None or i in keep]
+    live = {h for i in kept for h in m.edges[i].ends}
     rotations = [[h for h in c if h in live] for c in m.vertices]
     home = {h: i for i, c in enumerate(rotations) for h in c}
     edges = []
     loops = 0
-    for e in kept:
-        if not match(e):
-            edges.append(e)
+    for i in kept:
+        if i not in contract:
+            edges.append(m.edges[i])
             continue
-        h1, h2 = e.ends
+        h1, h2 = m.edges[i].ends
         u, v = home[h1], home[h2]
         cu, cv = rotations[u], rotations[v]
         if u == v:
@@ -184,21 +184,20 @@ class ContractionResult:
 
 def submap(M: PlaneMap, subset: Iterable[int]) -> PlaneMap:
     """Spanning submap on the given edges."""
-    return contract_where(M, lambda e: False, set(subset))[0]
+    return contract_where(M, (), set(subset))[0]
 
 
 def contract_all(G: RelPlaneGraph, F: Iterable[int]) -> ContractionResult:
     """Contract the F-edges inside the spanning submap on F united with H.
 
-    Loops encountered during contraction are deleted; the count of such
-    deletions equals the nullity of F.
+    F holds edge indices of G; edges are identified by index, so labels
+    need not be unique.  Loops encountered during contraction are deleted;
+    the count of such deletions equals the nullity of F.
     """
     F = set(F)
     if F & G.zero:
         raise ValueError("F must consist of regular edges")
-    M = G.map
-    f_labels = {M.edges[ei].label for ei in F}
-    m, deleted = contract_where(M, lambda e: e.label in f_labels, F | G.zero)
+    m, deleted = contract_where(G.map, F, F | G.zero)
     return ContractionResult(m, deleted)
 
 
@@ -209,6 +208,9 @@ def psi(H_F: ContractionResult | PlaneMap) -> Polynomial:
     k = m.components()
     v = m.num_vertices
     return monomial(1, {"d": delta - k, "w": v - k})
+
+
+_TOO_MANY_REGULAR = "{n} regular edges exceeds the enumeration cap {cap}"
 
 
 def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
@@ -240,8 +242,7 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     m = len(regular)
     bound = nv + m + kernel.closed + 2 * m
     return state_sum([G.weights[ei] for ei in regular], ("X", "Y", "d", "w"),
-                     bound, term, cap,
-                     "{n} regular edges exceeds the enumeration cap {cap}")
+                     bound, term, cap, _TOO_MANY_REGULAR)
 
 
 def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, int]:

@@ -7,6 +7,10 @@ the layer/abscissa structure and materialize as explicit 4-valent
 transversal vertices, so the output is a genuine plane map: rotation
 systems at terminals are preserved and the Euler relation is asserted.
 
+The vertices come in a fixed order that consumers rely on: the terminals
+in input order; then the crossings sorted by (abscissa, height), each with
+rotation (E, N, W, S); then the marks by (connection, position).
+
 Consumers decorate the result differently: the ribbon-to-plane conversion
 replaces crossings and marks by gadgets, the Gauss-code realizer treats
 the inserted crossings as virtual ones.
@@ -21,10 +25,12 @@ from .planemap import MapEdge, PlaneMap
 
 @dataclass
 class RoutedDiagram:
+    """The routed plane map.  Its vertices are the terminals in input order,
+    the crossings by (abscissa, height), each with rotation (E, N, W, S),
+    then the marks by (connection, position)."""
+
     map: PlaneMap
-    terminal_vertices: list
-    crossing_vertices: list        # vertex indices of inserted crossings
-    crossing_rotations: list       # per crossing: (dart_E, dart_N, dart_W, dart_S)
+    crossing_vertices: range       # vertex indices of inserted crossings
     mark_vertices: dict            # (connection index, mark position) -> vertex index
     path_segments: list            # per connection: [(dart_from, dart_to), ...]
 
@@ -38,104 +44,57 @@ def route(terminals, connections, marks=None) -> RoutedDiagram:
     """
     if marks is None:
         marks = [[] for _ in connections]
+    E, N, W, S = range(4)               # a compass role is a rotation position
     xs = {}
-    stub_home = {}
-    x = 0
+    slot = {}                           # stub -> (terminal, rotation position)
     for ti, rot in enumerate(terminals):
-        for s in reversed(list(rot)):
+        for pos, s in reversed(list(enumerate(rot))):
             if s in xs:
                 raise ValueError(f"stub {s!r} appears twice")
-            xs[s] = x
-            stub_home[s] = ti
-            x += 1
-    layer = {ci: ci + 1 for ci in range(len(connections))}
-    span = {}
-    for ci, (p, q) in enumerate(connections):
-        span[ci] = (min(xs[p], xs[q]), max(xs[p], xs[q]))
+            xs[s] = len(xs)
+            slot[s] = (ti, pos)
+    spans = [sorted((xs[p], xs[q])) for p, q in connections]
 
-    # crossing key (x, y) -> {"v": (ci, "start"|"end"), "h": cj}
-    crossings = {}
-    for ci, (p, q) in enumerate(connections):
-        for stub, kind in ((p, "start"), (q, "end")):
-            x0 = xs[stub]
-            for cj in range(ci):
-                lo, hi = span[cj]
-                if lo < x0 < hi:
-                    crossings[(x0, layer[cj])] = {"v": (ci, kind), "h": cj}
-
-    # node sequences per connection
-    sequences = []
-    for ci, (p, q) in enumerate(connections):
-        nodes = [("T", stub_home[p], p)]
-        nodes += [("M", ci, mi) for mi in range(len(marks[ci]))]
-        start_keys = sorted(k for k in crossings if k[0] == xs[p]
-                            and crossings[k]["v"] == (ci, "start"))
-        nodes += [("X", k) for k in start_keys]
-        horiz = sorted((k for k in crossings
-                        if k[1] == layer[ci] and crossings[k]["h"] == ci),
-                       reverse=xs[q] < xs[p])
-        nodes += [("X", k) for k in horiz]
-        end_keys = sorted((k for k in crossings if k[0] == xs[q]
-                           and crossings[k]["v"] == (ci, "end")), reverse=True)
-        nodes += [("X", k) for k in end_keys]
-        nodes.append(("T", stub_home[q], q))
-        sequences.append(nodes)
-
-    # lay segments, recording darts at every node
-    stub_dart = {}
-    mark_darts = {}  # (ci, mark idx) -> {"earlier": dart, "later": dart}
-    cross_darts = {key: {} for key in crossings}
+    # connection ci runs at height ci + 1; a stub's vertical meets every
+    # lower horizontal that spans its abscissa
+    rise = {}                           # stub -> heights crossed, bottom up
+    across = [[] for _ in connections]  # connection -> abscissas crossed
+    for ci, ends in enumerate(connections):
+        for s in ends:
+            x = xs[s]
+            rise[s] = [cj + 1 for cj, (lo, hi) in enumerate(spans[:ci]) if lo < x < hi]
+            for y in rise[s]:
+                across[y - 1].append(x)
+    base = len(terminals)
+    crossing = {xy: base + i for i, xy in enumerate(
+        sorted((x, ci + 1) for ci, row in enumerate(across) for x in row))}
+    rotations = [[None] * len(rot) for rot in terminals] + [[None] * 4 for _ in crossing]
+    mark_vertices = {}
     segments = []
     path_segments = []
-    for ci, nodes in enumerate(sequences):
-        p, q = connections[ci]
-        rightward = xs[q] > xs[p]
+    for ci, (p, q) in enumerate(connections):
+        # the stops of the path: (vertex, entering role, leaving role)
+        xp, xq = xs[p], xs[q]
+        stops = [(slot[p][0], None, slot[p][1])]
+        for mi in range(len(marks[ci])):
+            mark_vertices[ci, mi] = len(rotations)
+            stops.append((len(rotations), 0, 1))
+            rotations.append([None, None])
+        stops += [(crossing[xp, y], S, N) for y in rise[p]]
+        stops += [(crossing[x, ci + 1], *((W, E) if xq > xp else (E, W)))
+                  for x in sorted(across[ci], reverse=xq < xp)]
+        stops += [(crossing[xq, y], N, S) for y in reversed(rise[q])]
+        stops.append((slot[q][0], slot[q][1], None))
         segs = []
-        for j in range(len(nodes) - 1):
-            a, b = nodes[j], nodes[j + 1]
+        for j, ((u, _, out), (v, into, _)) in enumerate(zip(stops, stops[1:])):
             da, db = f"c{ci}s{j}a", f"c{ci}s{j}b"
-            for node, dart, is_next in ((a, da, True), (b, db, False)):
-                if node[0] == "T":
-                    stub_dart[node[2]] = dart
-                elif node[0] == "M":
-                    mark_darts.setdefault((node[1], node[2]), {})[
-                        "later" if is_next else "earlier"] = dart
-                else:
-                    key = node[1]
-                    info = crossings[key]
-                    if info["h"] == ci and key[1] == layer[ci]:
-                        # horizontal passage for this connection
-                        role = ("E" if rightward else "W") if is_next else \
-                               ("W" if rightward else "E")
-                    else:
-                        kind = info["v"][1]
-                        role = ("N" if kind == "start" else "S") if is_next else \
-                               ("S" if kind == "start" else "N")
-                    cross_darts[key][role] = dart
+            rotations[u][out] = da
+            rotations[v][into] = db
             segments.append(MapEdge((da, db), f"seg_{ci}_{j}"))
             segs.append((da, db))
         path_segments.append(segs)
 
-    vertices = []
-    terminal_vertices = []
-    for ti, rot in enumerate(terminals):
-        vertices.append(tuple(stub_dart[s] for s in rot))
-        terminal_vertices.append(ti)
-    crossing_vertices = []
-    crossing_rotations = []
-    for key in sorted(crossings):
-        roles = cross_darts[key]
-        rotation = (roles["E"], roles["N"], roles["W"], roles["S"])
-        crossing_vertices.append(len(vertices))
-        crossing_rotations.append(rotation)
-        vertices.append(rotation)
-    mark_vertices = {}
-    for mk in sorted(mark_darts):
-        d = mark_darts[mk]
-        mark_vertices[mk] = len(vertices)
-        vertices.append((d["earlier"], d["later"]))
-
-    skeleton = PlaneMap(vertices, segments)
+    skeleton = PlaneMap(rotations, segments)
     skeleton.require_plane()
-    return RoutedDiagram(skeleton, terminal_vertices, crossing_vertices,
-                         crossing_rotations, mark_vertices, path_segments)
+    return RoutedDiagram(skeleton, range(base, base + len(crossing)),
+                         mark_vertices, path_segments)

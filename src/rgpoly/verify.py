@@ -11,7 +11,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import SizeLimit
 from .planemap import (
+    _TOO_MANY_REGULAR,
     MapEdge,
     PlaneMap,
     RelPlaneGraph,
@@ -24,6 +26,7 @@ from .planemap import (
 )
 from .poly import monomial, swap_vars, var
 from .ribbon import (
+    DEFAULT_EDGE_CAP,
     RibbonGraph,
     bollobas_riordan,
     components,
@@ -183,8 +186,11 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     """Per-subset bookkeeping behind the main theorem, for every F: H_F
     from the reference ``contract_all``, bc(F') off one kernel of R, and
     k(F), k(F u H) from the joins of F's ends, on G's vertices and on H's
-    classes, set up once."""
+    classes, set up once.  More regular edges than the enumeration cap of
+    ``relative_tutte`` raise SizeLimit."""
     regular = G.regular_indices()
+    if len(regular) > DEFAULT_EDGE_CAP:
+        raise SizeLimit(_TOO_MANY_REGULAR.format(n=len(regular), cap=DEFAULT_EDGE_CAP))
     bc = side_kernel(R, twist_links(R), range(R.num_edges))
     nv = G.map.num_vertices
     joins, kH = relative_joins(G)

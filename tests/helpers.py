@@ -27,7 +27,10 @@ term rendered again.
 The structural oracles keep the library's earlier step-by-step bodies:
 contraction that builds and validates one map per contracted edge, the
 strand walk over ``partner`` and the rotations, and a dict-keyed
-union-find of its own.
+union-find of its own.  ``route_by_scans`` keeps the earlier router, which
+scans every crossing per connection and walks tagged nodes; it returns
+the map, terminal vertices, crossing vertices, crossing rotations, mark
+vertices and path segments.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import re
 from fractions import Fraction
 
 from rgpoly.links import VirtualLinkDiagram
-from rgpoly.planemap import PlaneMap, RelPlaneGraph, contract_all, psi, submap
+from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_all, psi, submap
 from rgpoly.errors import ParseError, SizeLimit
 from rgpoly.poly import (
     _NUM_BUILTINS,
@@ -155,9 +158,121 @@ def contract_all_by_steps(G: RelPlaneGraph, F) -> tuple[PlaneMap, int]:
     """H_F and its deleted loops, contracting F in F u H one map per step."""
     M = G.map
     F = sorted(set(F))
-    f_labels = {M.edges[ei].label for ei in F}
+    f_edges = {M.edges[ei] for ei in F}
     return contract_where_by_steps(submap(M, F + sorted(G.zero)),
-                                   lambda e: e.label in f_labels)
+                                   lambda e: e in f_edges)
+
+
+def route_by_scans(terminals, connections, marks=None) -> tuple:
+    """Route ``connections`` (a perfect matching on the terminal stubs).
+
+    ``marks`` optionally lists, per connection, labels of degree-2 vertices
+    to insert on the crossing-free stretch next to the connection's first
+    stub, in order outward from the terminal.
+    """
+    if marks is None:
+        marks = [[] for _ in connections]
+    xs = {}
+    stub_home = {}
+    x = 0
+    for ti, rot in enumerate(terminals):
+        for s in reversed(list(rot)):
+            if s in xs:
+                raise ValueError(f"stub {s!r} appears twice")
+            xs[s] = x
+            stub_home[s] = ti
+            x += 1
+    layer = {ci: ci + 1 for ci in range(len(connections))}
+    span = {}
+    for ci, (p, q) in enumerate(connections):
+        span[ci] = (min(xs[p], xs[q]), max(xs[p], xs[q]))
+
+    # crossing key (x, y) -> {"v": (ci, "start"|"end"), "h": cj}
+    crossings = {}
+    for ci, (p, q) in enumerate(connections):
+        for stub, kind in ((p, "start"), (q, "end")):
+            x0 = xs[stub]
+            for cj in range(ci):
+                lo, hi = span[cj]
+                if lo < x0 < hi:
+                    crossings[(x0, layer[cj])] = {"v": (ci, kind), "h": cj}
+
+    # node sequences per connection
+    sequences = []
+    for ci, (p, q) in enumerate(connections):
+        nodes = [("T", stub_home[p], p)]
+        nodes += [("M", ci, mi) for mi in range(len(marks[ci]))]
+        start_keys = sorted(k for k in crossings if k[0] == xs[p]
+                            and crossings[k]["v"] == (ci, "start"))
+        nodes += [("X", k) for k in start_keys]
+        horiz = sorted((k for k in crossings
+                        if k[1] == layer[ci] and crossings[k]["h"] == ci),
+                       reverse=xs[q] < xs[p])
+        nodes += [("X", k) for k in horiz]
+        end_keys = sorted((k for k in crossings if k[0] == xs[q]
+                           and crossings[k]["v"] == (ci, "end")), reverse=True)
+        nodes += [("X", k) for k in end_keys]
+        nodes.append(("T", stub_home[q], q))
+        sequences.append(nodes)
+
+    # lay segments, recording darts at every node
+    stub_dart = {}
+    mark_darts = {}  # (ci, mark idx) -> {"earlier": dart, "later": dart}
+    cross_darts = {key: {} for key in crossings}
+    segments = []
+    path_segments = []
+    for ci, nodes in enumerate(sequences):
+        p, q = connections[ci]
+        rightward = xs[q] > xs[p]
+        segs = []
+        for j in range(len(nodes) - 1):
+            a, b = nodes[j], nodes[j + 1]
+            da, db = f"c{ci}s{j}a", f"c{ci}s{j}b"
+            for node, dart, is_next in ((a, da, True), (b, db, False)):
+                if node[0] == "T":
+                    stub_dart[node[2]] = dart
+                elif node[0] == "M":
+                    mark_darts.setdefault((node[1], node[2]), {})[
+                        "later" if is_next else "earlier"] = dart
+                else:
+                    key = node[1]
+                    info = crossings[key]
+                    if info["h"] == ci and key[1] == layer[ci]:
+                        # horizontal passage for this connection
+                        role = ("E" if rightward else "W") if is_next else \
+                               ("W" if rightward else "E")
+                    else:
+                        kind = info["v"][1]
+                        role = ("N" if kind == "start" else "S") if is_next else \
+                               ("S" if kind == "start" else "N")
+                    cross_darts[key][role] = dart
+            segments.append(MapEdge((da, db), f"seg_{ci}_{j}"))
+            segs.append((da, db))
+        path_segments.append(segs)
+
+    vertices = []
+    terminal_vertices = []
+    for ti, rot in enumerate(terminals):
+        vertices.append(tuple(stub_dart[s] for s in rot))
+        terminal_vertices.append(ti)
+    crossing_vertices = []
+    crossing_rotations = []
+    for key in sorted(crossings):
+        roles = cross_darts[key]
+        rotation = (roles["E"], roles["N"], roles["W"], roles["S"])
+        crossing_vertices.append(len(vertices))
+        crossing_rotations.append(rotation)
+        vertices.append(rotation)
+    mark_vertices = {}
+    for mk in sorted(mark_darts):
+        d = mark_darts[mk]
+        mark_vertices[mk] = len(vertices)
+        vertices.append((d["earlier"], d["later"]))
+
+    skeleton = PlaneMap(vertices, segments)
+    skeleton.require_plane()
+    return (skeleton, terminal_vertices, crossing_vertices,
+            crossing_rotations, mark_vertices, path_segments)
 
 
 def strand_components_by_dicts(L: VirtualLinkDiagram) -> list:

@@ -232,3 +232,14 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     proc.stdout.close()
     assert proc.wait(timeout=60) == 141
     assert err.read_bytes() == b""      # no traceback
+
+
+def test_verify_past_the_enumeration_cap_exits_2():
+    # seed 0 draws a 27-edge ribbon graph: 2^27 subsets without a cap check
+    for check in ("--identities", "--main"):
+        proc = subprocess.run([sys.executable, "-m", "rgpoly.cli", "verify", check,
+                               "--random=1", "--seed=0", "--max-size=30"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, check
+        assert proc.stderr == "error: 27 regular edges exceeds the enumeration cap 24\n"
+        assert proc.stdout == ""

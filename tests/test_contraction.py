@@ -7,10 +7,12 @@ earlier bodies kept in ``helpers`` (one validated map per contraction, the
 dict strand walk, a dict union-find) and pin the number of maps built.
 """
 
+from dataclasses import replace
+
 from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.planemap import contract, contract_all, delete
 from rgpoly.ribbon import RibbonGraph
-from rgpoly.verify import generate
+from rgpoly.verify import check_subset_identities, generate
 
 from helpers import (
     contract_all_by_steps,
@@ -45,6 +47,25 @@ def test_contract_all_matches_one_map_per_step():
             hf = contract_all(G, F)
             m, loops = contract_all_by_steps(G, F)
             assert _same_map(hf.map, m) and hf.deleted_loops == loops, (G, F)
+
+
+def test_contract_all_ignores_labels_shared_with_zero_edges():
+    # a legal ribbon edge label may equal one the drawing gives a 0-edge
+    # (q0_0, t3); F is contracted by index, so that 0-edge stays
+    R = generate("ribbon", 0, 4)
+    G, _ = ribbon_to_plane(R)
+    zero_labels = sorted(G.map.edges[i].label for i in G.zero)
+    assert "q0_0" in zero_labels and any(lb.startswith("t") for lb in zero_labels)
+    for label in zero_labels:
+        R2 = RibbonGraph(R.vertices, [replace(R.edges[0], label=label)] + R.edges[1:])
+        G, cert = ribbon_to_plane(R2)
+        (gi,) = [g for g, r in cert.g_to_r.items() if r == 0]
+        hf = contract_all(G, [gi])
+        assert (hf.map.num_vertices, hf.map.num_edges) == (
+            G.map.num_vertices - 1, len(G.zero)), label
+        m, loops = contract_all_by_steps(G, [gi])
+        assert _same_map(hf.map, m) and hf.deleted_loops == loops == 0, label
+        assert check_subset_identities(R2, G, cert).passed, label
 
 
 def test_contract_and_delete_match_one_map_per_step():

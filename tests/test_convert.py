@@ -1,12 +1,15 @@
 import random
 
+from rgpoly import convert, links
 from rgpoly.convert import link_to_tait, plane_to_ribbon, ribbon_to_plane
 from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, relative_tutte
 from rgpoly.poly import ONE, var
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
 from rgpoly.links import realize_gauss_code
 from rgpoly.router import route
-from rgpoly.verify import generate_ribbon
+from rgpoly.verify import generate, generate_ribbon
+
+from helpers import route_by_scans
 
 
 def test_untwisted_loop_to_plane():
@@ -41,6 +44,37 @@ def test_gadget_accounting():
         G, cert = ribbon_to_plane(R)
         assert len(G.zero) == 4 * c + tau
         assert sorted(cert.g_to_r.values()) == list(range(R.num_edges))
+
+
+def test_router_matches_scanning_router(monkeypatch):
+    # record the router inputs of ribbon_to_plane (reg and twist marks) and
+    # of the Gauss-code realizer (terminals and connections only)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(convert, "route", recording)
+    monkeypatch.setattr(links, "route", recording)
+    for seed in range(30):
+        for size in range(9):
+            ribbon_to_plane(generate("ribbon", seed, size))
+            generate("link", seed, size)
+    assert len(calls) == 2 * 30 * 9
+    crossings = 0
+    for args in calls:
+        rd = route(*args)
+        m, terminals, xs, rotations, mark_vertices, path_segments = route_by_scans(*args)
+        assert rd.map.vertices == m.vertices and rd.map.edges == m.edges, args
+        assert list(rd.crossing_vertices) == xs, args
+        assert rd.mark_vertices == mark_vertices, args
+        assert rd.path_segments == path_segments, args
+        # the vertex order the router documents
+        assert terminals == list(range(len(args[0]))), args
+        assert [rd.map.vertices[xi] for xi in rd.crossing_vertices] == rotations, args
+        crossings += len(xs)
+    assert crossings > 1000
 
 
 def test_plane_to_ribbon_loop():
