@@ -121,68 +121,49 @@ def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
 def link_to_tait(L) -> RelPlaneGraph:
     """The relative plane Tait graph of a virtual link diagram.
 
-    Faces are checkerboard colored per component with the face holding the
-    smallest dart white; black faces become vertices, classical crossings
-    signed regular edges, virtual crossings 0-edges.  Crossing-free
-    components contribute isolated vertices.
+    Faces are shaded per component, the face holding the smallest dart
+    white; the face across each dart d of a face, the one traced through
+    ``partner[d]``, takes the other shade.  Black faces become vertices,
+    classical crossings signed regular edges, virtual crossings 0-edges.
+    Crossing-free components contribute isolated vertices.
     """
     M = L.map
+    partner = M.partner
     walks = faces(M)
-    face_of = {}
-    for fi, walk in enumerate(walks):
-        for d in walk:
-            face_of[d] = fi
-
-    # face adjacency through edges, per diagram component
-    adj = {fi: set() for fi in range(len(walks))}
-    for e in M.edges:
-        h1, h2 = e.ends
-        f1, f2 = face_of[h1], face_of[h2]
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-    color = {}
-    for fi in sorted(range(len(walks)),
-                     key=lambda i: min(str(d) for d in walks[i]) if walks[i] else ""):
-        if fi in color:
+    face_of = {d: fi for fi, walk in enumerate(walks) for d in walk}
+    black = {}
+    for fi in sorted(range(len(walks)), key=lambda i: min(map(str, walks[i]))):
+        if fi in black:
             continue
-        color[fi] = 0   # the minimal-dart face of each component is white
+        black[fi] = False   # the minimal-dart face of each component is white
         queue = [fi]
         while queue:
             cur = queue.pop()
-            for nb in adj[cur]:
-                if nb in color:
-                    assert color[nb] != color[cur], "faces are not 2-colorable"
+            for d in walks[cur]:
+                across = face_of[partner[d]]
+                if across in black:
+                    assert black[across] != black[cur], "faces are not 2-colorable"
                 else:
-                    color[nb] = 1 - color[cur]
-                    queue.append(nb)
+                    black[across] = not black[cur]
+                    queue.append(across)
 
-    black = sorted(fi for fi in range(len(walks)) if color[fi] == 1)
-    vertex_of_face = {fi: i for i, fi in enumerate(black)}
     # the corner between darts d and sigma(d) carries id d and lies in the
-    # face traced through alpha(d)
-    partner = M.partner
-    rotations = [tuple(partner[x] for x in walks[fi]) for fi in black]
-
-    edges = []
-    zero = set()
-    weights = {}
-    signs = {}
+    # face traced through alpha(d), so each corner on a black walk ends a Tait edge
+    vertices = [tuple(partner[d] for d in walk)
+                for fi, walk in enumerate(walks) if black[fi]]
+    vertices.extend(() for _ in range(L.free_loops))
+    edges, zero, weights, signs = [], set(), {}, {}
     for ci, cycle in enumerate(M.vertices):
-        corners = [d for d in cycle if face_of[partner[d]] in vertex_of_face]
+        corners = [d for d in cycle if black[face_of[partner[d]]]]
         assert len(corners) == 2, "crossing corners are not properly shaded"
-        e = MapEdge(tuple(corners), f"c{ci}")
         idx = len(edges)
-        edges.append(e)
+        edges.append(MapEdge(tuple(corners), f"c{ci}"))
         if L.kinds[ci] == "virtual":
             zero.add(idx)
+        elif set(corners) == L.over[ci]:
+            signs[idx], weights[idx] = 1, (ONE, ONE)
         else:
-            sign = 1 if set(corners) == set(L.over[ci]) else -1
-            signs[idx] = sign
-            weights[idx] = (ONE, ONE) if sign > 0 else (var("x_minus"),
-                                                        var("y_minus"))
-    used = {h for e in edges for h in e.ends}
-    vertices = [tuple(h for h in rot if h in used) for rot in rotations]
-    vertices.extend(() for _ in range(L.free_loops))
+            signs[idx], weights[idx] = -1, (var("x_minus"), var("y_minus"))
     G = RelPlaneGraph(PlaneMap(vertices, edges), zero, weights, signs)
     G.map.require_plane()
     return G

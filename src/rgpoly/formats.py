@@ -1,9 +1,16 @@
 """Text formats for ribbon graphs (.rg), relative plane graphs (.rpg) and
 virtual link diagrams (.vld).
 
-All three are line-oriented with ``#`` comments.  Parsers raise ParseError
-with the offending line; structural validation errors (genus, degree,
-matchings) propagate from the constructors.
+All three are line-oriented with ``#`` comments.  Every line reads ``KIND
+NAME: TOKEN ...`` (``_directives``): ``vertex``/``edge`` in .rg/.rpg, and
+``crossing``/``arc``/``orient`` in .vld, where ``ends=`` takes four names
+(itself and the bare tokens after it) and crossing c's dart h is named
+``c.h``.  A .vld file may instead hold only ``gauss CODE`` lines; the last
+one is read.  Text a serializer writes is a fixed point: it parses to a
+graph or diagram that serializes to the same text.
+
+Parsers raise ParseError with the offending line; structural validation
+errors (genus, degree, matchings) propagate from the constructors.
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ def _fail(lineno: int, msg: str):
 _KEYVAL = re.compile(r"(\w+)=(\S+)")
 
 
-def _split_fields(body: str):
+def _split_fields(tokens: list):
     """Separate positional tokens from key=value options."""
     positional, options = [], {}
-    for tok in body.split():
+    for tok in tokens:
         m = _KEYVAL.fullmatch(tok)
         if m:
             options[m.group(1)] = m.group(2)
@@ -56,24 +63,28 @@ def _parse_sign(text: str, lineno: int) -> int:
     return 1 if text == "+" else -1
 
 
+def _directives(text: str, kinds: tuple):
+    """Yield (lineno, kind, name, tokens) per ``KIND NAME: TOKEN ...`` line,
+    where KIND is one of ``kinds``."""
+    for lineno, line in _lines(text):
+        head, colon, body = line.partition(":")
+        head = head.split()
+        if not colon or len(head) != 2 or head[0] not in kinds:
+            _fail(lineno, f"expected '{'/'.join(kinds)} NAME: …'")
+        yield lineno, head[0], head[1], body.split()
+
+
 def _map_lines(text: str, vertices: list):
     """Read the vertex and edge lines of a .rg or .rpg file, in file order.
 
     Vertex rotations are appended to ``vertices``; each edge line is
     yielded as (lineno, name, ends, options).
     """
-    for lineno, line in _lines(text):
-        if ":" not in line:
-            _fail(lineno, "expected 'vertex NAME: …' or 'edge NAME: …'")
-        head, body = line.split(":", 1)
-        head = head.split()
-        if len(head) != 2 or head[0] not in ("vertex", "edge"):
-            _fail(lineno, f"unrecognized directive {head[0] if head else ''!r}")
-        kind, name = head
+    for lineno, kind, name, tokens in _directives(text, ("vertex", "edge")):
         if kind == "vertex":
-            vertices.append(tuple(body.split()))
+            vertices.append(tuple(tokens))
             continue
-        positional, options = _split_fields(body)
+        positional, options = _split_fields(tokens)
         if len(positional) != 2:
             _fail(lineno, "edge needs exactly two half-edge names")
         yield lineno, name, tuple(positional), options
@@ -178,139 +189,110 @@ def serialize_rpg(G: RelPlaneGraph) -> str:
 
 
 def parse_vld(text: str) -> VirtualLinkDiagram:
-    gauss = None
-    crossings = []           # (name, kind, local end names, over pair or None)
-    arcs = []                # (name, (cname, end), (cname, end))
-    orients = []             # (arc name, "+" | "-")
-    for lineno, line in _lines(text):
-        if line.startswith("gauss"):
-            gauss = line[len("gauss"):].strip()
-            continue
-        if ":" not in line:
-            _fail(lineno, "expected 'crossing/arc/orient NAME: …'")
-        head, body = line.split(":", 1)
-        head = head.split()
-        if len(head) != 2:
-            _fail(lineno, "expected 'crossing/arc/orient NAME: …'")
-        kind, name = head
-        if kind == "crossing":
-            # ends= takes four space-separated names, so collect tokens by hand
-            ckind = None
-            ends = None
-            over = None
-            tokens = body.split()
-            pos = 0
-            while pos < len(tokens):
-                tok = tokens[pos]
-                if tok.startswith("kind="):
-                    ckind = tok[len("kind="):]
-                    pos += 1
-                elif tok.startswith("over="):
-                    over = tuple(tok[len("over="):].split(","))
-                    pos += 1
-                elif tok.startswith("ends="):
-                    ends = [tok[len("ends="):]]
-                    pos += 1
-                    while pos < len(tokens) and "=" not in tokens[pos]:
-                        ends.append(tokens[pos])
-                        pos += 1
-                else:
-                    _fail(lineno, f"unexpected token {tok!r}")
-            if ckind not in ("classical", "virtual"):
-                _fail(lineno, f"bad crossing kind {ckind!r}")
-            if ends is None or len(ends) != 4:
-                _fail(lineno, "crossing needs ends=<h1> <h2> <h3> <h4>")
-            if over is not None and len(over) != 2:
-                _fail(lineno, "over needs two comma-separated ends")
-            crossings.append((name, ckind, ends, over))
-        elif kind == "arc":
-            refs = body.split()
-            if len(refs) != 2 or any("." not in r for r in refs):
-                _fail(lineno, "arc needs two <crossing>.<end> references")
-            a, b = (tuple(r.split(".", 1)) for r in refs)
-            arcs.append((name, a, b))
-        elif kind == "orient":
-            flag = body.strip()
-            if flag not in ("+", "-"):
-                _fail(lineno, f"bad orientation {flag!r}")
-            orients.append((name, flag))
-        else:
-            _fail(lineno, f"unrecognized directive {kind!r}")
-    if gauss is not None:
-        if crossings or arcs or orients:
+    lines = [line for _, line in _lines(text)]
+    codes = [line[len("gauss"):].strip() for line in lines if line.startswith("gauss")]
+    if codes:
+        if len(codes) < len(lines):
             raise ParseError("a gauss line excludes crossing/arc/orient lines")
         try:
-            return realize_gauss_code(gauss)
+            return realize_gauss_code(codes[-1])
         except MalformedCode as exc:
             raise ParseError(str(exc)) from exc
 
-    vertices = []
-    kinds = {}
-    over = {}
-    index = {}
-    for ci, (name, ckind, ends, over_pair) in enumerate(crossings):
-        index[name] = ci
-        darts = tuple(f"{name}.{h}" for h in ends)
-        vertices.append(darts)
-        kinds[ci] = ckind
-        if over_pair is not None:
-            over[ci] = frozenset(f"{name}.{h}" for h in over_pair)
+    vertices, kinds, over, index = [], {}, {}, {}
+    arcs = []                # (name, (cname, end), (cname, end))
+    orients = {}             # arc name -> "+" | "-"
+    for lineno, kind, name, tokens in _directives(text, ("crossing", "arc", "orient")):
+        if kind == "crossing":
+            options, key = {}, None
+            for tok in tokens:
+                k, eq, value = tok.partition("=")
+                if eq and k in ("kind", "ends", "over"):
+                    key = k
+                    options[key] = [value]
+                elif not eq and key == "ends":      # ends= takes four names
+                    options[key].append(tok)
+                else:
+                    _fail(lineno, f"unexpected token {tok!r}")
+            ckind = options.get("kind", [None])[0]
+            ends = options.get("ends", [])
+            pair = options["over"][0].split(",") if "over" in options else None
+            if ckind not in ("classical", "virtual"):
+                _fail(lineno, f"bad crossing kind {ckind!r}")
+            if len(ends) != 4:
+                _fail(lineno, "crossing needs ends=<h1> <h2> <h3> <h4>")
+            if pair is not None and len(pair) != 2:
+                _fail(lineno, "over needs two comma-separated ends")
+            index[name] = ci = len(vertices)
+            vertices.append(tuple(f"{name}.{h}" for h in ends))
+            kinds[ci] = ckind
+            if pair is not None:
+                over[ci] = frozenset(f"{name}.{h}" for h in pair)
+        elif kind == "arc":
+            if len(tokens) != 2 or any("." not in r for r in tokens):
+                _fail(lineno, "arc needs two <crossing>.<end> references")
+            arcs.append((name, *(r.split(".", 1) for r in tokens)))
+        else:
+            orients[name] = " ".join(tokens)
+            if orients[name] not in ("+", "-"):
+                _fail(lineno, f"bad orientation {orients[name]!r}")
+
     edges = []
     for name, (ca, ha), (cb, hb) in arcs:
         for c in (ca, cb):
             if c not in index:
                 raise ParseError(f"arc {name!r} references unknown crossing {c!r}")
         edges.append(MapEdge((f"{ca}.{ha}", f"{cb}.{hb}"), name))
-    M = _build(PlaneMap, vertices, edges)
-    L = VirtualLinkDiagram(M, kinds, over, None, 0)
-    if orients:
-        by_label = {e.label: e for e in edges}
-        flags = {}
-        for name, flag in orients:
-            if name not in by_label:
-                raise ParseError(f"orient references unknown arc {name!r}")
-            flags[by_label[name].ends[0]] = flag
-        orientations = {}
-        for comp in L.strand_components():
-            # "+" means the named arc is traversed first-end to second-end;
-            # align the canonical traversal of the component with that
-            forward = None
-            for i, dart in enumerate(comp):
-                if dart in flags:
-                    forward = (i % 2 == 0) == (flags[dart] == "+")
-            if forward is None:
-                continue
-            for i, dart in enumerate(comp):
-                orientations[dart] = (i % 2 == 0) == forward
-        L = VirtualLinkDiagram(M, kinds, over, orientations, 0)
-    return L
+    L = VirtualLinkDiagram(_build(PlaneMap, vertices, edges), kinds, over, None, 0)
+    if not orients:
+        return L
+    first_end = {e.label: e.ends[0] for e in edges}
+    for name in orients:
+        if name not in first_end:
+            raise ParseError(f"orient references unknown arc {name!r}")
+    flags = {first_end[name]: flag for name, flag in orients.items()}
+    orientations = {}
+    for comp in L.strand_components():
+        # "+": the arc runs from its first end, an out dart; comp's even
+        # positions are out darts when it runs forward; its last flag decides
+        forward = [(i % 2 == 0) == (flags[d] == "+")
+                   for i, d in enumerate(comp) if d in flags]
+        if forward:
+            orientations.update((d, (i % 2 == 0) == forward[-1])
+                                for i, d in enumerate(comp))
+    return VirtualLinkDiagram(L.map, kinds, over, orientations, 0)
 
 
 def serialize_vld(L: VirtualLinkDiagram) -> str:
+    """Crossing ci is named c{ci}; its darts are written <end> if all are
+    named c{ci}.<end>, as ``parse_vld`` names them.  A strand is oriented by
+    its lowest-index arc: "+" when that arc's first end is an out dart."""
     if L.free_loops:
         raise MalformedDiagram("free loops cannot be serialized; use a gauss line")
+    M = L.map
     out = []
-    names = {}
-    for ci, cycle in enumerate(L.map.vertices):
-        names.update({h: (f"c{ci}", h) for h in cycle})
-        line = (f"crossing c{ci}: kind={L.kinds[ci]} "
-                f"ends={' '.join(str(h) for h in cycle)}")
+    end = {}
+    for ci, cycle in enumerate(M.vertices):
+        prefix = f"c{ci}."
+        names = {h: str(h) for h in cycle}
+        if all(n.startswith(prefix) for n in names.values()):
+            names = {h: n[len(prefix):] for h, n in names.items()}
+        end.update(names)
+        line = f"crossing c{ci}: kind={L.kinds[ci]} ends={' '.join(names.values())}"
         if ci in L.over:
-            o = [h for h in cycle if h in L.over[ci]]
+            o = [names[h] for h in cycle if h in L.over[ci]]
             line += f" over={o[0]},{o[1]}"
         out.append(line)
-    for e in L.map.edges:
-        (c1, h1), (c2, h2) = names[e.ends[0]], names[e.ends[1]]
-        out.append(f"arc {e.label}: {c1}.{h1} {c2}.{h2}")
+    for e in M.edges:
+        out.append(f"arc {e.label}: "
+                   + " ".join(f"c{M.vertex_of(h)}.{end[h]}" for h in e.ends))
     if L.orientations is not None:
-        by_dart = {h: e for e in L.map.edges for h in e.ends}
-        for comp in L.strand_components():
-            rep = comp[0]
-            arc = by_dart[rep]
-            rep_out = L.orientations.get(rep)
-            if rep_out is None:
-                continue
-            # "+" = the arc is traversed from its first to its second end
-            flag = "+" if rep_out == (rep == arc.ends[0]) else "-"
-            out.append(f"orient {arc.label}: {flag}")
+        strand = {d: si for si, comp in enumerate(L.strand_components()) for d in comp}
+        first = {}
+        for e in M.edges:
+            first.setdefault(strand[e.ends[0]], e)
+        for e in first.values():
+            is_out = L.orientations.get(e.ends[0])
+            if is_out is not None:
+                out.append(f"orient {e.label}: {'+' if is_out else '-'}")
     return "\n".join(out) + "\n"

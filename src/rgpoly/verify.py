@@ -41,6 +41,8 @@ SQRT_XY = {"d": monomial(1, {"X": HALF, "Y": HALF}),
            "w": monomial(1, {"X": HALF, "Y": -HALF})}
 INV_SQRT_XY = {"Z": monomial(1, {"X": -HALF, "Y": -HALF})}
 
+REFERENCE_CAP = 16      # regular edges; the reference pass takes ~1 ms per subset
+
 
 @dataclass
 class CheckReport:
@@ -187,10 +189,13 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     from the reference ``contract_all``, bc(F') off one kernel of R, and
     k(F), k(F u H) from the joins of F's ends, on G's vertices and on H's
     classes, set up once.  More regular edges than the enumeration cap of
-    ``relative_tutte`` raise SizeLimit."""
+    ``relative_tutte``, or than ``REFERENCE_CAP``, raise SizeLimit."""
     regular = G.regular_indices()
     if len(regular) > DEFAULT_EDGE_CAP:
         raise SizeLimit(_TOO_MANY_REGULAR.format(n=len(regular), cap=DEFAULT_EDGE_CAP))
+    if len(regular) > REFERENCE_CAP:
+        raise SizeLimit(f"{len(regular)} regular edges exceeds the reference "
+                        f"check's cap {REFERENCE_CAP}")
     bc = side_kernel(R, twist_links(R), range(R.num_edges))
     nv = G.map.num_vertices
     joins, kH = relative_joins(G)

@@ -31,6 +31,12 @@ union-find of its own.  ``route_by_scans`` keeps the earlier router, which
 scans every crossing per connection and walks tagged nodes; it returns
 the map, terminal vertices, crossing vertices, crossing rotations, mark
 vertices and path segments.
+
+``parse_vld_by_tokens`` keeps the earlier ``.vld`` reader, with a head
+parser of its own and an index-walking token loop per crossing line.
+``link_to_tait_by_adjacency`` keeps the earlier Tait graph, which shades
+faces over face-adjacency sets built from the edges and filters every
+black face's rotation down to the corners of its Tait edges.
 """
 
 from __future__ import annotations
@@ -38,9 +44,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from rgpoly.links import VirtualLinkDiagram
-from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_all, psi, submap
-from rgpoly.errors import ParseError, SizeLimit
+from rgpoly.formats import _build, _fail, _lines
+from rgpoly.links import VirtualLinkDiagram, realize_gauss_code
+from rgpoly.planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_all, faces,
+                             psi, submap)
+from rgpoly.errors import MalformedCode, ParseError, SizeLimit
 from rgpoly.poly import (
     _NUM_BUILTINS,
     ONE,
@@ -747,3 +755,182 @@ def _render_factor(vid: int, e4: int) -> str:
     if f.denominator == 1:
         return f"{name}^{_decimal(f.numerator)}"
     return f"{name}^({_decimal(f.numerator)}/{f.denominator})"
+
+
+def parse_vld_by_tokens(text: str) -> VirtualLinkDiagram:
+    gauss = None
+    crossings = []           # (name, kind, local end names, over pair or None)
+    arcs = []                # (name, (cname, end), (cname, end))
+    orients = []             # (arc name, "+" | "-")
+    for lineno, line in _lines(text):
+        if line.startswith("gauss"):
+            gauss = line[len("gauss"):].strip()
+            continue
+        if ":" not in line:
+            _fail(lineno, "expected 'crossing/arc/orient NAME: …'")
+        head, body = line.split(":", 1)
+        head = head.split()
+        if len(head) != 2:
+            _fail(lineno, "expected 'crossing/arc/orient NAME: …'")
+        kind, name = head
+        if kind == "crossing":
+            # ends= takes four space-separated names, so collect tokens by hand
+            ckind = None
+            ends = None
+            over = None
+            tokens = body.split()
+            pos = 0
+            while pos < len(tokens):
+                tok = tokens[pos]
+                if tok.startswith("kind="):
+                    ckind = tok[len("kind="):]
+                    pos += 1
+                elif tok.startswith("over="):
+                    over = tuple(tok[len("over="):].split(","))
+                    pos += 1
+                elif tok.startswith("ends="):
+                    ends = [tok[len("ends="):]]
+                    pos += 1
+                    while pos < len(tokens) and "=" not in tokens[pos]:
+                        ends.append(tokens[pos])
+                        pos += 1
+                else:
+                    _fail(lineno, f"unexpected token {tok!r}")
+            if ckind not in ("classical", "virtual"):
+                _fail(lineno, f"bad crossing kind {ckind!r}")
+            if ends is None or len(ends) != 4:
+                _fail(lineno, "crossing needs ends=<h1> <h2> <h3> <h4>")
+            if over is not None and len(over) != 2:
+                _fail(lineno, "over needs two comma-separated ends")
+            crossings.append((name, ckind, ends, over))
+        elif kind == "arc":
+            refs = body.split()
+            if len(refs) != 2 or any("." not in r for r in refs):
+                _fail(lineno, "arc needs two <crossing>.<end> references")
+            a, b = (tuple(r.split(".", 1)) for r in refs)
+            arcs.append((name, a, b))
+        elif kind == "orient":
+            flag = body.strip()
+            if flag not in ("+", "-"):
+                _fail(lineno, f"bad orientation {flag!r}")
+            orients.append((name, flag))
+        else:
+            _fail(lineno, f"unrecognized directive {kind!r}")
+    if gauss is not None:
+        if crossings or arcs or orients:
+            raise ParseError("a gauss line excludes crossing/arc/orient lines")
+        try:
+            return realize_gauss_code(gauss)
+        except MalformedCode as exc:
+            raise ParseError(str(exc)) from exc
+
+    vertices = []
+    kinds = {}
+    over = {}
+    index = {}
+    for ci, (name, ckind, ends, over_pair) in enumerate(crossings):
+        index[name] = ci
+        darts = tuple(f"{name}.{h}" for h in ends)
+        vertices.append(darts)
+        kinds[ci] = ckind
+        if over_pair is not None:
+            over[ci] = frozenset(f"{name}.{h}" for h in over_pair)
+    edges = []
+    for name, (ca, ha), (cb, hb) in arcs:
+        for c in (ca, cb):
+            if c not in index:
+                raise ParseError(f"arc {name!r} references unknown crossing {c!r}")
+        edges.append(MapEdge((f"{ca}.{ha}", f"{cb}.{hb}"), name))
+    M = _build(PlaneMap, vertices, edges)
+    L = VirtualLinkDiagram(M, kinds, over, None, 0)
+    if orients:
+        by_label = {e.label: e for e in edges}
+        flags = {}
+        for name, flag in orients:
+            if name not in by_label:
+                raise ParseError(f"orient references unknown arc {name!r}")
+            flags[by_label[name].ends[0]] = flag
+        orientations = {}
+        for comp in L.strand_components():
+            # "+" means the named arc is traversed first-end to second-end;
+            # align the canonical traversal of the component with that
+            forward = None
+            for i, dart in enumerate(comp):
+                if dart in flags:
+                    forward = (i % 2 == 0) == (flags[dart] == "+")
+            if forward is None:
+                continue
+            for i, dart in enumerate(comp):
+                orientations[dart] = (i % 2 == 0) == forward
+        L = VirtualLinkDiagram(M, kinds, over, orientations, 0)
+    return L
+
+
+def link_to_tait_by_adjacency(L) -> RelPlaneGraph:
+    """The relative plane Tait graph of a virtual link diagram.
+
+    Faces are checkerboard colored per component with the face holding the
+    smallest dart white; black faces become vertices, classical crossings
+    signed regular edges, virtual crossings 0-edges.  Crossing-free
+    components contribute isolated vertices.
+    """
+    M = L.map
+    walks = faces(M)
+    face_of = {}
+    for fi, walk in enumerate(walks):
+        for d in walk:
+            face_of[d] = fi
+
+    # face adjacency through edges, per diagram component
+    adj = {fi: set() for fi in range(len(walks))}
+    for e in M.edges:
+        h1, h2 = e.ends
+        f1, f2 = face_of[h1], face_of[h2]
+        adj[f1].add(f2)
+        adj[f2].add(f1)
+    color = {}
+    for fi in sorted(range(len(walks)),
+                     key=lambda i: min(str(d) for d in walks[i]) if walks[i] else ""):
+        if fi in color:
+            continue
+        color[fi] = 0   # the minimal-dart face of each component is white
+        queue = [fi]
+        while queue:
+            cur = queue.pop()
+            for nb in adj[cur]:
+                if nb in color:
+                    assert color[nb] != color[cur], "faces are not 2-colorable"
+                else:
+                    color[nb] = 1 - color[cur]
+                    queue.append(nb)
+
+    black = sorted(fi for fi in range(len(walks)) if color[fi] == 1)
+    vertex_of_face = {fi: i for i, fi in enumerate(black)}
+    # the corner between darts d and sigma(d) carries id d and lies in the
+    # face traced through alpha(d)
+    partner = M.partner
+    rotations = [tuple(partner[x] for x in walks[fi]) for fi in black]
+
+    edges = []
+    zero = set()
+    weights = {}
+    signs = {}
+    for ci, cycle in enumerate(M.vertices):
+        corners = [d for d in cycle if face_of[partner[d]] in vertex_of_face]
+        assert len(corners) == 2, "crossing corners are not properly shaded"
+        e = MapEdge(tuple(corners), f"c{ci}")
+        idx = len(edges)
+        edges.append(e)
+        if L.kinds[ci] == "virtual":
+            zero.add(idx)
+        else:
+            sign = 1 if set(corners) == set(L.over[ci]) else -1
+            signs[idx] = sign
+            weights[idx] = (ONE, ONE) if sign > 0 else (var("x_minus"),
+                                                        var("y_minus"))
+    used = {h for e in edges for h in e.ends}
+    vertices = [tuple(h for h in rot if h in used) for rot in rotations]
+    vertices.extend(() for _ in range(L.free_loops))
+    G = RelPlaneGraph(PlaneMap(vertices, edges), zero, weights, signs)
+    G.map.require_plane()
+    return G

@@ -243,3 +243,14 @@ def test_verify_past_the_enumeration_cap_exits_2():
         assert proc.returncode == 2, check
         assert proc.stderr == "error: 27 regular edges exceeds the enumeration cap 24\n"
         assert proc.stdout == ""
+
+
+def test_verify_past_the_reference_cap_exits_2():
+    # seed 2 draws a 17-edge ribbon graph: under the enumeration cap, but the
+    # reference check would contract 2^17 maps
+    proc = subprocess.run([sys.executable, "-m", "rgpoly.cli", "verify", "--identities",
+                           "--random=1", "--seed=2", "--max-size=24"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: 17 regular edges exceeds the reference check's cap 16\n"
+    assert proc.stdout == ""

@@ -2,6 +2,7 @@ import random
 
 from rgpoly import convert, links
 from rgpoly.convert import link_to_tait, plane_to_ribbon, ribbon_to_plane
+from rgpoly.formats import serialize_rpg
 from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, relative_tutte
 from rgpoly.poly import ONE, var
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
@@ -9,7 +10,7 @@ from rgpoly.links import realize_gauss_code
 from rgpoly.router import route
 from rgpoly.verify import generate, generate_ribbon
 
-from helpers import route_by_scans
+from helpers import link_to_tait_by_adjacency, route_by_scans
 
 
 def test_untwisted_loop_to_plane():
@@ -135,3 +136,14 @@ def test_tait_virtual_crossings_become_zero_edges():
     n_virtual = L.map.num_vertices - len(L.classical)
     assert len(G.zero) == n_virtual
     assert len(G.regular_indices()) == len(L.classical)
+
+
+def test_tait_graph_matches_the_adjacency_shading():
+    """Shading over each face's own walk gives the Tait graph, signs
+    included, that the face-adjacency shading gave."""
+    for seed in range(30):
+        for size in range(11):
+            L = generate("link", seed, size)
+            G, old = link_to_tait(L), link_to_tait_by_adjacency(L)
+            assert serialize_rpg(G) == serialize_rpg(old), (seed, size)
+            assert G.signs == old.signs, (seed, size)

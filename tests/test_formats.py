@@ -145,3 +145,12 @@ def test_vld_text_round_trips_up_to_dart_names(seed, size):
     assume(not L.free_loops)    # not serializable, as above
     assert serialize_vld(parse_vld(serialize_vld(L))) == \
         serialize_vld(_darts_named_by_crossing(L))
+
+
+@_ROUND_TRIP
+@given(_SEEDS, st.integers(0, 7))
+def test_vld_text_is_a_fixed_point(seed, size):
+    L = generate("link", seed, size)
+    assume(not L.free_loops)    # not serializable, as above
+    text = serialize_vld(L)
+    assert serialize_vld(parse_vld(text)) == text

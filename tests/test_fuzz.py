@@ -4,7 +4,8 @@ agrees with the earlier token reader ``helpers.parse_by_tokens``.
 
 Each parser gets a few hundred derandomized examples, drawn both from
 arbitrary characters and from lines of the file grammars, so that many inputs
-get past the line parser and reach the validation of the maps.
+get past the line parser and reach the validation of the maps.  ``parse_vld``
+agrees with the earlier token reader ``helpers.parse_vld_by_tokens``.
 """
 
 import random
@@ -12,10 +13,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import parse_by_tokens
+from helpers import parse_by_tokens, parse_vld_by_tokens
 from rgpoly import poly
 from rgpoly.errors import ParseError, RgpolyError
-from rgpoly.formats import parse_ribbon, parse_rpg, parse_vld
+from rgpoly.formats import parse_ribbon, parse_rpg, parse_vld, serialize_vld
+from rgpoly.verify import generate
 
 _HEADS = [
     "vertex v0:", "vertex v1:", "edge e:", "edge f:", "crossing c0:",
@@ -133,3 +135,61 @@ def test_canonical_text_parses_back(monomials):
     for coeff, powers in monomials:
         p = p + poly.monomial(coeff, powers)
     assert poly.parse(p.canonical()) == p
+
+
+def _vld(parse, text):
+    """The diagram's rotations, arcs, kinds, over pairs, orientations and
+    free loops, or the name of the error it was rejected with."""
+    try:
+        L = parse(text)
+    except RgpolyError as exc:
+        return type(exc).__name__
+    return (L.map.vertices, [(e.ends, e.label) for e in L.map.edges], L.kinds,
+            L.over, L.orientations, L.free_loops)
+
+
+@_FUZZ
+@given(_FILES)
+def test_parse_vld_matches_token_reader(text):
+    assert _vld(parse_vld, text) == _vld(parse_vld_by_tokens, text)
+
+
+def test_parse_vld_matches_token_reader_on_generated_and_mutated_links():
+    """The text of generated links, and of seeded mutations of it (tokens
+    dropped, inserted, swapped or replaced, lines dropped or repeated, orient
+    lines added): the two readers accept the same files, to equal diagrams."""
+    rng = random.Random(2025)
+    texts = [serialize_vld(L) for L in (generate("link", seed, size)
+                                        for seed in range(20) for size in range(4))
+             if not L.free_loops]
+    vocabulary = [tok for text in texts[:6] for tok in text.split()] + _BODY
+    accepted = 0
+    for i in range(1500):
+        lines = [line.split() for line in rng.choice(texts).splitlines()]
+        arcs = [line[1] for line in lines if line[0] == "arc"]
+        for _ in range(i % 4):
+            line = rng.choice(lines)
+            j = rng.randrange(len(line))
+            op = rng.randrange(7)
+            if op == 0 and len(line) > 1:
+                del line[j]
+            elif op == 1:
+                line.insert(rng.randrange(len(line) + 1), rng.choice(vocabulary))
+            elif op == 2:
+                k = rng.randrange(len(line))
+                line[j], line[k] = line[k], line[j]
+            elif op == 3:
+                line[j] = rng.choice(vocabulary)
+            elif op == 4:
+                lines.remove(line)
+            elif op == 5 and arcs:      # often a second orient line on a strand
+                lines.append(["orient", rng.choice(arcs), rng.choice("+-")])
+            else:
+                lines.insert(rng.randrange(len(lines) + 1), list(line))
+            if not lines:
+                break
+        text = "\n".join(" ".join(line) for line in lines)
+        got = _vld(parse_vld, text)
+        assert got == _vld(parse_vld_by_tokens, text), text
+        accepted += not isinstance(got, str)
+    assert accepted >= 300
