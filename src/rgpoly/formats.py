@@ -5,9 +5,11 @@ All three are line-oriented with ``#`` comments.  Every line reads ``KIND
 NAME: TOKEN ...`` (``_directives``): ``vertex``/``edge`` in .rg/.rpg, and
 ``crossing``/``arc``/``orient`` in .vld, where ``ends=`` takes four names
 (itself and the bare tokens after it) and crossing c's dart h is named
-``c.h``.  A .vld file may instead hold only ``gauss CODE`` lines; the last
-one is read.  Text a serializer writes is a fixed point: it parses to a
-graph or diagram that serializes to the same text.
+``c.h``; ``orient ARC: +`` runs the arc's strand from the arc's first end,
+and the orient lines on one strand must agree.  A .vld file may instead
+hold only ``gauss CODE`` lines; the last one is read.  Text a serializer
+writes is a fixed point: it parses to a graph or diagram that serializes
+to the same text.
 
 Parsers raise ParseError with the offending line; structural validation
 errors (genus, degree, matchings) propagate from the constructors.
@@ -201,7 +203,7 @@ def parse_vld(text: str) -> VirtualLinkDiagram:
 
     vertices, kinds, over, index = [], {}, {}, {}
     arcs = []                # (name, (cname, end), (cname, end))
-    orients = {}             # arc name -> "+" | "-"
+    orients = []             # (arc name, "+" | "-")
     for lineno, kind, name, tokens in _directives(text, ("crossing", "arc", "orient")):
         if kind == "crossing":
             options, key = {}, None
@@ -233,9 +235,10 @@ def parse_vld(text: str) -> VirtualLinkDiagram:
                 _fail(lineno, "arc needs two <crossing>.<end> references")
             arcs.append((name, *(r.split(".", 1) for r in tokens)))
         else:
-            orients[name] = " ".join(tokens)
-            if orients[name] not in ("+", "-"):
-                _fail(lineno, f"bad orientation {orients[name]!r}")
+            flag = " ".join(tokens)
+            if flag not in ("+", "-"):
+                _fail(lineno, f"bad orientation {flag!r}")
+            orients.append((name, flag))
 
     edges = []
     for name, (ca, ha), (cb, hb) in arcs:
@@ -247,19 +250,23 @@ def parse_vld(text: str) -> VirtualLinkDiagram:
     if not orients:
         return L
     first_end = {e.label: e.ends[0] for e in edges}
-    for name in orients:
+    for name, _ in orients:
         if name not in first_end:
             raise ParseError(f"orient references unknown arc {name!r}")
-    flags = {first_end[name]: flag for name, flag in orients.items()}
-    orientations = {}
-    for comp in L.strand_components():
-        # "+": the arc runs from its first end, an out dart; comp's even
-        # positions are out darts when it runs forward; its last flag decides
-        forward = [(i % 2 == 0) == (flags[d] == "+")
-                   for i, d in enumerate(comp) if d in flags]
-        if forward:
-            orientations.update((d, (i % 2 == 0) == forward[-1])
-                                for i, d in enumerate(comp))
+    comps = L.strand_components()
+    # "+": the arc runs from its first end, an out dart; a strand's even
+    # positions are out darts when it runs forward
+    place = {d: (si, i % 2 == 0) for si, comp in enumerate(comps) for i, d in enumerate(comp)}
+    forward = {}             # strand -> (runs forward, the arc that says so)
+    for name, flag in orients:
+        si, even = place[first_end[name]]
+        runs = even == (flag == "+")
+        if forward.setdefault(si, (runs, name))[0] != runs:
+            raise ParseError(f"orient {name!r} contradicts orient "
+                             f"{forward[si][1]!r} on the same strand")
+    orientations = {d: (i % 2 == 0) == forward[si][0]
+                    for si, comp in enumerate(comps) if si in forward
+                    for i, d in enumerate(comp)}
     return VirtualLinkDiagram(L.map, kinds, over, orientations, 0)
 
 

@@ -18,12 +18,12 @@ the builtins, each group in registry-id order.  ``canonical()`` sorts by one
 int per term, whose bit fields are laid out so that comparing the ints
 compares the exponent vectors.
 
-``state_sum`` is the one loop behind the three state sums (Bollobas-Riordan,
-relative Tutte, Kauffman bracket): it weights every subset of an indexed
-ground set, and no state builds a ``Polynomial``.  Inside it a monomial is
-one int: each variable of the weights and of the term owns a bit field of
-its exponent vector, holding exp4 plus a bias, so negative exponents pack
-too (Kronecker substitution).  A field's bias is the largest |exp4| the
+``state_sum`` is the one loop behind the Bollobas-Riordan and relative
+Tutte state sums: it weights every subset of an indexed ground set, and no
+state builds a ``Polynomial``.  Inside it a monomial is one int: each
+variable of the weights and of the term owns a bit field of its exponent
+vector, holding exp4 plus a bias, so negative exponents pack too
+(Kronecker substitution).  A field's bias is the largest |exp4| the
 variable can reach, summed over the elements from the weights and bounded
 for the term by the caller; the field is wide enough for twice the bias,
 so adding packed ints multiplies monomials and no sum carries into the
@@ -32,7 +32,9 @@ are tabulated once as lists of (packed int, coefficient), a multi-term
 weight being a longer list on the same path; a state adds its term's
 exponents to one entry of each and accumulates one int key in place.
 Each distinct key is decoded once, at the end, into the sorted
-(vid, exp4) key that every ``Polynomial`` uses.
+(vid, exp4) key that every ``Polynomial`` uses.  ``from_exponents`` builds
+a polynomial from int exponent vectors counted elsewhere, as the Kauffman
+bracket's frontier census counts them.
 """
 
 from __future__ import annotations
@@ -306,6 +308,16 @@ def monomial(coeff: int, powers: Mapping[str, Union[int, Fraction]]) -> Polynomi
         if e4:
             exps[register(name)] = int(e4)
     return Polynomial({tuple(sorted(exps.items())): coeff})
+
+
+def from_exponents(names: tuple, terms: Mapping[tuple, int]) -> Polynomial:
+    """Sum of c * prod(v^e) over the items (exponents, c) of ``terms``,
+    the int exponents e given in the order of the distinct ``names``."""
+    vids = [register(name) for name in names]
+    out: dict = {}
+    _accumulate(out, ((tuple(sorted((vid, 4 * e) for vid, e in zip(vids, exps) if e)), c)
+                      for exps, c in terms.items()))
+    return Polynomial(out)
 
 
 def _term_power(q: Polynomial, e4: int) -> Polynomial:

@@ -17,7 +17,10 @@ through arc, fixed link, arc, ... up to the next live node is the same in
 every state: ``collapse`` walks it once and keeps only the matching it
 induces on the live nodes, plus the number of cycles that never meet a live
 node.  A state then fills 4m links and calls ``count_cycles`` once, so it
-costs O(m) however large the drawn map is.
+costs O(m) however large the drawn map is.  ``census`` counts the cycles
+of all 2^m states by (set bits, cycles) without visiting them: one
+frontier pass over the elements, whose cost the number of open slots at
+once sets.
 """
 
 from __future__ import annotations
@@ -209,3 +212,59 @@ class CycleKernel:
         for j, pair in enumerate(self._links):
             link += pair[mask >> j & 1]
         return self.closed + count_cycles(self.arc, link)
+
+    def census(self) -> dict:
+        """{(ones, cycles): the number of masks with ``ones`` set bits whose
+        ``cycles(mask)`` is ``cycles``}, in one frontier pass.
+
+        The elements are taken in greedy order: next, the one whose slots
+        close the most arcs to processed slots, ties to the lowest index.
+        The frontier is the processed slots whose arc partner is not yet
+        processed; the processed links and arcs leave paths between them.
+        A partial state is how the paths pair up the frontier, as the tuple
+        of partners in frontier order, mapped to a histogram of the partial
+        masks by (set bits, closed cycles), packed as ones * span + cycles;
+        states with equal pairings merge.  After k elements there are at
+        most 2^k pairings, so the pass never holds more states than the
+        masks it counts.
+        """
+        arc, links = self.arc, self._links
+        m = len(links)
+        span = 2 * m + 1                # a cycle holds two live slots or more
+        pending = [0] * m               # arcs from each element to processed slots
+        todo = list(range(m))
+        processed = bytearray(4 * m)
+        frontier: list = []
+        states = {(): {0: 1}}
+        while todo:
+            j = max(todo, key=lambda i: (pending[i], -i))
+            todo.remove(j)
+            own = range(4 * j, 4 * j + 4)
+            for s in own:
+                processed[s] = 1
+            # each arc closed now, an arc inside the element once
+            joins = [(s, t) for s in own if processed[t := arc[s]] and (t >> 2 != j or t > s)]
+            opened = [s for s in own if not processed[arc[s]]]
+            for s in opened:
+                pending[arc[s] >> 2] += 1
+            new = [s for s in frontier if not processed[arc[s]]] + opened
+            nxt: dict = {}
+            for pairing, histogram in states.items():
+                mate = dict(zip(frontier, pairing))
+                for bit, link in enumerate(links[j]):
+                    pair = dict(mate)
+                    pair.update(zip(own, link))
+                    closed = 0
+                    for s, t in joins:
+                        u, v = pair.pop(s), pair.pop(t)
+                        if u == t:
+                            closed += 1
+                        else:
+                            pair[u], pair[v] = v, u
+                    shift = bit * span + closed
+                    out = nxt.setdefault(tuple(map(pair.__getitem__, new)), {})
+                    for key, count in histogram.items():
+                        out[key + shift] = out.get(key + shift, 0) + count
+            states, frontier = nxt, new
+        return {(key // span, self.closed + key % span): count
+                for key, count in states[()].items()}

@@ -12,6 +12,10 @@ side slots (h, side) traced over the rotation restricted to the present
 half-edges, union-finds over all vertices, and the bracket's smoothing
 matching over every dart.  The compiled kernel must agree with them.
 
+``kauffman_bracket_by_states`` keeps the earlier bracket, which runs
+``poly.state_sum`` over all 2^n states of the compiled kernel; the bracket
+now counts them in one frontier pass.
+
 ``state_sum_by_products`` keeps the earlier accumulator of
 ``poly.state_sum``: every state multiplies its weight polynomials and a
 ``monomial`` of its term's exponents.
@@ -45,7 +49,8 @@ import re
 from fractions import Fraction
 
 from rgpoly.formats import _build, _fail, _lines
-from rgpoly.links import VirtualLinkDiagram, realize_gauss_code
+from rgpoly.links import (DEFAULT_CROSSING_CAP, VirtualLinkDiagram, bracket_kernel,
+                          realize_gauss_code)
 from rgpoly.planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_all, faces,
                              psi, submap)
 from rgpoly.errors import MalformedCode, ParseError, SizeLimit
@@ -57,6 +62,7 @@ from rgpoly.poly import (
     _decimal,
     monomial,
     register,
+    state_sum,
     var,
     var_name,
 )
@@ -429,6 +435,22 @@ def kauffman_bracket_by_dicts(L: VirtualLinkDiagram) -> Polynomial:
         total = total + monomial(1, {"A": alpha, "B": n - alpha,
                                      "d": split_by_dicts(L, state) - 1})
     return total
+
+
+def kauffman_bracket_by_states(L: VirtualLinkDiagram,
+                               cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
+    """The earlier ``links.kauffman_bracket``: ``state_sum`` over all 2^n
+    states, counting each state's circles with ``bracket_kernel(L).cycles``."""
+    kernel = bracket_kernel(L)
+    n = len(L.classical)
+
+    def term(mask):
+        return (kernel.cycles(mask) - 1,)
+
+    # a state has 0 to closed + 2n circles
+    bound = kernel.closed + 2 * n + 1
+    return state_sum([(var("A"), var("B"))] * n, ("d",), bound, term, cap,
+                     "{n} classical crossings exceeds the cap {cap}")
 
 
 def relative_tutte_by_contraction(G: RelPlaneGraph) -> Polynomial:

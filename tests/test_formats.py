@@ -60,6 +60,19 @@ def test_vld_explicit_kink():
     assert abs(writhe(L)) == 1
 
 
+def test_vld_orient_lines_must_agree_on_a_strand():
+    # p and q are the two arcs of the kink's one strand: q "+" agrees with
+    # p "+", q "-" contradicts it, as does a second flag on p itself
+    kink = ("crossing c: kind=classical ends=w s e n over=w,e\n"
+            "arc p: c.e c.s\narc q: c.n c.w\norient p: +\n")
+    agreed = parse_vld(kink + "orient q: +\norient p: +\n")
+    assert agreed.orientations == parse_vld(kink).orientations
+    with pytest.raises(ParseError, match="orient 'q' contradicts orient 'p'"):
+        parse_vld(kink + "orient q: -\n")
+    with pytest.raises(ParseError, match="orient 'p' contradicts orient 'p'"):
+        parse_vld(kink + "orient p: -\n")
+
+
 def test_vld_gauss_line():
     L = parse_vld("gauss O1+U2+O3+U1+O2+U3+\n")
     assert jones(L) == parse("-t^4 + t^3 + t")

@@ -5,7 +5,9 @@ agrees with the earlier token reader ``helpers.parse_by_tokens``.
 Each parser gets a few hundred derandomized examples, drawn both from
 arbitrary characters and from lines of the file grammars, so that many inputs
 get past the line parser and reach the validation of the maps.  ``parse_vld``
-agrees with the earlier token reader ``helpers.parse_vld_by_tokens``.
+agrees with the earlier token reader ``helpers.parse_vld_by_tokens``, except
+that it rejects orient lines that disagree on a strand, where the token reader
+let the last flag along the strand win.
 """
 
 import random
@@ -148,22 +150,48 @@ def _vld(parse, text):
             L.over, L.orientations, L.free_loops)
 
 
+def _conflicting(text, L) -> bool:
+    """Whether an orient line of ``text`` disagrees with the orientation that
+    the token reader, where the last flag on a strand wins, gave its arc."""
+    first_end = {e.label: e.ends[0] for e in L.map.edges}
+    for line in text.splitlines():
+        head, _, flag = line.split("#", 1)[0].partition(":")
+        kind_name = head.split()
+        if kind_name[:1] == ["orient"] and \
+                L.orientations[first_end[kind_name[1]]] != (flag.strip() == "+"):
+            return True
+    return False
+
+
+def _agree(text):
+    """``_vld`` of ``text`` by ``parse_vld``, checked against the token reader:
+    equal, except that a file whose orient lines disagree on a strand, which
+    the token reader accepts, raises ParseError (then "conflict" is returned)."""
+    got, want = _vld(parse_vld, text), _vld(parse_vld_by_tokens, text)
+    if not isinstance(want, str) and _conflicting(text, parse_vld_by_tokens(text)):
+        assert got == "ParseError", text
+        return "conflict"
+    assert got == want, text
+    return got
+
+
 @_FUZZ
 @given(_FILES)
 def test_parse_vld_matches_token_reader(text):
-    assert _vld(parse_vld, text) == _vld(parse_vld_by_tokens, text)
+    _agree(text)
 
 
 def test_parse_vld_matches_token_reader_on_generated_and_mutated_links():
     """The text of generated links, and of seeded mutations of it (tokens
     dropped, inserted, swapped or replaced, lines dropped or repeated, orient
-    lines added): the two readers accept the same files, to equal diagrams."""
+    lines added): the two readers accept the same files, to equal diagrams,
+    but for orient lines that disagree on a strand."""
     rng = random.Random(2025)
     texts = [serialize_vld(L) for L in (generate("link", seed, size)
                                         for seed in range(20) for size in range(4))
              if not L.free_loops]
     vocabulary = [tok for text in texts[:6] for tok in text.split()] + _BODY
-    accepted = 0
+    accepted = conflicts = 0
     for i in range(1500):
         lines = [line.split() for line in rng.choice(texts).splitlines()]
         arcs = [line[1] for line in lines if line[0] == "arc"]
@@ -189,7 +217,7 @@ def test_parse_vld_matches_token_reader_on_generated_and_mutated_links():
             if not lines:
                 break
         text = "\n".join(" ".join(line) for line in lines)
-        got = _vld(parse_vld, text)
-        assert got == _vld(parse_vld_by_tokens, text), text
+        got = _agree(text)
         accepted += not isinstance(got, str)
-    assert accepted >= 300
+        conflicts += got == "conflict"
+    assert accepted >= 300 and conflicts >= 30, (accepted, conflicts)

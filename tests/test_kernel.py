@@ -4,7 +4,11 @@ Every state sum now runs on ``util.CycleKernel``: fixed links (0-edges,
 virtual crossings, edges outside the enumerated set) are collapsed once and
 each state traces only 4m live slots.  These tests compare it with the
 earlier dict-keyed bodies kept in ``helpers`` and pin the slot count.
+``CycleKernel.census`` counts the masks by (set bits, cycles) in one
+frontier pass; it is compared with ``cycles`` on every mask.
 """
+
+from collections import Counter
 
 from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.links import (
@@ -20,7 +24,13 @@ from rgpoly.planemap import (
     relative_kernel,
     relative_tutte,
 )
-from rgpoly.ribbon import RibbonGraph, bollobas_riordan, boundary_components
+from rgpoly.ribbon import (
+    RibbonGraph,
+    bollobas_riordan,
+    boundary_components,
+    side_kernel,
+    twist_links,
+)
 from rgpoly.verify import generate
 
 from helpers import (
@@ -122,3 +132,27 @@ def test_live_slots_are_four_per_enumerated_element():
     L = generate("link", 52, 10)    # realizes the Gauss code gauss_code(52, 10)
     assert len(bracket_kernel(L).arc) == 4 * len(L.classical) == 40
     assert L.map.num_vertices - len(L.classical) > 50
+
+
+def _census_by_masks(kernel):
+    m = len(kernel.arc) // 4
+    return Counter((mask.bit_count(), kernel.cycles(mask)) for mask in range(1 << m))
+
+
+def test_census_counts_every_mask_of_bracket_kernels():
+    for seed in range(40):
+        for size in range(13):
+            kernel = bracket_kernel(generate("link", seed, size))
+            assert kernel.census() == _census_by_masks(kernel), (seed, size)
+
+
+def test_census_counts_every_mask_of_bollobas_riordan_kernels():
+    # all edges live, as bollobas_riordan compiles them, and every other
+    # edge live with the rest fixed; bare vertices add closed cycles
+    for seed in range(20):
+        for size in range(11):
+            R = generate("ribbon", seed, size)
+            for G in (R, RibbonGraph(R.vertices + [()], R.edges)):
+                for state in (range(size), range(0, size, 2)):
+                    kernel = side_kernel(G, twist_links(G), state)
+                    assert kernel.census() == _census_by_masks(kernel), (seed, size)

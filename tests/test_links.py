@@ -14,7 +14,7 @@ from rgpoly.links import (
 from rgpoly.poly import parse, swap_vars, var
 from rgpoly.verify import generate
 
-from helpers import bracket_from_gauss_code, jones_from_gauss_code
+from helpers import bracket_from_gauss_code, jones_from_gauss_code, kauffman_bracket_by_states
 
 A, B, d = var("A"), var("B"), var("d")
 
@@ -143,3 +143,20 @@ def test_size_limit():
     L = realize_gauss_code("O1+U2+O3+U1+O2+U3+")
     with pytest.raises(SizeLimit):
         kauffman_bracket(L, cap=2)
+
+
+def test_bracket_matches_state_enumeration():
+    for seed in range(40):
+        for size in range(13):
+            L = generate("link", seed, size)
+            assert kauffman_bracket(L) == kauffman_bracket_by_states(L), (seed, size)
+
+
+def test_bracket_past_the_default_cap():
+    # 2^30 states, far past what enumeration can visit
+    L = generate("link", 3, 30)
+    with pytest.raises(SizeLimit):
+        kauffman_bracket(L)
+    K = kauffman_bracket(L, cap=30)
+    assert K.subs({"A": 1, "B": 1, "d": 1}) == 2 ** 30
+    assert kauffman_bracket(L.mirror(), cap=30) == swap_vars(K, "A", "B")
