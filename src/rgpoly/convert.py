@@ -7,8 +7,8 @@ and contracts the remaining skeleton with ``planemap.contract_where``.
 Crossings, gadget edges and contracted edges are identified by index, so
 edge labels need not be unique.
 ``plane_to_ribbon`` runs the inverse construction through the medial
-circles of the 0-edge subgraph, read with ``util.cycles`` off the int side
-slots of ``ribbon.side_slots``.
+circles of the 0-edge subgraph: ``ribbon.from_slots`` reads R off the
+collapsed slots of ``planemap.relative_kernel``.
 ``link_to_tait`` shades a virtual link diagram and extracts its relative
 plane Tait graph with signed regular edges.
 """
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .planemap import MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces
+from .planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces,
+                       relative_kernel)
 from .poly import ONE, var
-from .ribbon import SAME_SIDE, Edge, RibbonGraph, side_slots
+from .ribbon import RibbonGraph, from_slots
 from .router import route
-from .util import cycles
 
 
 @dataclass
@@ -82,40 +82,15 @@ def ribbon_to_plane(R: RibbonGraph):
 
 
 def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
-    """Rebuild a ribbon graph from the medial circles of the 0-edge subgraph.
-
-    Each circle of the straight-ahead tracing of H becomes a vertex disc;
-    the ends of the regular edges ride along as arrows whose direction flag
-    records whether their vertex arc was traversed counterclockwise.  An
-    edge whose two flags agree is untwisted.
-    """
-    M = G.map
-    sl = side_slots(M, dict.fromkeys(G.zero, SAME_SIDE))   # regular edges CLOSED
-    zero_darts = {h for i in G.zero for h in M.edges[i].ends}
-
-    starts = sorted((s for s in range(len(sl.arc)) if sl.darts[s >> 1] in zero_darts),
-                    key=lambda s: (str(sl.darts[s >> 1]), s & 1))
-    # a regular end is passed through its closed link, entered at an arc target
-    # (odd position); entering at side 0 means the arc runs counterclockwise
-    circles = [[(sl.darts[t >> 1], not t & 1) for t in cycle[1::2]
-                if sl.darts[t >> 1] not in zero_darts]
-               for cycle in cycles(sl.arc, sl.link, starts)]
-    # vertices without any 0-edge end are circles of their own
-    circles.extend([(end, True) for end in cycle] for cycle in M.vertices
-                   if not zero_darts.intersection(cycle))
-
-    flag = {}
-    for circle in circles:
-        for end, f in circle:
-            flag[end] = f
-    vertices = [tuple(end for end, _ in circle) for circle in circles]
-    redges = []
-    for i in G.regular_indices():
-        h1, h2 = M.edges[i].ends
-        sign = 1 if flag[h1] == flag[h2] else -1
-        x, y = G.weights[i]
-        redges.append(Edge((h1, h2), sign, x, y, M.edges[i].label))
-    return RibbonGraph(vertices, redges)
+    """Rebuild a ribbon graph from the medial circles of the 0-edge subgraph:
+    the cycles of ``relative_kernel(G)`` with no regular edge are R's discs,
+    its links with every regular edge in untwisted are R's ribbons."""
+    kernel, regular = relative_kernel(G)[0], G.regular_indices()
+    edges = [G.map.edges[i] for i in regular]
+    return from_slots(kernel.arc, kernel.links(0), kernel.links((1 << len(regular)) - 1),
+                      [e.ends for e in edges],
+                      [(e.label, *G.weights[i]) for e, i in zip(edges, regular)],
+                      kernel.closed)
 
 
 def link_to_tait(L) -> RelPlaneGraph:

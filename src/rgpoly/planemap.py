@@ -3,7 +3,7 @@
 A plane map is the untwisted, unweighted case of the rotation-system core
 in ``ribbon``: a ``RibbonGraph`` whose edges are ``MapEdge`` records and
 whose face count satisfies the Euler relation v - e + f = 2k.  Its medial
-circles are the side cycles of ``ribbon.side_slots`` with every ribbon
+circles are the side cycles of ``ribbon.side_kernel`` with every ribbon
 twisted.  On top of it sit relative plane graphs: a marked subset H of
 0-edges, weights on the remaining (regular) edges, and the all-subset
 relative Tutte polynomial.  It weights the remainder H_F of contracting F in
@@ -18,7 +18,8 @@ two sides of each end, which drops it, so the arcs serve every F.  The
 onto the 4m slots of the m regular edges, and k(F), k(F union H) come from
 one union-find pass over F's ends alone, on vertex ids and on the
 components of H.  A state costs O(m), not O(size of G).  The reference path
-``psi(contract_all(G, F))`` builds H_F.
+``psi(contract_all(G, F))`` builds H_F.  ``convert.plane_to_ribbon`` reads
+its ribbon graph off the same kernel.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.

@@ -165,7 +165,7 @@ class Polynomial:
         if n < 0:
             if not self.is_monomial():
                 raise NonMonomialNegativePower(
-                    f"negative power {n} of a non-monomial")
+                    f"negative power {n} of {'a non-monomial' if self else 'zero'}")
             return _term_power(self, 4 * n)
         out = ONE
         base = self
@@ -357,7 +357,8 @@ def _power_cached(q: Polynomial, e4: int, vid: int, cache: dict) -> Polynomial:
         out = q ** (e4 // 4)
     else:
         raise NonMonomialNegativePower(
-            f"cannot raise multi-term value {q} to power {Fraction(e4, 4)}")
+            f"cannot raise {f'multi-term value {q}' if q else 'zero'} "
+            f"to power {Fraction(e4, 4)}")
     cache[(vid, e4)] = out
     return out
 

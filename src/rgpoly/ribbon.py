@@ -10,7 +10,7 @@ vertex; it also provides the lazily built partner map and the vertex
 classes (``roots``) and component count of spanning subgraphs.  A plane
 map (``planemap.PlaneMap``) is the untwisted, unweighted case.
 
-The compile step of the state sums lives here.  ``side_slots`` gives
+The compile step of the state sums lives here.  ``side_kernel`` gives
 every half-edge two int side slots, four per edge.  Disc arcs join the
 slots of consecutive half-edges in the full rotation, the same for every
 state.  Each ribbon links the slots of its two ends, crosswise when
@@ -18,11 +18,11 @@ untwisted and side to same side when twisted; an absent edge links the two
 sides of each end to each other, which is the same as dropping its
 half-edges from the rotation.  The cycles are the boundary components of a
 ribbon subgraph, the medial circles of a plane map (every ribbon twisted)
-and the vertex circles that ``plane_to_ribbon`` rebuilds.
-``side_kernel`` compiles these slots into a ``util.CycleKernel``: the
-edges outside the enumerated set have fixed links and collapse once, so
-each state of a sum over m edges fills 4m links and costs O(m), however
-many fixed edges the map has.
+and the vertex circles that ``plane_to_ribbon`` rebuilds.  The slots
+compile into a ``util.CycleKernel``: the edges outside the enumerated set
+have fixed links and collapse once, so each state of a sum over m edges
+fills 4m links and costs O(m), however many fixed edges the map has.
+``from_slots`` reads a ribbon graph back off such slots (the gem encoding).
 
 On top of the core the module computes nullity and boundary components of
 spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial (all
@@ -38,7 +38,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedPresentation
 from .poly import Polynomial, state_sum, var
-from .util import CycleKernel, Merges, roots
+from .util import CycleKernel, Merges, cycles, roots
 
 DEFAULT_EDGE_CAP = 24
 
@@ -142,37 +142,29 @@ def nullity(R: RibbonGraph, subset: Iterable[int]) -> int:
 CLOSED, SAME_SIDE, CROSSWISE = 1, 2, 3
 
 
-@dataclass
-class SideSlots:
-    """Int side slots of every half-edge: slot s is side s & 1 of darts[s >> 1]."""
+def side_kernel(R: RibbonGraph, present: Mapping[int, int],
+                state: Sequence[int] = ()) -> CycleKernel:
+    """The side cycles of R's ribbons, compiled over the states of ``state``.
 
-    darts: list
-    arc: list
-    link: list
-    bare: int
-
-
-def side_slots(R: RibbonGraph, present: Mapping[int, int],
-               state: Sequence[int] = ()) -> SideSlots:
-    """The two slot matchings whose cycles are traced side by side.
-
-    Edge ``state[j]`` owns the block of slots 4j..4j+3 and the other edges
-    follow in index order.  ``arc`` joins (h, 1) to (g, 0) for g the
-    successor of h in the full rotation.  ``link`` joins the slots of edge
-    e by ``present[e]`` (SAME_SIDE or CROSSWISE), and an edge missing from
-    ``present`` by CLOSED, which is the same as dropping its half-edges
-    from the rotation.  ``bare`` counts the vertices without a half-edge;
-    each is a cycle by itself.
+    Edge ``state[j]`` owns the block of slots 4j..4j+3, (h1, 0), (h1, 1),
+    (h2, 0), (h2, 1), and the other edges follow in index order.  Arcs join
+    (h, 1) to (g, 0) for g the successor of h in the full rotation.  Links
+    join the slots of edge e by ``present[e]`` (SAME_SIDE or CROSSWISE), and
+    an edge missing from ``present`` by CLOSED, which is the same as
+    dropping its half-edges from the rotation; a vertex without a half-edge
+    is a cycle by itself.  Bit j of a state's mask puts edge ``state[j]`` in
+    with ``present``'s link; a clear bit leaves it out.  Every other edge is
+    fixed and collapses once, so the kernel has 4 * len(state) live slots.
     """
     live = set(state)
     order = list(state) + [e for e in range(len(R.edges)) if e not in live]
-    darts: list = []
+    slot = {}
     link: list = []
     for b, e in enumerate(order):
-        darts += R.edges[e].ends
+        h1, h2 = R.edges[e].ends
+        slot[h1], slot[h2] = 4 * b, 4 * b + 2
         x = present.get(e, CLOSED)
         link += (4 * b ^ x, (4 * b + 1) ^ x, (4 * b + 2) ^ x, (4 * b + 3) ^ x)
-    slot = {h: 2 * i for i, h in enumerate(darts)}
     arc = [0] * len(link)
     bare = 0
     for cycle in R.vertices:
@@ -184,20 +176,35 @@ def side_slots(R: RibbonGraph, present: Mapping[int, int],
             s = slot[h]
             arc[prev], arc[s] = s, prev
             prev = s + 1
-    return SideSlots(darts, arc, link, bare)
+    return CycleKernel(arc, link, [(CLOSED, present[e]) for e in state], bare)
 
 
-def side_kernel(R: RibbonGraph, present: Mapping[int, int],
-                state: Sequence[int] = ()) -> CycleKernel:
-    """The side cycles of ``side_slots``, compiled over the states of ``state``.
+def from_slots(arc: Sequence[int], close: Sequence[int], link: Sequence[int],
+               names: Sequence[tuple], edges: Sequence[tuple],
+               bare: int) -> RibbonGraph:
+    """The ribbon graph of three involutions on the slots 4j..4j+3 of edge j.
 
-    Bit j of a state's mask puts edge ``state[j]`` in with ``present``'s
-    link; a clear bit leaves it out.  Every other edge is fixed and
-    collapses once, so the kernel has 4 * len(state) live slots.
+    ``close`` pairs the sides of each half-edge, the pair holding 4j being
+    end ``names[j][0]``.  The discs are the cycles of (close, arc) from their
+    lowest slots, half-edge {s, close[s]} entered at s, then ``bare`` empty
+    discs.  Edge j, labelled and weighted by ``edges[j]`` = (label, x, y),
+    is untwisted exactly when ``link`` joins the side by which one end is
+    entered to the side by which the other end is left.
     """
-    s = side_slots(R, present, state)
-    return CycleKernel(s.arc, s.link, [(CLOSED, present[e]) for e in state],
-                       s.bare)
+    into = [0] * (len(arc) >> 1)        # the slot by which each end is entered
+    vertices = []
+    for cycle in cycles(close, arc, range(len(arc))):
+        disc = []
+        for s in cycle[::2]:
+            j = s >> 2
+            end = 4 * j not in (s, close[s])
+            into[2 * j + end] = s
+            disc.append(names[j][end])
+        vertices.append(tuple(disc))
+    return RibbonGraph(vertices + [()] * bare, [
+        Edge(ends, 1 if link[into[2 * j]] == close[into[2 * j + 1]] else -1,
+             x, y, label)
+        for j, (ends, (label, x, y)) in enumerate(zip(names, edges))])
 
 
 def side_cycles(R: RibbonGraph, edges: Iterable[int],

@@ -16,16 +16,22 @@ element.  Every other node has a fixed link, so the walk from a live node
 through arc, fixed link, arc, ... up to the next live node is the same in
 every state: ``collapse`` walks it once and keeps only the matching it
 induces on the live nodes, plus the number of cycles that never meet a live
-node.  A state then fills 4m links and calls ``count_cycles`` once, so it
-costs O(m) however large the drawn map is.  ``census`` counts the cycles
-of all 2^m states by (set bits, cycles) without visiting them: one
-frontier pass over the elements, whose cost the number of open slots at
-once sets.
+node.  A state then fills 4m links (``links``) and calls ``count_cycles``
+once, so it costs O(m) however large the drawn map is.  ``census`` counts
+the cycles of all 2^m states by (set bits, cycles) without visiting them:
+one frontier pass over the elements, whose cost the number of open slots
+at once sets and whose memory ``CENSUS_ENTRIES`` bounds.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from .errors import SizeLimit
+
+# Histogram entries a census step may end with.  An entry costs about 170
+# bytes; seeded 30- and 36-crossing links peak at about 29k and 871k.
+CENSUS_ENTRIES = 1 << 21
 
 
 def roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -207,11 +213,15 @@ class CycleKernel:
                              for x in pair)
                        for j, pair in enumerate(choices)]
 
-    def cycles(self, mask: int) -> int:
+    def links(self, mask: int) -> list:
+        """The link partner of every live slot in the state ``mask``."""
         link: list = []
         for j, pair in enumerate(self._links):
             link += pair[mask >> j & 1]
-        return self.closed + count_cycles(self.arc, link)
+        return link
+
+    def cycles(self, mask: int) -> int:
+        return self.closed + count_cycles(self.arc, self.links(mask))
 
     def census(self) -> dict:
         """{(ones, cycles): the number of masks with ``ones`` set bits whose
@@ -226,7 +236,9 @@ class CycleKernel:
         masks by (set bits, closed cycles), packed as ones * span + cycles;
         states with equal pairings merge.  After k elements there are at
         most 2^k pairings, so the pass never holds more states than the
-        masks it counts.
+        masks it counts.  A step that ends with more than ``CENSUS_ENTRIES``
+        histogram entries raises ``SizeLimit``; as a step at most doubles
+        them, the pass never holds more than three times that many.
         """
         arc, links = self.arc, self._links
         m = len(links)
@@ -265,6 +277,9 @@ class CycleKernel:
                     out = nxt.setdefault(tuple(map(pair.__getitem__, new)), {})
                     for key, count in histogram.items():
                         out[key + shift] = out.get(key + shift, 0) + count
+            if sum(map(len, nxt.values())) > CENSUS_ENTRIES:
+                raise SizeLimit(f"the census of {m} elements holds more than "
+                                f"{CENSUS_ENTRIES} histogram entries")
             states, frontier = nxt, new
         return {(key // span, self.closed + key % span): count
                 for key, count in states[()].items()}

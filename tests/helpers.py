@@ -41,6 +41,14 @@ parser of its own and an index-walking token loop per crossing line.
 ``link_to_tait_by_adjacency`` keeps the earlier Tait graph, which shades
 faces over face-adjacency sets built from the edges and filters every
 black face's rotation down to the corners of its Tait edges.
+
+``plane_to_ribbon_by_medial_walk`` keeps the earlier ``plane_to_ribbon``,
+which walks the medial circles of the 0-edges on uncollapsed side slots of
+its own (``side_slots_by_blocks``) from the 0-edge darts in name order and
+keeps a direction flag per regular end.  ``convert.plane_to_ribbon`` now
+lists its discs in another order and may read a disc the other way, so
+``flip_equivalent`` compares the two up to vertex order, rotation start and
+vertex flips.
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ from rgpoly.poly import (
     var,
     var_name,
 )
-from rgpoly.ribbon import RibbonGraph
+from rgpoly.ribbon import CLOSED, SAME_SIDE, Edge, RibbonGraph
+from rgpoly.util import cycles
 
 
 class UnionFind:
@@ -956,3 +965,113 @@ def link_to_tait_by_adjacency(L) -> RelPlaneGraph:
     G = RelPlaneGraph(PlaneMap(vertices, edges), zero, weights, signs)
     G.map.require_plane()
     return G
+
+
+def side_slots_by_blocks(R: RibbonGraph, present) -> tuple[list, list, list]:
+    """(darts, arc, link) on the int side slots of every half-edge: slot s
+    is side s & 1 of darts[s >> 1], edge e owns slots 4e..4e+3, arcs join
+    (h, 1) to (g, 0) for g the rotation successor of h, and edge e links its
+    slots by ``present[e]``, by CLOSED when it is missing."""
+    darts: list = []
+    link: list = []
+    for b, e in enumerate(R.edges):
+        darts += e.ends
+        x = present.get(b, CLOSED)
+        link += (4 * b ^ x, (4 * b + 1) ^ x, (4 * b + 2) ^ x, (4 * b + 3) ^ x)
+    slot = {h: 2 * i for i, h in enumerate(darts)}
+    arc = [0] * len(link)
+    for cycle in R.vertices:
+        if cycle:
+            prev = slot[cycle[-1]] + 1
+            for h in cycle:
+                arc[prev], arc[slot[h]] = slot[h], prev
+                prev = slot[h] + 1
+    return darts, arc, link
+
+
+def plane_to_ribbon_by_medial_walk(G: RelPlaneGraph) -> RibbonGraph:
+    """Rebuild a ribbon graph from the medial circles of the 0-edge subgraph.
+
+    Each circle of the straight-ahead tracing of H, walked on uncollapsed
+    side slots from the 0-edge darts in name order, becomes a vertex disc;
+    the ends of the regular edges ride along as arrows whose direction flag
+    records whether their vertex arc was traversed counterclockwise.  An
+    edge whose two flags agree is untwisted.
+    """
+    M = G.map
+    darts, arc, link = side_slots_by_blocks(M, dict.fromkeys(G.zero, SAME_SIDE))
+    zero_darts = {h for i in G.zero for h in M.edges[i].ends}
+
+    starts = sorted((s for s in range(len(arc)) if darts[s >> 1] in zero_darts),
+                    key=lambda s: (str(darts[s >> 1]), s & 1))
+    # a regular end is passed through its closed link, entered at an arc target
+    # (odd position); entering at side 0 means the arc runs counterclockwise
+    circles = [[(darts[t >> 1], not t & 1) for t in cycle[1::2]
+                if darts[t >> 1] not in zero_darts]
+               for cycle in cycles(arc, link, starts)]
+    # vertices without any 0-edge end are circles of their own
+    circles.extend([(end, True) for end in cycle] for cycle in M.vertices
+                   if not zero_darts.intersection(cycle))
+
+    flag = {end: f for circle in circles for end, f in circle}
+    vertices = [tuple(end for end, _ in circle) for circle in circles]
+    redges = []
+    for i in G.regular_indices():
+        h1, h2 = M.edges[i].ends
+        x, y = G.weights[i]
+        redges.append(Edge((h1, h2), 1 if flag[h1] == flag[h2] else -1, x, y,
+                           M.edges[i].label))
+    return RibbonGraph(vertices, redges)
+
+
+def flip_equivalent(R: RibbonGraph, S: RibbonGraph) -> bool:
+    """Whether S is R up to vertex order, rotation start and vertex flips.
+
+    The edges must agree in order, ends, label and weights, and the discs
+    as cyclic orders, each read either way.  Flipping a disc reverses its
+    rotation and every sign at it, so each sign of S must be R's times the
+    flips of the edge's two end discs; a disc of degree 2 or less reads the
+    same either way and flips freely.
+    """
+    if [(e.ends, e.label, e.x, e.y) for e in R.edges] != \
+            [(e.ends, e.label, e.x, e.y) for e in S.edges]:
+        return False
+    if sorted(map(len, R.vertices)) != sorted(map(len, S.vertices)):
+        return False
+    allowed = []                        # the flips each disc of R may take
+    for v in R.vertices:
+        if not v:
+            allowed.append({1})
+            continue
+        w = S.vertices[S.vertex_of(v[0])]
+        k = w.index(v[0])
+        w = w[k:] + w[:k]
+        allowed.append({f for f, u in ((1, w), (-1, w[:1] + w[:0:-1])) if u == v})
+    adjacent: dict = {}
+    for e, f in zip(R.edges, S.edges):
+        u, v = map(R.vertex_of, e.ends)
+        adjacent.setdefault(u, []).append((v, e.sign * f.sign))
+        adjacent.setdefault(v, []).append((u, e.sign * f.sign))
+    flip: dict = {}
+    for root in range(R.num_vertices):
+        if root in flip:
+            continue
+        for first in allowed[root]:
+            trial, stack, ok = {root: first}, [root], True
+            while stack and ok:
+                u = stack.pop()
+                for v, sign in adjacent.get(u, ()):
+                    want = trial[u] * sign
+                    if v in trial:
+                        ok = ok and trial[v] == want
+                    elif want in allowed[v]:
+                        trial[v] = want
+                        stack.append(v)
+                    else:
+                        ok = False
+            if ok:
+                flip.update(trial)
+                break
+        else:
+            return False
+    return True

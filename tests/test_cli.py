@@ -137,6 +137,14 @@ def test_exit_code_2_on_zero_denominator_exponent(files, capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_exit_code_2_names_zero_raised_to_a_negative_power(capsys, tmp_path):
+    path = tmp_path / "mirror.vld"
+    path.write_text("gauss O1-U2-O3-U1-O2-U3-\n")
+    code, err = run_err(capsys, "jones", str(path), "--substitute", "t=0")
+    assert code == 2
+    assert err.strip() == "error: cannot raise zero to power -1"
+
+
 def test_exit_code_2_on_integer_past_the_string_limit(capsys, tmp_path):
     # CPython refuses int <-> str conversions of more than 4300 digits
     path = tmp_path / "huge.rg"

@@ -10,7 +10,8 @@ from rgpoly.links import realize_gauss_code
 from rgpoly.router import route
 from rgpoly.verify import generate, generate_ribbon
 
-from helpers import link_to_tait_by_adjacency, route_by_scans
+from helpers import (flip_equivalent, link_to_tait_by_adjacency,
+                     plane_to_ribbon_by_medial_walk, route_by_scans)
 
 
 def test_untwisted_loop_to_plane():
@@ -93,6 +94,33 @@ def test_plane_to_ribbon_zero_path():
     assert R.num_vertices == 1
     assert len(R.edges) == 1
     assert R.edges[0].sign == -1
+
+
+def test_plane_to_ribbon_matches_the_medial_walk_up_to_flips():
+    # the rebuilt R lists its discs by lowest regular slot, so it is the
+    # walk's signed rotation system up to vertex order, rotation start and
+    # vertex flips, with the same B_R
+    for seed in range(40):
+        for size in range(9):
+            for G in (generate("rpg", seed, size),
+                      ribbon_to_plane(generate("ribbon", seed, size))[0]):
+                R, old = plane_to_ribbon(G), plane_to_ribbon_by_medial_walk(G)
+                assert flip_equivalent(old, R), (seed, size)
+                if size <= 7:
+                    assert bollobas_riordan(R) == bollobas_riordan(old), (seed, size)
+
+
+def test_flip_equivalence_rejects_a_changed_sign_or_rotation():
+    R = RibbonGraph([("a1", "a2", "a3"), ("b1", "b2", "b3")],
+                    [make_edge("a1", "b1", label="e1"), make_edge("a2", "b2", label="e2"),
+                     make_edge("a3", "b3", sign=-1, label="e3")])
+    flipped = RibbonGraph([("b1", "b3", "b2"), ("a2", "a3", "a1")],
+                          [make_edge(*e.ends, sign=-e.sign, label=e.label) for e in R.edges])
+    assert flip_equivalent(R, flipped)
+    one_sign = RibbonGraph(R.vertices, R.edges[:2] + [make_edge("a3", "b3", label="e3")])
+    assert not flip_equivalent(R, one_sign)
+    reversed_rotation = RibbonGraph([("a3", "a2", "a1"), R.vertices[1]], R.edges)
+    assert not flip_equivalent(R, reversed_rotation)
 
 
 def test_round_trip_preserves_bollobas_riordan():

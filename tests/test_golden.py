@@ -1,5 +1,9 @@
 """Golden CLI outputs: sha256 digests of stdout, recorded at commit 5c9572b,
-before ribbon graphs and plane maps shared one rotation-system core.
+before ribbon graphs and plane maps shared one rotation-system core.  The
+two ``convert --to=ribbon`` digests were re-recorded when ``plane_to_ribbon``
+began to list its discs by lowest regular slot (``ribbon.from_slots``):
+the same signed rotation systems up to vertex order, rotation start and
+vertex flips.
 
 Every command runs in a fresh interpreter, because term order in
 ``canonical()`` follows the order in which the process first registered
@@ -50,13 +54,13 @@ GOLDEN = {
     "dual rpg:6:6":
         "2d6772253d3fcb4fdb20fe89ec35d61896fb043b3290ba8be650338ce081f04b",
     "convert --to=ribbon rpg:6:6":
-        "32ddd09a28b99f6cb9653ee97ef69953f1b9b9d27321d4d02bf0a522bf886a62",
+        "1984fcf6d38188fe07fbda974b9c3221c59f6217636e948fb95062d6ab299895",
     "rtutte rpg:3:6":
         "d71d52a79100fce7541164a6dce5753db5eaf5d411518e9246c63fa7d50396d9",
     "dual rpg:3:6":
         "0157200692f9c0e3b8fb3c304cb4e5babd855a2c9b6992adc372e7b372530b07",
     "convert --to=ribbon rpg:3:6":
-        "458f6928eed294527bcdbd27a5bc8c7b58b56f986bb26dcf12cc83c227be37aa",
+        "f928b48abdb43bef4dfb2872239067fd13f7f98c2ca6a76129d1ba3e8962b6c6",
     "bracket link:3:3":
         "de051237b2c908ab929b524c3c705df6adad0d0bbff1d97d7c973dafef9d03c6",
     "jones link:3:3":
@@ -95,10 +99,12 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
 # polynomial text, so their bytes do not depend on the variable registry
 # and one in-process pass can hash them.  Recorded at commit 674aa98,
 # before contraction spliced all edges into one map and the strand and
-# circle walks moved onto ``util.cycles``.
+# circle walks moved onto ``util.cycles``; re-recorded with the disc order
+# of ``ribbon.from_slots`` in ``plane_to_ribbon``.  Every other item hashes
+# as it did before that change.
 
 STRUCTURAL_GOLDEN = \
-    "c8c8c718778e05c42528f2a1cd2157a7d521f770cd0cdff5b9c85b5f004de99b"
+    "11abb94c426ee1e7ccaca4ed4da857239856a1dbb394544591624f286ef6e841"
 
 
 def structural_digest() -> str:

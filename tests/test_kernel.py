@@ -6,11 +6,16 @@ each state traces only 4m live slots.  These tests compare it with the
 earlier dict-keyed bodies kept in ``helpers`` and pin the slot count.
 ``CycleKernel.census`` counts the masks by (set bits, cycles) in one
 frontier pass; it is compared with ``cycles`` on every mask.
+``ribbon.from_slots`` reads a kernel's slots back into a ribbon graph.
 """
 
 from collections import Counter
 
+import pytest
+
+from rgpoly import util
 from rgpoly.convert import link_to_tait, ribbon_to_plane
+from rgpoly.errors import SizeLimit
 from rgpoly.links import (
     VirtualLinkDiagram,
     bracket_kernel,
@@ -28,6 +33,7 @@ from rgpoly.ribbon import (
     RibbonGraph,
     bollobas_riordan,
     boundary_components,
+    from_slots,
     side_kernel,
     twist_links,
 )
@@ -36,6 +42,7 @@ from rgpoly.verify import generate
 from helpers import (
     bollobas_riordan_by_subsets,
     boundary_components_by_subset,
+    flip_equivalent,
     kauffman_bracket_by_dicts,
     relative_tutte_by_side_links,
     split_by_dicts,
@@ -156,3 +163,23 @@ def test_census_counts_every_mask_of_bollobas_riordan_kernels():
                 for state in (range(size), range(0, size, 2)):
                     kernel = side_kernel(G, twist_links(G), state)
                     assert kernel.census() == _census_by_masks(kernel), (seed, size)
+
+
+def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):
+    monkeypatch.setattr(util, "CENSUS_ENTRIES", 8)
+    with pytest.raises(SizeLimit, match="more than 8 histogram entries"):
+        kauffman_bracket(generate("link", 3, 12))
+
+
+def test_from_slots_rebuilds_a_ribbon_graph_off_its_kernel():
+    # the (close, arc) cycles with every edge out are the discs, and the
+    # links with every edge in are the ribbons, up to flips of the discs
+    for seed in range(40):
+        for size in range(9):
+            R = generate("ribbon", seed, size)
+            R = RibbonGraph(R.vertices + [()], R.edges)
+            kernel = side_kernel(R, twist_links(R), range(size))
+            S = from_slots(kernel.arc, kernel.links(0), kernel.links((1 << size) - 1),
+                           [e.ends for e in R.edges],
+                           [(e.label, e.x, e.y) for e in R.edges], kernel.closed)
+            assert flip_equivalent(R, S), (seed, size)

@@ -1,6 +1,6 @@
 import random
 
-from rgpoly.convert import ribbon_to_plane
+from rgpoly.convert import plane_to_ribbon, ribbon_to_plane
 from rgpoly.poly import parse
 from rgpoly.ribbon import RibbonGraph, make_edge
 from rgpoly.verify import (
@@ -41,6 +41,14 @@ def test_main_theorem_loop_cases():
     rep = check_main_theorem(twisted)
     assert rep.passed
     assert parse(rep.left) == parse("y_e + x_e*X^(-1/2)*Y^(1/2)")
+
+
+def test_main_theorem_from_the_plane_side():
+    # the theorem on the ribbon graph rebuilt from a relative plane graph
+    for seed in range(30):
+        for size in range(8):
+            R = plane_to_ribbon(generate("rpg", seed, size))
+            assert check_main_theorem(R).passed, (seed, size)
 
 
 def test_subset_identities_small():
