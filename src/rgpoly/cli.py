@@ -6,10 +6,13 @@ substitution target, or a negative verify count or size; 141 (128 +
 SIGPIPE) when the reader closes standard output early, as ``head`` does.
 The cap (24 edges for br/rtutte, 20 classical crossings for bracket/jones)
 may be overridden with the RGPOLY_CAP environment variable or the --cap
-flag; either must be a nonnegative integer.  br and rtutte enumerate 2^m
-subsets, so their cap bounds the work.  For bracket and jones the cap is a
-crossing cap: the bracket is counted in one frontier pass, whose cost the
-frontier width sets, not 2^n, and --cap=30 runs in about a second.
+flag; either must be a nonnegative integer.  br enumerates 2^m subsets,
+and so does rtutte when the regular edges carry many distinct weight pairs
+(symbolic x_e, y_e per edge) or m < 7, so their cap bounds the work.  On a
+genus-0 graph with few weight pairs, as a Tait graph has, rtutte counts the
+subsets in one frontier pass, as bracket and jones count the states: their
+cap is then a size cap only, the cost set by the frontier width, not 2^m,
+and --cap=30 on a 30-crossing link runs in about a second.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
     """Rebuild a ribbon graph from the medial circles of the 0-edge subgraph:
     the cycles of ``relative_kernel(G)`` with no regular edge are R's discs,
     its links with every regular edge in untwisted are R's ribbons."""
-    kernel, regular = relative_kernel(G)[0], G.regular_indices()
+    kernel, regular = relative_kernel(G), G.regular_indices()
     edges = [G.map.edges[i] for i in regular]
     return from_slots(kernel.arc, kernel.links(0), kernel.links((1 << len(regular)) - 1),
                       [e.ends for e in edges],

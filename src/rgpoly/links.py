@@ -10,8 +10,10 @@ a matching on the 4n darts of the n classical crossings.  A state picks the
 A or B splitting at every classical crossing; ``split`` counts its circles
 with ``util.count_cycles`` in O(n).
 
-The bracket does not visit the 2^n states.  ``CycleKernel.census`` counts
-them by (A-splittings, circles) in one frontier (transfer-matrix) pass, as
+The bracket does not visit the 2^n states.  ``util.census``, on the one
+kernel in one weight class, counts them by (A-splittings, circles) in one
+frontier (transfer-matrix) pass, the same pass that counts the Tait graph's
+relative Tutte polynomial (``planemap.relative_tutte``), as
 Sekine, Imai and Tani do for the Tutte polynomial (ISAAC 1995) and
 Bar-Natan for Khovanov homology (JKTR 2007): the crossings are taken in
 greedy order, each next the one that closes the most arcs to the crossings
@@ -30,7 +32,7 @@ from .errors import MalformedCode, MalformedDiagram, MissingOrientation, SizeLim
 from .planemap import PlaneMap
 from .poly import Polynomial, from_exponents, monomial
 from .router import route
-from .util import CycleKernel, cycles
+from .util import CycleKernel, census, cycles
 
 DEFAULT_CROSSING_CAP = 20
 
@@ -156,9 +158,9 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     n = len(L.classical)
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
-    census = bracket_kernel(L).census()
+    counts = census([bracket_kernel(L)])
     return from_exponents(("A", "B", "d"), {(ones, n - ones, cycles - 1): count
-                                            for (ones, cycles), count in census.items()})
+                                            for ((ones,), (cycles,)), count in counts.items()})
 
 
 def writhe(L: VirtualLinkDiagram) -> int:

@@ -15,11 +15,23 @@ n(F) + delta(H_F) = side cycles of F union H with F untwisted.
 their arcs over the full rotation; a regular edge outside F self-links the
 two sides of each end, which drops it, so the arcs serve every F.  The
 0-edges are always present and twisted, so the side cycles collapse once
-onto the 4m slots of the m regular edges, and k(F), k(F union H) come from
-one union-find pass over F's ends alone, on vertex ids and on the
-components of H.  A state costs O(m), not O(size of G).  The reference path
-``psi(contract_all(G, F))`` builds H_F.  ``convert.plane_to_ribbon`` reads
-its ribbon graph off the same kernel.
+onto the 4m slots of the m regular edges.  ``convert.plane_to_ribbon``
+reads its ribbon graph off the same kernel.
+
+The polynomial is counted in one of two ways.  When the regular edges
+carry few distinct (x, y) pairs (a Tait graph carries two, (1, 1) and
+(x_minus, y_minus)) and m >= 7, a genus-0 map is counted by one frontier
+census (``util.census``) over three kernels on the same 4m slots, with H
+twisted, absent and untwisted, by set bits per pair: no union-find is
+needed, since every subgraph of a genus-0 map is genus 0 and its faces (the
+side cycles with every edge untwisted) give k(F) and k(F union H) by Euler,
+2k = v - e + f.  On a map of higher genus the faces of a subgraph fall
+short by twice its genus, so such a map is enumerated, as are per-edge
+symbolic weights (ribbon-plane, duality), where the pairs are all distinct
+and the census would cost more: each of the 2^m states then takes O(m),
+not O(size of G), with k(F), k(F union H) from one union-find pass over F's
+ends alone, on vertex ids and on the components of H.  The reference path
+``psi(contract_all(G, F))`` builds H_F.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
@@ -27,14 +39,16 @@ its ribbon graph off the same kernel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Container, Iterable, Mapping
 
-from .errors import GenusError
-from .poly import Polynomial, monomial, state_sum, var
-from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph,
+from .errors import GenusError, SizeLimit
+from .poly import Polynomial, class_sum, monomial, state_sum, var
+from .ribbon import (CLOSED, CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph,
                      side_cycles, side_kernel)
-from .util import CycleKernel, Merges
+from .util import CycleKernel, Merges, census
 
 
 @dataclass(frozen=True)
@@ -223,12 +237,47 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     k(H_F) = k(F union H), v(H_F) = k(F), and n(F) + delta(H_F) is the
     side-cycle count of F union H with F untwisted.  The reference path
     ``psi(contract_all(G, F))`` builds H_F.
+
+    When the regular edges carry few distinct (x, y) pairs, so that the
+    census pays (``_census_pays``), and G is genus 0 (v - e + f = 2k, f
+    read off the H-untwisted kernel with every regular edge in), the 2^m
+    subsets are counted in one frontier census (``util.census``) by set
+    bits per pair and the side cycles of three kernels on the same slots:
+    F union H with H twisted, F alone, and F union H untwisted.  A
+    subgraph of a genus-0 map is genus 0, so Euler gives
+    2k(F) = v - |F| + bc(F) and 2k(F union H) = v - |F| - |H| + bc(F union H),
+    bc counting the faces (the side cycles, all untwisted).  On a map of
+    higher genus the faces fall short by twice the genus of each subgraph,
+    so such a map, and per-edge symbolic weights, are enumerated with
+    ``state_sum``.  Both paths give the same polynomial.  ``cap`` bounds m
+    on both.
     """
     regular = G.regular_indices()
+    m = len(regular)
+    if m > cap:
+        raise SizeLimit(_TOO_MANY_REGULAR.format(n=m, cap=cap))
     M = G.map
-    nv = M.num_vertices
-    kG = M.components()
-    kernel, joins, kH = relative_kernel(G)
+    nv, kG = M.num_vertices, M.components()
+    weights = [G.weights[ei] for ei in regular]
+    if _census_pays(weights):
+        twisted, alone, untwisted = (_side_kernel(G, link)
+                                     for link in (SAME_SIDE, CLOSED, CROSSWISE))
+        if nv - M.num_edges + untwisted.cycles((1 << m) - 1) == 2 * kG:
+            pairs = Counter(weights)
+            index = dict(zip(pairs, range(len(pairs))))
+            counts = census([twisted, alone, untwisted], [index[w] for w in weights])
+            h = len(G.zero)
+            terms = {}
+            for (ones, (cycles, bc_F, bc_FH)), count in counts.items():
+                f = sum(ones)
+                kF = (nv - f + bc_F) // 2
+                kFH = (nv - f - h + bc_FH) // 2
+                nF = f - nv + kF
+                terms[ones, (kFH - kG, nF, cycles - nF - kFH, kF - kFH)] = count
+            return class_sum([(x, y, n) for (x, y), n in pairs.items()],
+                             ("X", "Y", "d", "w"), nv + 3 * m + twisted.closed, terms)
+    kernel = relative_kernel(G)
+    joins, kH = relative_joins(G)
 
     def term(mask):
         j, jh = joins.count_both(mask)
@@ -240,22 +289,40 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
 
     # 0 <= k(F), k(F u H), k(G) <= nv, 0 <= n(F) <= m, and the side
     # cycles n(F) + delta lie in [0, closed + 2m]
-    m = len(regular)
     bound = nv + m + kernel.closed + 2 * m
-    return state_sum([G.weights[ei] for ei in regular], ("X", "Y", "d", "w"),
-                     bound, term, cap, _TOO_MANY_REGULAR)
+    return state_sum(weights, ("X", "Y", "d", "w"), bound, term, cap, _TOO_MANY_REGULAR)
 
 
-def relative_kernel(G: RelPlaneGraph) -> tuple[CycleKernel, Merges, int]:
-    """The compiled state of ``relative_tutte``, built once per graph.
+def _census_pays(weights: list) -> bool:
+    """Whether the census beats enumerating the 2^m subsets of m regular
+    edges with these (x, y) weight pairs, n_c of them equal to pair c.
 
-    Returns the side-cycle kernel of F union H with H twisted and fixed, on
-    the 4 * |regular| slots of the regular edges, then ``relative_joins``.
+    Enumeration costs about 10 us a subset.  The census costs a fixed
+    0.3-0.5 ms (three kernels) plus its steps, whose histograms grow with
+    prod(n_c + 1), the per-class set-bit counts.  Measured on Tait graphs
+    and on one- and two-class weighted ``generate("rpg")`` maps, the census
+    took 0.8-1.2x the time of enumeration at m = 6 and 0.45-0.6x at m = 7;
+    per-edge symbolic weights make prod(n_c + 1) = 2^m, so they enumerate.
+    Below 7 edges no pair is hashed.
     """
+    m = len(weights)
+    return m >= 7 and 4 * prod(n + 1 for n in Counter(weights).values()) <= 1 << m
+
+
+def relative_kernel(G: RelPlaneGraph) -> CycleKernel:
+    """The side cycles of F union H with H twisted and fixed, F untwisted,
+    on the 4 * |regular| slots of the regular edges: the compiled state of
+    ``relative_tutte``, built once per graph."""
+    return _side_kernel(G, SAME_SIDE)
+
+
+def _side_kernel(G: RelPlaneGraph, zero: int) -> CycleKernel:
+    """``relative_kernel`` with the 0-edges linked by ``zero``: SAME_SIDE
+    (twisted), CROSSWISE (untwisted) or CLOSED (absent)."""
     regular = G.regular_indices()
-    present = dict.fromkeys(G.zero, SAME_SIDE)
+    present = dict.fromkeys(G.zero, zero)
     present.update(dict.fromkeys(regular, CROSSWISE))
-    return (side_kernel(G.map, present, regular), *relative_joins(G))
+    return side_kernel(G.map, present, regular)
 
 
 def relative_joins(G: RelPlaneGraph) -> tuple[Merges, int]:

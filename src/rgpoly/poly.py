@@ -32,9 +32,12 @@ are tabulated once as lists of (packed int, coefficient), a multi-term
 weight being a longer list on the same path; a state adds its term's
 exponents to one entry of each and accumulates one int key in place.
 Each distinct key is decoded once, at the end, into the sorted
-(vid, exp4) key that every ``Polynomial`` uses.  ``from_exponents`` builds
-a polynomial from int exponent vectors counted elsewhere, as the Kauffman
-bracket's frontier census counts them.
+(vid, exp4) key that every ``Polynomial`` uses.  Two builders take states
+counted elsewhere, by the frontier census of ``util``: ``from_exponents``
+sums int exponent vectors, as the Kauffman bracket's states are counted,
+and ``class_sum`` builds ``state_sum``'s result on the same fields from
+counts by set bits per weight class and term exponents, as the relative
+Tutte polynomial's states are counted when few (x, y) pairs occur.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import mul
 from typing import Iterable, Mapping, Union
@@ -385,7 +389,7 @@ def state_sum(weights: list, names: tuple, bound: int, term,
     n = len(weights)
     if n > cap:
         raise SizeLimit(too_many.format(n=n, cap=cap))
-    fields = _Fields(weights, names, bound)
+    fields = _Fields([(x, y, 1) for x, y in weights], names, bound)
     units = [4 << fields.offset[register(name)] for name in names]
     packed = [(fields.pack(x), fields.pack(y)) for x, y in weights]
     half = n // 2
@@ -402,27 +406,66 @@ def state_sum(weights: list, names: tuple, bound: int, term,
     return Polynomial({fields.decode(key): c for key, c in acc.items() if c})
 
 
+def class_sum(classes: list, names: tuple, bound: int,
+              terms: Mapping[tuple, int]) -> Polynomial:
+    """Sum over the items ((a_1, ..., a_C), e) -> c of ``terms`` of
+    c * prod_i x_i^a_i * y_i^(n_i - a_i) * prod(v^e_v), where ``classes``
+    lists one (x_i, y_i, n_i) per weight class and e holds the int
+    exponents of the variables ``names``, each in [-bound, bound].
+
+    It is ``state_sum``'s result when the n_i elements of class i all
+    weigh (x_i, y_i) and ``terms`` counts the states by set bits per class
+    and term exponents: the fields and the order in which names register
+    are the same.  Each class's weight products x^a * y^(n - a) are
+    tabulated once as lists of (packed int, coefficient), and a count adds
+    its exponents to the entries of one product per distinct (a_1, ...).
+    """
+    fields = _Fields(classes, names, bound)
+    units = [4 << fields.offset[register(name)] for name in names]
+    tables = []
+    for x, y, n in classes:
+        xs, ys = [[(0, 1)]], [[(0, 1)]]
+        px, py = fields.pack(x), fields.pack(y)
+        for _ in range(n):
+            xs.append(_times(xs[-1], px))
+            ys.append(_times(ys[-1], py))
+        tables.append([_times(xs[a], ys[n - a]) for a in range(n + 1)])
+    weights: dict = {}
+    acc: dict = {}
+    for (ones, exps), count in terms.items():
+        weight = weights.get(ones)
+        if weight is None:
+            weight = weights[ones] = reduce(_times, map(list.__getitem__, tables, ones),
+                                            [(0, 1)])
+        e = sum(map(mul, units, exps), fields.base)
+        for k, c in weight:
+            acc[e + k] = acc.get(e + k, 0) + count * c
+    return Polynomial({fields.decode(key): c for key, c in acc.items() if c})
+
+
 class _Fields:
     """The bit fields of ``state_sum``'s packed exponent vectors.
 
     Every variable of a weight or of the term gets a field, in vid order.
     A field holds exp4 plus a bias, the largest |exp4| the variable can
     reach in a state: 4 * bound if it is among the term's names, plus, per
-    element, its largest |exp4| in either weight.  A field is wide enough
-    for twice its bias, so every reachable exponent packs into [0, 2 * bias]
-    and a sum of packed vectors never carries from one field into the next.
-    The bias sum is ``base``: a state's key is base + its packed vectors.
+    element, its largest |exp4| in either weight; ``classes`` lists the
+    weights as (x, y, the number of elements that weigh (x, y)).  A field is
+    wide enough for twice its bias, so every reachable exponent packs into
+    [0, 2 * bias] and a sum of packed vectors never carries from one field
+    into the next.  The bias sum is ``base``: a state's key is base + its
+    packed vectors.
     """
 
-    def __init__(self, weights: list, names: tuple, bound: int):
+    def __init__(self, classes: list, names: tuple, bound: int):
         span = dict.fromkeys((register(name) for name in names), 4 * bound)
-        for x, y in weights:
+        for x, y, n in classes:
             top: dict = {}
             for key in (*x._terms, *y._terms):
                 for vid, e4 in key:
                     top[vid] = max(top.get(vid, 0), abs(e4))
             for vid, e4 in top.items():
-                span[vid] = span.get(vid, 0) + e4
+                span[vid] = span.get(vid, 0) + n * e4
         self.offset = {}
         self.fields = []
         self.base = pos = 0

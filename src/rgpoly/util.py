@@ -18,9 +18,13 @@ every state: ``collapse`` walks it once and keeps only the matching it
 induces on the live nodes, plus the number of cycles that never meet a live
 node.  A state then fills 4m links (``links``) and calls ``count_cycles``
 once, so it costs O(m) however large the drawn map is.  ``census`` counts
-the cycles of all 2^m states by (set bits, cycles) without visiting them:
-one frontier pass over the elements, whose cost the number of open slots
-at once sets and whose memory ``CENSUS_ENTRIES`` bounds.
+all 2^m states without visiting them: one frontier pass over the elements,
+whose cost the number of open slots at once sets and whose memory
+``CENSUS_ENTRIES`` bounds.  It runs several kernels that share their
+choices at once, keyed by each kernel's cycles and by the set bits in each
+weight class of the elements: the Kauffman bracket counts one kernel in
+one class, and the relative Tutte polynomial of a genus-0 map with few
+weight pairs three kernels in one class per pair.
 """
 
 from __future__ import annotations
@@ -223,63 +227,119 @@ class CycleKernel:
     def cycles(self, mask: int) -> int:
         return self.closed + count_cycles(self.arc, self.links(mask))
 
-    def census(self) -> dict:
-        """{(ones, cycles): the number of masks with ``ones`` set bits whose
-        ``cycles(mask)`` is ``cycles``}, in one frontier pass.
 
-        The elements are taken in greedy order: next, the one whose slots
-        close the most arcs to processed slots, ties to the lowest index.
-        The frontier is the processed slots whose arc partner is not yet
-        processed; the processed links and arcs leave paths between them.
-        A partial state is how the paths pair up the frontier, as the tuple
-        of partners in frontier order, mapped to a histogram of the partial
-        masks by (set bits, closed cycles), packed as ones * span + cycles;
-        states with equal pairings merge.  After k elements there are at
-        most 2^k pairings, so the pass never holds more states than the
-        masks it counts.  A step that ends with more than ``CENSUS_ENTRIES``
-        histogram entries raises ``SizeLimit``; as a step at most doubles
-        them, the pass never holds more than three times that many.
-        """
-        arc, links = self.arc, self._links
-        m = len(links)
-        span = 2 * m + 1                # a cycle holds two live slots or more
-        pending = [0] * m               # arcs from each element to processed slots
-        todo = list(range(m))
-        processed = bytearray(4 * m)
-        frontier: list = []
-        states = {(): {0: 1}}
-        while todo:
-            j = max(todo, key=lambda i: (pending[i], -i))
-            todo.remove(j)
-            own = range(4 * j, 4 * j + 4)
-            for s in own:
-                processed[s] = 1
-            # each arc closed now, an arc inside the element once
-            joins = [(s, t) for s in own if processed[t := arc[s]] and (t >> 2 != j or t > s)]
-            opened = [s for s in own if not processed[arc[s]]]
-            for s in opened:
-                pending[arc[s] >> 2] += 1
-            new = [s for s in frontier if not processed[arc[s]]] + opened
-            nxt: dict = {}
-            for pairing, histogram in states.items():
-                mate = dict(zip(frontier, pairing))
-                for bit, link in enumerate(links[j]):
-                    pair = dict(mate)
-                    pair.update(zip(own, link))
-                    closed = 0
-                    for s, t in joins:
-                        u, v = pair.pop(s), pair.pop(t)
-                        if u == t:
-                            closed += 1
-                        else:
-                            pair[u], pair[v] = v, u
-                    shift = bit * span + closed
-                    out = nxt.setdefault(tuple(map(pair.__getitem__, new)), {})
-                    for key, count in histogram.items():
-                        out[key + shift] = out.get(key + shift, 0) + count
-            if sum(map(len, nxt.values())) > CENSUS_ENTRIES:
-                raise SizeLimit(f"the census of {m} elements holds more than "
-                                f"{CENSUS_ENTRIES} histogram entries")
-            states, frontier = nxt, new
-        return {(key // span, self.closed + key % span): count
-                for key, count in states[()].items()}
+def census(kernels: Sequence[CycleKernel], classes: Sequence[int] = ()) -> dict:
+    """{(ones, cycles): the number of masks with ``ones[c]`` set bits among
+    the elements of class c and ``kernels[k].cycles(mask)`` = ``cycles[k]``},
+    in one frontier pass.
+
+    The kernels share their choices (the same links on the live slots) and
+    differ only in what they collapsed.  ``classes[j]`` is element j's class
+    (default: every element in class 0); the classes are range(1 + the
+    largest).  The pass runs on one product kernel: slot s of kernel k is
+    4K * (s >> 2) + 4k + (s & 3), so element j owns the 4K slots from 4Kj
+    and a path never leaves its kernel.
+
+    The elements are taken in the first kernel's greedy order: next, the
+    one whose slots close the most of its arcs to processed slots, ties to
+    the lowest index.  (Counting every kernel's arcs reads the narrower
+    kernels as much as the widest and can widen the frontier: on the three
+    kernels of a 24-crossing Tait graph it held five times the states.)
+    The frontier is the processed slots whose arc partner is not yet
+    processed; the processed links and arcs leave paths between them.
+    A partial state is how the paths pair up the frontier, as the tuple of
+    each frontier slot's partner's position in the frontier, mapped to a
+    histogram of the partial masks by per-class set bits and per-kernel
+    closed cycles, packed mixed-radix into one int; states with equal
+    pairings merge.  A step lists the frontier and then the element's own
+    slots as the ends, and closes its arcs on a list of partner positions.
+    After k elements there are at most 2^k pairings, so the pass never
+    holds more states than the masks it counts.  A step that ends with more
+    than ``CENSUS_ENTRIES`` histogram entries raises ``SizeLimit``; as a
+    step at most doubles them, the pass never holds more than three times
+    that many.
+    """
+    first = kernels[0]
+    m, K = len(first._links), len(kernels)
+    if any(kernel._links != first._links for kernel in kernels):
+        raise ValueError("census kernels must share their choices")
+    classes = list(classes) or [0] * m
+    sizes = [0] * (max(classes, default=0) + 1)
+    for c in classes:
+        sizes[c] += 1
+    width = 4 * K
+    place = [s + (width - 4) * (s >> 2) for s in range(4 * m)]   # slot s of kernel 0
+    arc = [0] * (width * m)
+    for k, kernel in enumerate(kernels):
+        k *= 4
+        for s, t in zip(place, kernel.arc):
+            arc[s + k] = place[t] + k
+    offsets = range(0, width, 4)
+    links = [[tuple([place[t] + k for k in offsets for t in link]) for link in pair]
+             for pair in first._links]
+    # key = sum of cycles[k] * span^k, then ones[c] * span^K * prod(sizes[:c] + 1)
+    span = 2 * m + 1                # a cycle holds two live slots or more
+    unit = [span ** k for k in range(K) for _ in range(4)]
+    radix = [span ** K]
+    for n in sizes:
+        radix.append(radix[-1] * (n + 1))
+    pending = [0] * m               # first-kernel arcs from each element to processed slots
+    todo = list(range(m))
+    processed = bytearray(width * m)
+    block = b"\1" * width
+    frontier: list = []
+    states = {(): {0: 1}}
+    while todo:
+        j = max(todo, key=pending.__getitem__)      # todo ascends: ties to the lowest
+        todo.remove(j)
+        start = width * j
+        own = range(start, start + width)
+        processed[start:start + width] = block
+        for s in own[:4]:
+            if not processed[t := arc[s]]:
+                pending[t // width] += 1
+        ends = frontier + list(own)
+        at = dict(zip(ends, range(len(ends))))
+        # each arc closed now, an arc inside the element once, with the
+        # unit of its kernel's closed cycles
+        joins = [(at[s], at[t], unit[s - start]) for s in own
+                 if processed[t := arc[s]] and (t // width != j or t > s)]
+        keep = [i for i, s in enumerate(ends) if not processed[arc[s]]]
+        renumber = [0] * len(ends)
+        for i, e in enumerate(keep):
+            renumber[e] = i
+        base = len(frontier) - start
+        choices = [(shift, tuple([base + t for t in link]))
+                   for shift, link in zip((0, radix[classes[j]]), links[j])]
+        nxt: dict = {}
+        for pairing, histogram in states.items():
+            for shift, link in choices:
+                pair = [*pairing, *link]
+                for s, t, closes in joins:
+                    u, v = pair[s], pair[t]
+                    if u == t:
+                        shift += closes
+                    else:
+                        pair[u] = v
+                        pair[v] = u
+                out = nxt.setdefault(
+                    tuple(map(renumber.__getitem__, map(pair.__getitem__, keep))), {})
+                for key, count in histogram.items():
+                    out[key + shift] = out.get(key + shift, 0) + count
+        if sum(map(len, nxt.values())) > CENSUS_ENTRIES:
+            raise SizeLimit(f"the census of {m} elements holds more than "
+                            f"{CENSUS_ENTRIES} histogram entries")
+        states = nxt
+        frontier = list(map(ends.__getitem__, keep))
+    out = {}
+    for key, count in states[()].items():
+        closed = []
+        for kernel in kernels:
+            key, c = divmod(key, span)
+            closed.append(kernel.closed + c)
+        ones = []
+        for n in sizes:
+            key, a = divmod(key, n + 1)
+            ones.append(a)
+        out[tuple(ones), tuple(closed)] = count
+    return out

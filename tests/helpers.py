@@ -16,6 +16,11 @@ matching over every dart.  The compiled kernel must agree with them.
 ``poly.state_sum`` over all 2^n states of the compiled kernel; the bracket
 now counts them in one frontier pass.
 
+``relative_tutte_by_states`` keeps the enumerating ``planemap.relative_tutte``,
+which runs ``poly.state_sum`` over all 2^m subsets of the regular edges;
+the library now counts them in one frontier census when few weight pairs
+occur on a genus-0 map.
+
 ``state_sum_by_products`` keeps the earlier accumulator of
 ``poly.state_sum``: every state multiplies its weight polynomials and a
 ``monomial`` of its term's exponents.
@@ -60,7 +65,7 @@ from rgpoly.formats import _build, _fail, _lines
 from rgpoly.links import (DEFAULT_CROSSING_CAP, VirtualLinkDiagram, bracket_kernel,
                           realize_gauss_code)
 from rgpoly.planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_all, faces,
-                             psi, submap)
+                             psi, relative_joins, relative_kernel, submap)
 from rgpoly.errors import MalformedCode, ParseError, SizeLimit
 from rgpoly.poly import (
     _NUM_BUILTINS,
@@ -74,7 +79,7 @@ from rgpoly.poly import (
     var,
     var_name,
 )
-from rgpoly.ribbon import CLOSED, SAME_SIDE, Edge, RibbonGraph
+from rgpoly.ribbon import CLOSED, DEFAULT_EDGE_CAP, SAME_SIDE, Edge, RibbonGraph
 from rgpoly.util import cycles
 
 
@@ -460,6 +465,31 @@ def kauffman_bracket_by_states(L: VirtualLinkDiagram,
     bound = kernel.closed + 2 * n + 1
     return state_sum([(var("A"), var("B"))] * n, ("d",), bound, term, cap,
                      "{n} classical crossings exceeds the cap {cap}")
+
+
+def relative_tutte_by_states(G: RelPlaneGraph) -> Polynomial:
+    """The enumerating ``relative_tutte``: ``state_sum`` over every subset F
+    of regular edges, k(F) and k(F u H) from one join pass over F's ends and
+    n(F) + delta(H_F) from the side cycles of F u H, F untwisted."""
+    regular = G.regular_indices()
+    M = G.map
+    nv = M.num_vertices
+    kG = M.components()
+    kernel = relative_kernel(G)
+    joins, kH = relative_joins(G)
+
+    def term(mask):
+        j, jh = joins.count_both(mask)
+        kF = nv - j
+        kFH = kH - jh
+        nF = mask.bit_count() - nv + kF
+        delta = kernel.cycles(mask) - nF
+        return kFH - kG, nF, delta - kFH, kF - kFH
+
+    m = len(regular)
+    bound = nv + m + kernel.closed + 2 * m
+    return state_sum([G.weights[ei] for ei in regular], ("X", "Y", "d", "w"),
+                     bound, term, DEFAULT_EDGE_CAP, "{n} regular edges exceeds the cap {cap}")
 
 
 def relative_tutte_by_contraction(G: RelPlaneGraph) -> Polynomial:

@@ -4,8 +4,8 @@ Every state sum now runs on ``util.CycleKernel``: fixed links (0-edges,
 virtual crossings, edges outside the enumerated set) are collapsed once and
 each state traces only 4m live slots.  These tests compare it with the
 earlier dict-keyed bodies kept in ``helpers`` and pin the slot count.
-``CycleKernel.census`` counts the masks by (set bits, cycles) in one
-frontier pass; it is compared with ``cycles`` on every mask.
+``util.census`` counts the masks by (set bits, cycles) in one frontier
+pass; on one kernel it is compared with ``cycles`` on every mask.
 ``ribbon.from_slots`` reads a kernel's slots back into a ribbon graph.
 """
 
@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from rgpoly import util
+from rgpoly import planemap, util
 from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.errors import SizeLimit
 from rgpoly.links import (
@@ -30,6 +30,9 @@ from rgpoly.planemap import (
     relative_tutte,
 )
 from rgpoly.ribbon import (
+    CLOSED,
+    CROSSWISE,
+    SAME_SIDE,
     RibbonGraph,
     bollobas_riordan,
     boundary_components,
@@ -132,7 +135,7 @@ def test_live_slots_are_four_per_enumerated_element():
     # one instance of each large benchmark family: the drawn diagram is far
     # bigger than the enumerated set, but a state traces 4m slots only
     G, _ = ribbon_to_plane(generate("ribbon", 45, 10))
-    kernel = relative_kernel(G)[0]
+    kernel = relative_kernel(G)
     assert len(kernel.arc) == 4 * len(G.regular_indices()) == 40
     assert G.map.num_edges > 100
 
@@ -143,14 +146,14 @@ def test_live_slots_are_four_per_enumerated_element():
 
 def _census_by_masks(kernel):
     m = len(kernel.arc) // 4
-    return Counter((mask.bit_count(), kernel.cycles(mask)) for mask in range(1 << m))
+    return Counter(((mask.bit_count(),), (kernel.cycles(mask),)) for mask in range(1 << m))
 
 
 def test_census_counts_every_mask_of_bracket_kernels():
     for seed in range(40):
         for size in range(13):
             kernel = bracket_kernel(generate("link", seed, size))
-            assert kernel.census() == _census_by_masks(kernel), (seed, size)
+            assert util.census([kernel]) == _census_by_masks(kernel), (seed, size)
 
 
 def test_census_counts_every_mask_of_bollobas_riordan_kernels():
@@ -162,7 +165,32 @@ def test_census_counts_every_mask_of_bollobas_riordan_kernels():
             for G in (R, RibbonGraph(R.vertices + [()], R.edges)):
                 for state in (range(size), range(0, size, 2)):
                     kernel = side_kernel(G, twist_links(G), state)
-                    assert kernel.census() == _census_by_masks(kernel), (seed, size)
+                    assert util.census([kernel]) == _census_by_masks(kernel), (seed, size)
+
+
+def test_census_of_kernels_sharing_choices_keys_by_class_and_kernel():
+    # the three side kernels of relative_tutte share their choices; elements
+    # fall into up to three classes
+    for seed in range(20):
+        for size in range(11):
+            G = link_to_tait(generate("link", seed, size))
+            kernels = [planemap._side_kernel(G, link) for link in (SAME_SIDE, CLOSED, CROSSWISE)]
+            m = len(G.regular_indices())
+            classes = [(seed + j * j) % 3 for j in range(m)]
+            expected = Counter()
+            for mask in range(1 << m):
+                ones = [0] * (max(classes, default=0) + 1)
+                for j, c in enumerate(classes):
+                    ones[c] += mask >> j & 1
+                expected[tuple(ones), tuple(k.cycles(mask) for k in kernels)] += 1
+            assert util.census(kernels, classes) == expected, (seed, size)
+
+
+def test_census_refuses_kernels_with_other_choices():
+    R = generate("ribbon", 3, 4)
+    with pytest.raises(ValueError, match="share their choices"):
+        util.census([side_kernel(R, twist_links(R), range(4)),
+                     side_kernel(R, twist_links(R), range(3))])
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):

@@ -1,0 +1,144 @@
+"""The relative Tutte polynomial read off one frontier census.
+
+When the regular edges carry few distinct weight pairs and the map is
+genus 0, ``relative_tutte`` counts the subsets by set bits per pair and the
+side cycles of three kernels (F u H with H twisted, F alone, F u H
+untwisted) in one ``util.census`` pass.  Here the census path is forced
+(``_census_pays`` patched to True) and compared with the enumerating body
+kept as ``helpers.relative_tutte_by_states`` and with the contraction
+oracle; the default dispatch is pinned separately: per-edge symbolic
+weights, small instances and maps of higher genus enumerate.
+"""
+
+import random
+
+import pytest
+
+from rgpoly import planemap, util
+from rgpoly.cli import main
+from rgpoly.convert import link_to_tait
+from rgpoly.errors import SizeLimit
+from rgpoly.formats import serialize_rpg
+from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, relative_tutte
+from rgpoly.poly import ONE, var
+from rgpoly.verify import generate
+
+from helpers import relative_tutte_by_contraction, relative_tutte_by_states
+
+
+@pytest.fixture
+def census_always(monkeypatch):
+    monkeypatch.setattr(planemap, "_census_pays", lambda weights: True)
+
+
+@pytest.fixture
+def census_refused(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census ran")
+    monkeypatch.setattr(planemap, "census", refuse)
+
+
+def _reweighted(G, rng, pairs):
+    return RelPlaneGraph(G.map, G.zero, {i: rng.choice(pairs) for i in G.regular_indices()})
+
+
+def _rpg_families():
+    # one class, two monomial classes, and a class of multi-term weights
+    unit = [(ONE, ONE)]
+    two = [(ONE, ONE), (var("x_minus"), var("y_minus"))]
+    multi = [(var("a") + 1, var("b") - 2), (var("x_minus"), ONE)]
+    for seed in range(20):
+        for size in range(11):
+            G = generate("rpg", seed, size)
+            rng = random.Random(seed * 31 + size)
+            for pairs in (unit, two, multi):
+                yield (seed, size, len(pairs)), _reweighted(G, rng, pairs)
+
+
+def test_census_matches_enumeration_on_tait_graphs(census_always):
+    for seed in range(40):
+        for size in range(13):
+            G = link_to_tait(generate("link", seed, size))
+            T, oracle = relative_tutte(G), relative_tutte_by_states(G)
+            assert T == oracle and T.canonical() == oracle.canonical(), (seed, size)
+            if size <= 7:
+                assert T == relative_tutte_by_contraction(G), (seed, size)
+
+
+def test_census_matches_enumeration_on_weighted_rpg_maps(census_always):
+    for key, G in _rpg_families():
+        T = relative_tutte(G)
+        assert T == relative_tutte_by_states(G), key
+        if key[1] <= 7:
+            assert T == relative_tutte_by_contraction(G), key
+
+
+def test_symbolic_weights_stay_on_enumeration(census_refused):
+    G = generate("rpg", 4, 20)      # x_e, y_e per regular edge
+    assert len(G.regular_indices()) >= 7
+    assert relative_tutte(G) == relative_tutte_by_states(G)
+
+
+def test_small_two_class_graph_stays_on_enumeration(census_refused):
+    for seed in range(40):
+        G = link_to_tait(generate("link", seed, 6))
+        assert relative_tutte(G) == relative_tutte_by_states(G), seed
+
+
+def test_census_runs_on_a_large_few_class_graph(monkeypatch):
+    calls = []
+    census = planemap.census
+
+    def counted(*args):
+        calls.append(args)
+        return census(*args)
+    monkeypatch.setattr(planemap, "census", counted)
+    G = link_to_tait(generate("link", 3, 10))
+    assert relative_tutte(G) == relative_tutte_by_states(G)
+    assert len(calls) == 1
+
+
+def _torus(pendants: int) -> RelPlaneGraph:
+    # one vertex with two interleaved loops (genus 1), and a path of
+    # pendant edges hanging off it
+    rotation = ["a1", "b1", "a2", "b2"]
+    edges = [MapEdge(("a1", "a2"), "a"), MapEdge(("b1", "b2"), "b")]
+    vertices = [rotation]
+    for i in range(pendants):
+        vertices[-1].append(f"p{i}")
+        vertices.append([f"q{i}"])
+        edges.append(MapEdge((f"p{i}", f"q{i}"), f"p{i}"))
+    M = PlaneMap(vertices, edges)
+    assert M.euler_deficit() == -2
+    return RelPlaneGraph(M, weights={i: (ONE, ONE) for i in range(len(edges))})
+
+
+def test_non_plane_graph_falls_back_to_enumeration(census_always, census_refused):
+    # off genus 0 the side cycles no longer give psi(H_F), so only the
+    # enumerating body is the oracle here, not the contraction
+    for pendants in (0, 6):
+        G = _torus(pendants)
+        assert relative_tutte(G) == relative_tutte_by_states(G), pendants
+
+
+def test_non_plane_graph_fails_the_genus_check_by_default(census_refused):
+    G = _torus(6)       # 8 unit-weight edges: the cost rule picks the census
+    assert planemap._census_pays(list(G.weights.values()))
+    assert relative_tutte(G) == relative_tutte_by_states(G)
+
+
+def test_census_past_its_entry_bound_raises_size_limit(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(util, "CENSUS_ENTRIES", 8)
+    G = link_to_tait(generate("link", 3, 12))
+    with pytest.raises(SizeLimit, match="more than 8 histogram entries"):
+        relative_tutte(G)
+    path = tmp_path / "tait.rpg"
+    path.write_text(serialize_rpg(G))
+    assert main(["rtutte", str(path)]) == 2
+    assert "more than 8 histogram entries" in capsys.readouterr().err
+
+
+def test_regular_edge_cap_holds_on_the_census_path():
+    G = link_to_tait(generate("link", 3, 26))
+    with pytest.raises(SizeLimit, match="26 regular edges exceeds the enumeration cap 24"):
+        relative_tutte(G)
