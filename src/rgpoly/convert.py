@@ -76,9 +76,7 @@ def ribbon_to_plane(R: RibbonGraph):
     g_to_r = {i: ri for i, ri in enumerate(ribbon_edge) if ri is not None}
     zero = [i for i, ri in enumerate(ribbon_edge) if ri is None]
     weights = {i: (R.edges[ri].x, R.edges[ri].y) for i, ri in g_to_r.items()}
-    G = RelPlaneGraph(m, zero, weights)
-    G.map.require_plane()
-    return G, ConversionCertificate(g_to_r)
+    return RelPlaneGraph(m, zero, weights), ConversionCertificate(g_to_r)
 
 
 def plane_to_ribbon(G: RelPlaneGraph) -> RibbonGraph:
@@ -139,6 +137,4 @@ def link_to_tait(L) -> RelPlaneGraph:
             signs[idx], weights[idx] = 1, (ONE, ONE)
         else:
             signs[idx], weights[idx] = -1, (var("x_minus"), var("y_minus"))
-    G = RelPlaneGraph(PlaneMap(vertices, edges), zero, weights, signs)
-    G.map.require_plane()
-    return G
+    return RelPlaneGraph(PlaneMap(vertices, edges), zero, weights, signs)

@@ -168,9 +168,7 @@ def parse_rpg(text: str) -> RelPlaneGraph:
             signs[idx] = _parse_sign(options.pop("sign"), lineno)
         if options:
             _fail(lineno, f"unknown options {sorted(options)}")
-    M = _build(PlaneMap, vertices, edges)
-    M.require_plane()
-    return RelPlaneGraph(M, zero, weights, signs)
+    return RelPlaneGraph(_build(PlaneMap, vertices, edges), zero, weights, signs)
 
 
 def serialize_rpg(G: RelPlaneGraph) -> str:

@@ -30,7 +30,7 @@ import re
 
 from .errors import MalformedCode, MalformedDiagram, MissingOrientation, SizeLimit
 from .planemap import PlaneMap
-from .poly import Polynomial, from_exponents, monomial
+from .poly import Polynomial, class_sum, monomial
 from .router import route
 from .util import CycleKernel, census, cycles
 
@@ -145,7 +145,8 @@ def kauffman_bracket(L: VirtualLinkDiagram,
                      cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states, from the
     frontier census of ``bracket_kernel``: each (alpha, delta) once, with
-    the number of states that have it as coefficient.
+    the number of states that have it as coefficient, summed by
+    ``poly.class_sum`` with no weight class.
 
     The census takes the crossings in greedy order, each next the one that
     closes the most arcs to the crossings already taken, and merges the
@@ -158,9 +159,12 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     n = len(L.classical)
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
-    counts = census([bracket_kernel(L)])
-    return from_exponents(("A", "B", "d"), {(ones, n - ones, cycles - 1): count
-                                            for ((ones,), (cycles,)), count in counts.items()})
+    kernel = bracket_kernel(L)
+    counts = census([kernel])
+    # a state has 0 to closed + 2n circles
+    return class_sum([], ("A", "B", "d"), kernel.closed + 2 * n + 1,
+                     ((0, (ones, n - ones, cycles - 1), count)
+                      for ((ones,), (cycles,)), count in counts.items()))
 
 
 def writhe(L: VirtualLinkDiagram) -> int:

@@ -20,18 +20,19 @@ reads its ribbon graph off the same kernel.
 
 The polynomial is counted in one of two ways.  When the regular edges
 carry few distinct (x, y) pairs (a Tait graph carries two, (1, 1) and
-(x_minus, y_minus)) and m >= 7, a genus-0 map is counted by one frontier
-census (``util.census``) over three kernels on the same 4m slots, with H
+(x_minus, y_minus)) and m >= 7, it is counted by one frontier census
+(``util.census``) over three kernels on the same 4m slots, with H
 twisted, absent and untwisted, by set bits per pair: no union-find is
 needed, since every subgraph of a genus-0 map is genus 0 and its faces (the
 side cycles with every edge untwisted) give k(F) and k(F union H) by Euler,
-2k = v - e + f.  On a map of higher genus the faces of a subgraph fall
-short by twice its genus, so such a map is enumerated, as are per-edge
-symbolic weights (ribbon-plane, duality), where the pairs are all distinct
-and the census would cost more: each of the 2^m states then takes O(m),
-not O(size of G), with k(F), k(F union H) from one union-find pass over F's
-ends alone, on vertex ids and on the components of H.  The reference path
-``psi(contract_all(G, F))`` builds H_F.
+2k = v - e + f.  Per-edge symbolic weights (ribbon-plane, duality), where
+the pairs are all distinct and the census would cost more, and small m
+are enumerated: each of the 2^m states then takes O(m), not O(size of G),
+with k(F), k(F union H) from one union-find pass over F's ends alone, on
+vertex ids and on the components of H.  Both paths sum their terms with
+``poly.class_sum``.  The reference path ``psi(contract_all(G, F))``
+builds H_F.  ``RelPlaneGraph`` admits genus-0 maps only, so neither path
+checks the genus.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
@@ -41,7 +42,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
+from operator import mul
 from typing import Container, Iterable, Mapping
 
 from .errors import GenusError, SizeLimit
@@ -163,11 +166,16 @@ def medial_circles(M: PlaneMap) -> int:
 
 
 class RelPlaneGraph:
-    """A plane map with 0-edges H, weights on regular edges, optional signs."""
+    """A plane map with 0-edges H, weights on regular edges, optional signs.
+
+    The map must be genus 0, as the relative Tutte polynomial is defined
+    only there: any other raises GenusError with its Euler deficit.
+    """
 
     def __init__(self, map: PlaneMap, zero: Iterable[int] = (),
                  weights: Mapping[int, tuple] | None = None,
                  signs: Mapping[int, int] | None = None):
+        map.require_plane()
         self.map = map
         self.zero = frozenset(zero)
         if not self.zero <= set(range(map.num_edges)):
@@ -239,16 +247,14 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     ``psi(contract_all(G, F))`` builds H_F.
 
     When the regular edges carry few distinct (x, y) pairs, so that the
-    census pays (``_census_pays``), and G is genus 0 (v - e + f = 2k, f
-    read off the H-untwisted kernel with every regular edge in), the 2^m
-    subsets are counted in one frontier census (``util.census``) by set
-    bits per pair and the side cycles of three kernels on the same slots:
-    F union H with H twisted, F alone, and F union H untwisted.  A
-    subgraph of a genus-0 map is genus 0, so Euler gives
+    census pays (``_census_pays``), the 2^m subsets are counted in one
+    frontier census (``util.census``) by set bits per pair and the side
+    cycles of three kernels on the same slots: F union H with H twisted,
+    F alone, and F union H untwisted.  G is genus 0, as ``RelPlaneGraph``
+    checks, and so is each of its subgraphs, so Euler gives
     2k(F) = v - |F| + bc(F) and 2k(F union H) = v - |F| - |H| + bc(F union H),
-    bc counting the faces (the side cycles, all untwisted).  On a map of
-    higher genus the faces fall short by twice the genus of each subgraph,
-    so such a map, and per-edge symbolic weights, are enumerated with
+    bc counting the faces (the side cycles, all untwisted).  Otherwise, as
+    with per-edge symbolic weights, the subsets are enumerated with
     ``state_sum``.  Both paths give the same polynomial.  ``cap`` bounds m
     on both.
     """
@@ -262,20 +268,21 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     if _census_pays(weights):
         twisted, alone, untwisted = (_side_kernel(G, link)
                                      for link in (SAME_SIDE, CLOSED, CROSSWISE))
-        if nv - M.num_edges + untwisted.cycles((1 << m) - 1) == 2 * kG:
-            pairs = Counter(weights)
-            index = dict(zip(pairs, range(len(pairs))))
-            counts = census([twisted, alone, untwisted], [index[w] for w in weights])
-            h = len(G.zero)
-            terms = {}
-            for (ones, (cycles, bc_F, bc_FH)), count in counts.items():
-                f = sum(ones)
-                kF = (nv - f + bc_F) // 2
-                kFH = (nv - f - h + bc_FH) // 2
-                nF = f - nv + kF
-                terms[ones, (kFH - kG, nF, cycles - nF - kFH, kF - kFH)] = count
-            return class_sum([(x, y, n) for (x, y), n in pairs.items()],
-                             ("X", "Y", "d", "w"), nv + 3 * m + twisted.closed, terms)
+        pairs = Counter(weights)
+        index = dict(zip(pairs, range(len(pairs))))
+        counts = census([twisted, alone, untwisted], [index[w] for w in weights])
+        place = list(accumulate((n + 1 for n in pairs.values()), mul, initial=1))
+        h = len(G.zero)
+        terms = []
+        for (ones, (cycles, bc_F, bc_FH)), count in counts.items():
+            f = sum(ones)
+            kF = (nv - f + bc_F) // 2
+            kFH = (nv - f - h + bc_FH) // 2
+            nF = f - nv + kF
+            terms.append((sum(map(mul, ones, place)),
+                          (kFH - kG, nF, cycles - nF - kFH, kF - kFH), count))
+        return class_sum([(x, y, n) for (x, y), n in pairs.items()],
+                         ("X", "Y", "d", "w"), nv + 3 * m + twisted.closed, terms)
     kernel = relative_kernel(G)
     joins, kH = relative_joins(G)
 

@@ -18,26 +18,27 @@ the builtins, each group in registry-id order.  ``canonical()`` sorts by one
 int per term, whose bit fields are laid out so that comparing the ints
 compares the exponent vectors.
 
-``state_sum`` is the one loop behind the Bollobas-Riordan and relative
-Tutte state sums: it weights every subset of an indexed ground set, and no
-state builds a ``Polynomial``.  Inside it a monomial is one int: each
+``class_sum`` is the one term accumulator behind the three state sums:
+it weights states grouped into weight classes, and no state builds a
+``Polynomial``.  A term is (index, exponents, count): the index gives the
+number of chosen elements per class, mixed-radix, and the count how many
+states share it.  ``state_sum`` feeds it every subset of an indexed ground
+set, one element per class, for the Bollobas-Riordan and the enumerated
+relative Tutte sums; the frontier census of ``util`` feeds it the relative
+Tutte polynomial's states by set bits per (x, y) class, and the Kauffman
+bracket's with no class at all.  Inside it a monomial is one int: each
 variable of the weights and of the term owns a bit field of its exponent
 vector, holding exp4 plus a bias, so negative exponents pack too
 (Kronecker substitution).  A field's bias is the largest |exp4| the
 variable can reach, summed over the elements from the weights and bounded
 for the term by the caller; the field is wide enough for twice the bias,
 so adding packed ints multiplies monomials and no sum carries into the
-next field.  The weight products of the low and high halves of the mask
+next field.  The weight products of the low and high halves of the classes
 are tabulated once as lists of (packed int, coefficient), a multi-term
-weight being a longer list on the same path; a state adds its term's
-exponents to one entry of each and accumulates one int key in place.
-Each distinct key is decoded once, at the end, into the sorted
-(vid, exp4) key that every ``Polynomial`` uses.  Two builders take states
-counted elsewhere, by the frontier census of ``util``: ``from_exponents``
-sums int exponent vectors, as the Kauffman bracket's states are counted,
-and ``class_sum`` builds ``state_sum``'s result on the same fields from
-counts by set bits per weight class and term exponents, as the relative
-Tutte polynomial's states are counted when few (x, y) pairs occur.
+weight being a longer list on the same path; a term adds its exponents to
+one entry of each and accumulates one int key in place.  Each distinct
+key is decoded once, at the end, into the sorted (vid, exp4) key that
+every ``Polynomial`` uses.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Mapping, Union
 
@@ -314,16 +314,6 @@ def monomial(coeff: int, powers: Mapping[str, Union[int, Fraction]]) -> Polynomi
     return Polynomial({tuple(sorted(exps.items())): coeff})
 
 
-def from_exponents(names: tuple, terms: Mapping[tuple, int]) -> Polynomial:
-    """Sum of c * prod(v^e) over the items (exponents, c) of ``terms``,
-    the int exponents e given in the order of the distinct ``names``."""
-    vids = [register(name) for name in names]
-    out: dict = {}
-    _accumulate(out, ((tuple(sorted((vid, 4 * e) for vid, e in zip(vids, exps) if e)), c)
-                      for exps, c in terms.items()))
-    return Polynomial(out)
-
-
 def _term_power(q: Polynomial, e4: int) -> Polynomial:
     """A single-term polynomial raised to the quarter-integer power e4/4."""
     ((key, c),) = q._terms.items()
@@ -376,75 +366,68 @@ def state_sum(weights: list, names: tuple, bound: int, term,
     ``weights`` lists one (x, y) pair per element.  Every exponent that
     ``term`` returns lies in [-bound, bound].  More than ``cap`` elements
     raise SizeLimit with ``too_many`` formatted with ``n`` and ``cap``,
-    before anything is built.
-
-    A monomial is one int, its exponent vector packed into the bit fields
-    of ``_Fields``, so multiplying monomials adds ints.  The weight
-    products of the low and the high half of the mask bits are tabulated
-    once, as lists of (packed int, coefficient); a state adds its term's
-    exponents times the field units to one entry of each and accumulates
-    the sums in place.  A multi-term weight is a longer list on the same
-    path.  Each distinct int is decoded once at the end.
+    before anything is built.  Each element is a weight class of its own,
+    so a mask is its own ``class_sum`` index and every state counts once.
     """
     n = len(weights)
     if n > cap:
         raise SizeLimit(too_many.format(n=n, cap=cap))
-    fields = _Fields([(x, y, 1) for x, y in weights], names, bound)
-    units = [4 << fields.offset[register(name)] for name in names]
-    packed = [(fields.pack(x), fields.pack(y)) for x, y in weights]
-    half = n // 2
-    low = [[(k + fields.base, c) for k, c in t] for t in _products(packed[:half])]
-    acc: dict = {}
-    for hi, highs in enumerate(_products(packed[half:])):
-        hi <<= half
-        for lo, lows in enumerate(low):
-            e = sum(map(mul, units, term(hi | lo)))
-            for k1, c1 in lows:
-                for k2, c2 in highs:
-                    key = e + k1 + k2
-                    acc[key] = acc.get(key, 0) + c1 * c2
-    return Polynomial({fields.decode(key): c for key, c in acc.items() if c})
+    masks = range(1 << n)
+    return class_sum([(x, y, 1) for x, y in weights], names, bound,
+                     zip(masks, map(term, masks), repeat(1)))
 
 
-def class_sum(classes: list, names: tuple, bound: int,
-              terms: Mapping[tuple, int]) -> Polynomial:
-    """Sum over the items ((a_1, ..., a_C), e) -> c of ``terms`` of
+def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polynomial:
+    """Sum over the triples (index, e, c) of ``terms`` of
     c * prod_i x_i^a_i * y_i^(n_i - a_i) * prod(v^e_v), where ``classes``
-    lists one (x_i, y_i, n_i) per weight class and e holds the int
-    exponents of the variables ``names``, each in [-bound, bound].
+    lists one (x_i, y_i, n_i) per weight class, ``index`` is the a_i
+    written mixed-radix (class 0 the lowest digit, class i of radix
+    n_i + 1), and e holds the int exponents of the variables ``names``,
+    each in [-bound, bound].  With no classes the index is 0.
 
-    It is ``state_sum``'s result when the n_i elements of class i all
-    weigh (x_i, y_i) and ``terms`` counts the states by set bits per class
-    and term exponents: the fields and the order in which names register
-    are the same.  Each class's weight products x^a * y^(n - a) are
-    tabulated once as lists of (packed int, coefficient), and a count adds
-    its exponents to the entries of one product per distinct (a_1, ...).
+    This is the one term accumulator.  A monomial is one int, its exponent
+    vector packed into the bit fields of ``_Fields``, so multiplying
+    monomials adds ints.  The weight products of the low half of the
+    classes and of the high half are tabulated once each, by their part of
+    the index, as lists of (packed int, coefficient); a multi-term weight
+    is a longer list on the same path.  A term adds its exponents times the
+    field units to one entry of each table and accumulates the sums in
+    place; each distinct int is decoded once at the end.
     """
     fields = _Fields(classes, names, bound)
     units = [4 << fields.offset[register(name)] for name in names]
-    tables = []
-    for x, y, n in classes:
-        xs, ys = [[(0, 1)]], [[(0, 1)]]
-        px, py = fields.pack(x), fields.pack(y)
-        for _ in range(n):
-            xs.append(_times(xs[-1], px))
-            ys.append(_times(ys[-1], py))
-        tables.append([_times(xs[a], ys[n - a]) for a in range(n + 1)])
-    weights: dict = {}
+    half = len(classes) // 2
+    low = [[(k + fields.base, c) for k, c in t] for t in _table(fields, classes[:half])]
+    high = _table(fields, classes[half:])
+    size = len(low)
     acc: dict = {}
-    for (ones, exps), count in terms.items():
-        weight = weights.get(ones)
-        if weight is None:
-            weight = weights[ones] = reduce(_times, map(list.__getitem__, tables, ones),
-                                            [(0, 1)])
-        e = sum(map(mul, units, exps), fields.base)
-        for k, c in weight:
-            acc[e + k] = acc.get(e + k, 0) + count * c
+    for index, exps, count in terms:
+        e = sum(map(mul, units, exps))
+        highs = high[index // size]
+        for k1, c1 in low[index % size]:
+            for k2, c2 in highs:
+                key = e + k1 + k2
+                acc[key] = acc.get(key, 0) + count * c1 * c2
     return Polynomial({fields.decode(key): c for key, c in acc.items() if c})
 
 
+def _table(fields: "_Fields", classes: list) -> list:
+    """The packed weight products prod_i x_i^a_i * y_i^(n_i - a_i) over
+    ``classes``, indexed mixed-radix by the a_i, class 0 the lowest digit.
+    Equal keys merge and zeros drop."""
+    table = [[(0, 1)]]
+    for x, y, n in classes:
+        px, py = fields.pack(x), fields.pack(y)
+        rows = [table]          # rows[a]: table times x^a * y^(steps - a)
+        for _ in range(n):
+            rows = [[_times(t, py) for t in rows[0]]] + [
+                [_times(t, px) for t in row] for row in rows]
+        table = [t for row in rows for t in row]
+    return table
+
+
 class _Fields:
-    """The bit fields of ``state_sum``'s packed exponent vectors.
+    """The bit fields of ``class_sum``'s packed exponent vectors.
 
     Every variable of a weight or of the term gets a field, in vid order.
     A field holds exp4 plus a bias, the largest |exp4| the variable can
@@ -502,15 +485,6 @@ class _Pairs(dict):
         e4 = value - self.bias
         pair = self[value] = (self.vid, e4) if e4 else None
         return pair
-
-
-def _products(pairs: list) -> list:
-    """Packed weight products over ``pairs``, indexed by mask: bit i set
-    picks x_i, clear picks y_i.  Equal keys merge and zeros drop."""
-    table = [[(0, 1)]]
-    for x, y in pairs:
-        table = [_times(t, y) for t in table] + [_times(t, x) for t in table]
-    return table
 
 
 def _times(a: list, b: list) -> list:

@@ -136,9 +136,7 @@ def grow_plane_map(rng: random.Random, n_edges: int) -> PlaneMap:
         insert_after(c1, h1)
         insert_after(c2, h2)
         edges.append(MapEdge((h1, h2), f"e{i}"))
-    M = PlaneMap(rotations, edges)
-    M.require_plane()
-    return M
+    return PlaneMap(rotations, edges)
 
 
 def generate_rpg(rng: random.Random, n_edges: int) -> RelPlaneGraph:

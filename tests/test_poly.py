@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -14,7 +15,8 @@ from rgpoly.convert import ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
 from rgpoly.links import jones, kauffman_bracket
 from rgpoly.planemap import relative_tutte
-from rgpoly.poly import ZERO, Polynomial, monomial, parse, state_sum, swap_vars, var
+from rgpoly.poly import (ZERO, Polynomial, class_sum, monomial, parse, state_sum, swap_vars,
+                         var)
 from rgpoly.ribbon import bollobas_riordan
 from rgpoly.verify import generate
 
@@ -288,6 +290,42 @@ def test_state_sum_fields_hold_extreme_exponents():
                 rng = random.Random(bound + n)
                 got, want = _both(weights, names, bound, _term(rng, names, bound, n))
                 assert got == want, (names, n, bound)
+
+
+def test_class_sum_matches_products_oracle():
+    # the elements of class i are n_i consecutive bits of the oracle's mask,
+    # all weighing (x_i, y_i); class_sum gets the states grouped by
+    # (index, exponents) and shuffled.  No class at all is the bracket's
+    # shape (the oracle's weights all 1), one-element classes B_R's.
+    for seed in range(30):
+        rng = random.Random(seed)
+        for shape in ("none", "ones", "mixed"):
+            if shape == "none":
+                sizes, n = [], rng.randint(0, 6)
+            else:
+                sizes = [rng.choice((1,) if shape == "ones" else (1, 2, 5))
+                         for _ in range(rng.randint(0, 4))]
+                while sum(sizes) > 9:
+                    sizes.pop()
+                n = sum(sizes)
+            names = _NAMES[(seed + n) % len(_NAMES)]
+            bound = rng.randint(0, 5)
+            classes = [(_weight(rng, i), _weight(rng, i), size) for i, size in enumerate(sizes)]
+            weights = [(x, y) for x, y, size in classes for _ in range(size)] or [(1, 1)] * n
+            term = _term(rng, names, bound, n)
+            grouped = Counter()
+            for mask in range(1 << n):
+                index, place, low = 0, 1, 0
+                for size in sizes:
+                    index += place * (mask >> low & ((1 << size) - 1)).bit_count()
+                    place, low = place * (size + 1), low + size
+                grouped[index, term(mask)] += 1
+            terms = [(index, exps, count) for (index, exps), count in grouped.items()]
+            rng.shuffle(terms)
+            got = class_sum(classes, names, bound, terms)
+            want = state_sum_by_products(weights, names, bound, term, 24, _TOO_MANY)
+            got.check_invariants()
+            assert got == want and got.canonical() == want.canonical(), (seed, shape)
 
 
 def test_state_sum_cap_is_checked_before_any_table():

@@ -1,13 +1,15 @@
 """The relative Tutte polynomial read off one frontier census.
 
-When the regular edges carry few distinct weight pairs and the map is
-genus 0, ``relative_tutte`` counts the subsets by set bits per pair and the
-side cycles of three kernels (F u H with H twisted, F alone, F u H
-untwisted) in one ``util.census`` pass.  Here the census path is forced
-(``_census_pays`` patched to True) and compared with the enumerating body
-kept as ``helpers.relative_tutte_by_states`` and with the contraction
-oracle; the default dispatch is pinned separately: per-edge symbolic
-weights, small instances and maps of higher genus enumerate.
+When the regular edges carry few distinct weight pairs, ``relative_tutte``
+counts the subsets by set bits per pair and the side cycles of three
+kernels (F u H with H twisted, F alone, F u H untwisted) in one
+``util.census`` pass, which holds because ``RelPlaneGraph`` admits genus-0
+maps only.  Here the census path is forced (``_census_pays`` patched to
+True) and compared with the enumerating body kept as
+``helpers.relative_tutte_by_states`` and with the contraction oracle, also
+on per-edge symbolic weights, where ``poly.class_sum`` gets one class per
+edge.  The default dispatch is pinned separately: per-edge symbolic weights
+and small instances enumerate.  A map of higher genus is refused.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 from rgpoly import planemap, util
 from rgpoly.cli import main
 from rgpoly.convert import link_to_tait
-from rgpoly.errors import SizeLimit
+from rgpoly.errors import GenusError, SizeLimit
 from rgpoly.formats import serialize_rpg
 from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, relative_tutte
 from rgpoly.poly import ONE, var
@@ -43,13 +45,15 @@ def _reweighted(G, rng, pairs):
 
 
 def _rpg_families():
-    # one class, two monomial classes, and a class of multi-term weights
+    # the default per-edge symbolic weights (a class per edge), one class,
+    # two monomial classes, and a class of multi-term weights
     unit = [(ONE, ONE)]
     two = [(ONE, ONE), (var("x_minus"), var("y_minus"))]
     multi = [(var("a") + 1, var("b") - 2), (var("x_minus"), ONE)]
     for seed in range(20):
         for size in range(11):
             G = generate("rpg", seed, size)
+            yield (seed, size, "symbolic"), G
             rng = random.Random(seed * 31 + size)
             for pairs in (unit, two, multi):
                 yield (seed, size, len(pairs)), _reweighted(G, rng, pairs)
@@ -67,8 +71,8 @@ def test_census_matches_enumeration_on_tait_graphs(census_always):
 
 def test_census_matches_enumeration_on_weighted_rpg_maps(census_always):
     for key, G in _rpg_families():
-        T = relative_tutte(G)
-        assert T == relative_tutte_by_states(G), key
+        T, oracle = relative_tutte(G), relative_tutte_by_states(G)
+        assert T == oracle and T.canonical() == oracle.canonical(), key
         if key[1] <= 7:
             assert T == relative_tutte_by_contraction(G), key
 
@@ -98,7 +102,7 @@ def test_census_runs_on_a_large_few_class_graph(monkeypatch):
     assert len(calls) == 1
 
 
-def _torus(pendants: int) -> RelPlaneGraph:
+def _torus(pendants: int) -> PlaneMap:
     # one vertex with two interleaved loops (genus 1), and a path of
     # pendant edges hanging off it
     rotation = ["a1", "b1", "a2", "b2"]
@@ -108,23 +112,29 @@ def _torus(pendants: int) -> RelPlaneGraph:
         vertices[-1].append(f"p{i}")
         vertices.append([f"q{i}"])
         edges.append(MapEdge((f"p{i}", f"q{i}"), f"p{i}"))
-    M = PlaneMap(vertices, edges)
-    assert M.euler_deficit() == -2
-    return RelPlaneGraph(M, weights={i: (ONE, ONE) for i in range(len(edges))})
+    return PlaneMap(vertices, edges)
 
 
-def test_non_plane_graph_falls_back_to_enumeration(census_always, census_refused):
-    # off genus 0 the side cycles no longer give psi(H_F), so only the
-    # enumerating body is the oracle here, not the contraction
+def _refused(M: PlaneMap):
+    weights = {i: (ONE, ONE) for i in range(M.num_edges)}
+    with pytest.raises(GenusError, match="not genus 0: Euler deficit -2"):
+        RelPlaneGraph(M, weights=weights)
+    return weights
+
+
+def test_non_plane_graph_falls_back_to_enumeration():
+    # there is no fallback off genus 0 any more: the side cycles no longer
+    # give psi(H_F) there, so the map is refused where the graph is built
     for pendants in (0, 6):
-        G = _torus(pendants)
-        assert relative_tutte(G) == relative_tutte_by_states(G), pendants
+        _refused(_torus(pendants))
 
 
-def test_non_plane_graph_fails_the_genus_check_by_default(census_refused):
-    G = _torus(6)       # 8 unit-weight edges: the cost rule picks the census
-    assert planemap._census_pays(list(G.weights.values()))
-    assert relative_tutte(G) == relative_tutte_by_states(G)
+def test_non_plane_graph_fails_the_genus_check_by_default():
+    # 8 unit-weight edges: the cost rule would pick the census, whose face
+    # counts give k(F) only on genus 0
+    weights = _refused(_torus(6))
+    assert planemap._census_pays(list(weights.values()))
+    assert not planemap._census_pays(list(_refused(_torus(0)).values()))
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch, tmp_path, capsys):
