@@ -8,7 +8,9 @@ The cap (24 edges for br/rtutte, 20 classical crossings for bracket/jones)
 may be overridden with the RGPOLY_CAP environment variable or the --cap
 flag; either must be a nonnegative integer.  br enumerates 2^m subsets,
 and so does rtutte when the regular edges carry many distinct weight pairs
-(symbolic x_e, y_e per edge) or m < 7, so their cap bounds the work.  With
+(symbolic x_e, y_e per edge) or m < 7, so their cap bounds the work; the
+enumeration is one depth-first sweep whose memory stays O(m^2) beyond the
+output, so the cap bounds time, and both check it before compiling.  With
 few weight pairs, as a Tait graph has, rtutte counts the
 subsets in one frontier pass, as bracket and jones count the states: their
 cap is then a size cap only, the cost set by the frontier width, not 2^m,

@@ -27,9 +27,11 @@ needed, since every subgraph of a genus-0 map is genus 0 and its faces (the
 side cycles with every edge untwisted) give k(F) and k(F union H) by Euler,
 2k = v - e + f.  Per-edge symbolic weights (ribbon-plane, duality), where
 the pairs are all distinct and the census would cost more, and small m
-are enumerated: each of the 2^m states then takes O(m), not O(size of G),
-with k(F), k(F union H) from one union-find pass over F's ends alone, on
-vertex ids and on the components of H.  Both paths sum their terms with
+are enumerated by one depth-first ``util.sweep`` over the regular edges:
+each step collapses one edge's four slots into the arcs of the edges still
+open and relabels F's ends on a join, on vertex ids and on the components
+of H, so a state costs O(m) however large G is, and k(F), k(F union H)
+come with its side cycles.  Both paths sum their terms with
 ``poly.class_sum``.  The reference path ``psi(contract_all(G, F))``
 builds H_F.  ``RelPlaneGraph`` admits genus-0 maps only, so neither path
 checks the genus.
@@ -48,10 +50,10 @@ from operator import mul
 from typing import Container, Iterable, Mapping
 
 from .errors import GenusError, SizeLimit
-from .poly import Polynomial, class_sum, monomial, state_sum, var
+from .poly import Polynomial, class_sum, monomial, var
 from .ribbon import (CLOSED, CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph,
                      side_cycles, side_kernel)
-from .util import CycleKernel, Merges, census
+from .util import CycleKernel, census, sweep
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,16 @@ class PlaneMap(RibbonGraph):
     """Rotation system with untwisted, unweighted edges (``MapEdge``)."""
 
     def euler_deficit(self) -> int:
-        """v - e + f - 2k; zero exactly for genus-0 maps."""
-        f = len(faces(self))
+        """v - e + f - 2k; zero exactly for genus-0 maps.  The faces f are
+        the cycles of the next-dart map, popped dart by dart without listing
+        their walks, and one per vertex without a dart, as in ``faces``."""
+        after = _next_darts(self)
+        f = sum(not cycle for cycle in self.vertices)
+        while after:
+            start, h = after.popitem()
+            f += 1
+            while h != start:
+                h = after.pop(h)
         return self.num_vertices - self.num_edges + f - 2 * self.components()
 
     def require_plane(self):
@@ -75,32 +85,37 @@ class PlaneMap(RibbonGraph):
                 f"rotation system is not genus 0: Euler deficit {deficit}")
 
 
+def _next_darts(M: PlaneMap) -> dict:
+    """Every dart d -> the rotation successor of partner(d), filled in one
+    pass over the rotations: h follows g, so h is next after partner(g)."""
+    partner = M.partner
+    after = {}
+    for cycle in M.vertices:
+        if cycle:
+            g = cycle[-1]
+            for h in cycle:
+                after[partner[g]] = h
+                g = h
+    return after
+
+
 def faces(M: PlaneMap) -> list[list]:
-    """Face walks: cycles of the next-dart map d -> rotation-next of partner(d).
+    """Face walks: cycles of the next-dart map d -> rotation-next of partner(d),
+    each from its first dart in rotation order.
 
     Isolated vertices contribute singleton walks ("iso", vertex index).
     """
-    partner = M.partner
-    succ = {}
-    for cycle in M.vertices:
-        m = len(cycle)
-        for i, h in enumerate(cycle):
-            succ[h] = cycle[(i + 1) % m]
+    after = _next_darts(M)
     walks = []
-    seen = set()
     for cycle in M.vertices:
         for start in cycle:
-            if start in seen:
-                continue
-            walk = []
-            h = start
-            while True:
-                walk.append(h)
-                seen.add(h)
-                h = succ[partner[h]]
-                if h == start:
-                    break
-            walks.append(walk)
+            if start in after:
+                walk = [start]
+                h = after.pop(start)
+                while h != start:
+                    walk.append(h)
+                    h = after.pop(h)
+                walks.append(walk)
     for i, cycle in enumerate(M.vertices):
         if not cycle:
             walks.append([("iso", i)])
@@ -254,9 +269,11 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     checks, and so is each of its subgraphs, so Euler gives
     2k(F) = v - |F| + bc(F) and 2k(F union H) = v - |F| - |H| + bc(F union H),
     bc counting the faces (the side cycles, all untwisted).  Otherwise, as
-    with per-edge symbolic weights, the subsets are enumerated with
-    ``state_sum``.  Both paths give the same polynomial.  ``cap`` bounds m
-    on both.
+    with per-edge symbolic weights, ``util.sweep`` enumerates the subsets
+    with their side cycles and the joins of F on the vertices and on the
+    components of H (``relative_joins``), and every regular edge is a
+    weight class of its own.  Both paths give the same polynomial.  ``cap``
+    bounds m on both and is checked before anything is compiled.
     """
     regular = G.regular_indices()
     m = len(regular)
@@ -284,33 +301,34 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
         return class_sum([(x, y, n) for (x, y), n in pairs.items()],
                          ("X", "Y", "d", "w"), nv + 3 * m + twisted.closed, terms)
     kernel = relative_kernel(G)
-    joins, kH = relative_joins(G)
+    ends, sizes, kH = relative_joins(G)
 
-    def term(mask):
-        j, jh = joins.count_both(mask)
-        kF = nv - j
-        kFH = kH - jh
-        nF = mask.bit_count() - nv + kF
-        delta = kernel.cycles(mask) - nF
-        return kFH - kG, nF, delta - kFH, kF - kFH
+    def states():
+        for block in sweep(kernel, ends, sizes):
+            for mask, cycles, j, jh in block:
+                kF, kFH = nv - j, kH - jh
+                nF = mask.bit_count() - j
+                yield mask, (kFH - kG, nF, cycles - nF - kFH, kF - kFH), 1
 
     # 0 <= k(F), k(F u H), k(G) <= nv, 0 <= n(F) <= m, and the side
     # cycles n(F) + delta lie in [0, closed + 2m]
     bound = nv + m + kernel.closed + 2 * m
-    return state_sum(weights, ("X", "Y", "d", "w"), bound, term, cap, _TOO_MANY_REGULAR)
+    return class_sum([(x, y, 1) for x, y in weights], ("X", "Y", "d", "w"), bound, states())
 
 
 def _census_pays(weights: list) -> bool:
     """Whether the census beats enumerating the 2^m subsets of m regular
     edges with these (x, y) weight pairs, n_c of them equal to pair c.
 
-    Enumeration costs about 10 us a subset.  The census costs a fixed
-    0.3-0.5 ms (three kernels) plus its steps, whose histograms grow with
-    prod(n_c + 1), the per-class set-bit counts.  Measured on Tait graphs
-    and on one- and two-class weighted ``generate("rpg")`` maps, the census
-    took 0.8-1.2x the time of enumeration at m = 6 and 0.45-0.6x at m = 7;
-    per-edge symbolic weights make prod(n_c + 1) = 2^m, so they enumerate.
-    Below 7 edges no pair is hashed.
+    Enumeration by ``util.sweep`` costs about 3-5 us a subset at m = 8-9,
+    ``class_sum`` included.  The census costs a fixed 0.3-0.5 ms (three
+    kernels) plus its steps, whose histograms grow with prod(n_c + 1), the
+    per-class set-bit counts.  Measured on Tait graphs and on one- and
+    two-class weighted ``generate("rpg")`` maps (six each), the census took
+    1.0-1.6x the time of the sweep at m = 5-6, 0.93-0.99x at m = 7 and
+    0.3-0.8x at m = 8-9, so the crossover stays at m = 7; per-edge symbolic
+    weights make prod(n_c + 1) = 2^m, so they enumerate.  Below 7 edges no
+    pair is hashed.
     """
     m = len(weights)
     return m >= 7 and 4 * prod(n + 1 for n in Counter(weights).values()) <= 1 << m
@@ -332,15 +350,23 @@ def _side_kernel(G: RelPlaneGraph, zero: int) -> CycleKernel:
     return side_kernel(G.map, present, regular)
 
 
-def relative_joins(G: RelPlaneGraph) -> tuple[Merges, int]:
-    """The joins of F on the vertices and on the components of H, F given
-    as a mask over the regular edges, and k(H): with
-    ``j, jh = joins.count_both(mask)``, k(F) = v - j and k(F u H) = k(H) - jh."""
+def relative_joins(G: RelPlaneGraph) -> tuple[list, list, int]:
+    """The ends of the regular edges for ``util.sweep``, the label counts,
+    and k(H).  The ends come in two partitions: the vertices, and the
+    components of H, each numbered from 0 in order of first appearance.
+    With a state's joins j and jh in them, k(F) = v - j and
+    k(F u H) = k(H) - jh."""
     M = G.map
     root = M.roots(G.zero)
-    ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends)
-            for ei in G.regular_indices()]
-    return Merges(ends, root), len(set(root))
+    vertex: dict = {}
+    component: dict = {}
+    vertex_ends, component_ends = [], []
+    for ei in G.regular_indices():
+        u, v = (M.vertex_of(h) for h in M.edges[ei].ends)
+        vertex_ends.append((vertex.setdefault(u, len(vertex)), vertex.setdefault(v, len(vertex))))
+        component_ends.append((component.setdefault(root[u], len(component)),
+                               component.setdefault(root[v], len(component))))
+    return [vertex_ends, component_ends], [len(vertex), len(component)], len(set(root))
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

@@ -22,13 +22,13 @@ compares the exponent vectors.
 it weights states grouped into weight classes, and no state builds a
 ``Polynomial``.  A term is (index, exponents, count): the index gives the
 number of chosen elements per class, mixed-radix, and the count how many
-states share it.  ``state_sum`` feeds it every subset of an indexed ground
-set, one element per class, for the Bollobas-Riordan and the enumerated
-relative Tutte sums; the frontier census of ``util`` feeds it the relative
-Tutte polynomial's states by set bits per (x, y) class, and the Kauffman
-bracket's with no class at all.  Inside it a monomial is one int: each
-variable of the weights and of the term owns a bit field of its exponent
-vector, holding exp4 plus a bias, so negative exponents pack too
+states share it.  The Bollobas-Riordan and the enumerated relative Tutte
+sums feed it every subset of their edges as ``util.sweep`` streams them,
+one element per class, so a mask is its own index; the frontier census of
+``util`` feeds it the relative Tutte polynomial's states by set bits per
+(x, y) class, and the Kauffman bracket's with no class at all.  Inside it
+a monomial is one int: each variable of the weights and of the term owns
+a bit field of its exponent vector, holding exp4 plus a bias, so negative exponents pack too
 (Kronecker substitution).  A field's bias is the largest |exp4| the
 variable can reach, summed over the elements from the weights and bounded
 for the term by the caller; the field is wide enough for twice the bias,
@@ -38,7 +38,9 @@ are tabulated once as lists of (packed int, coefficient), a multi-term
 weight being a longer list on the same path; a term adds its exponents to
 one entry of each and accumulates one int key in place.  Each distinct
 key is decoded once, at the end, into the sorted (vid, exp4) key that
-every ``Polynomial`` uses.
+every ``Polynomial`` uses: eight fields at a time, each group of fields
+through a memo of its bits, so a B_R with one x_e and y_e field per edge
+looks up a few groups per key instead of every field.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from operator import mul
 from typing import Iterable, Mapping, Union
 
-from .errors import NonMonomialNegativePower, ParseError, RenderError, SizeLimit
+from .errors import NonMonomialNegativePower, ParseError, RenderError
 
 _BUILTINS = ("X", "Y", "Z", "A", "B", "d", "w", "t")
 
@@ -357,26 +359,6 @@ def _power_cached(q: Polynomial, e4: int, vid: int, cache: dict) -> Polynomial:
     return out
 
 
-def state_sum(weights: list, names: tuple, bound: int, term,
-              cap: int, too_many: str) -> Polynomial:
-    """Sum over all subsets S of range(len(weights)), given as bit masks, of
-    prod(x_i for i in S) * prod(y_i for i not in S) * prod(v^e_v), where
-    ``term(mask)`` returns the int exponents e_v of the variables ``names``.
-
-    ``weights`` lists one (x, y) pair per element.  Every exponent that
-    ``term`` returns lies in [-bound, bound].  More than ``cap`` elements
-    raise SizeLimit with ``too_many`` formatted with ``n`` and ``cap``,
-    before anything is built.  Each element is a weight class of its own,
-    so a mask is its own ``class_sum`` index and every state counts once.
-    """
-    n = len(weights)
-    if n > cap:
-        raise SizeLimit(too_many.format(n=n, cap=cap))
-    masks = range(1 << n)
-    return class_sum([(x, y, 1) for x, y in weights], names, bound,
-                     zip(masks, map(term, masks), repeat(1)))
-
-
 def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polynomial:
     """Sum over the triples (index, e, c) of ``terms`` of
     c * prod_i x_i^a_i * y_i^(n_i - a_i) * prod(v^e_v), where ``classes``
@@ -408,7 +390,8 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
             for k2, c2 in highs:
                 key = e + k1 + k2
                 acc[key] = acc.get(key, 0) + count * c1 * c2
-    return Polynomial({fields.decode(key): c for key, c in acc.items() if c})
+    decode = fields.decode
+    return Polynomial({decode(key): c for key, c in acc.items() if c})
 
 
 def _table(fields: "_Fields", classes: list) -> list:
@@ -426,6 +409,10 @@ def _table(fields: "_Fields", classes: list) -> list:
     return table
 
 
+# consecutive fields that ``_Fields.decode`` reads at once
+_GROUP = 8
+
+
 class _Fields:
     """The bit fields of ``class_sum``'s packed exponent vectors.
 
@@ -437,7 +424,8 @@ class _Fields:
     wide enough for twice its bias, so every reachable exponent packs into
     [0, 2 * bias] and a sum of packed vectors never carries from one field
     into the next.  The bias sum is ``base``: a state's key is base + its
-    packed vectors.
+    packed vectors.  ``decode`` reads the fields _GROUP at a time, each
+    group's bits through a memo of its (vid, exp4) pairs (``_Group``).
     """
 
     def __init__(self, classes: list, names: tuple, bound: int):
@@ -450,15 +438,22 @@ class _Fields:
             for vid, e4 in top.items():
                 span[vid] = span.get(vid, 0) + n * e4
         self.offset = {}
-        self.fields = []
+        fields = []
         self.base = pos = 0
         for vid in sorted(span):
             bias = span[vid]
             width = (2 * bias).bit_length()
             self.offset[vid] = pos
-            self.fields.append((pos, (1 << width) - 1, _Pairs(vid, bias)))
+            fields.append((pos, (1 << width) - 1, vid, bias))
             self.base += bias << pos
             pos += width
+        self.groups = []
+        for i in range(0, len(fields), _GROUP):
+            group = fields[i:i + _GROUP]
+            low = group[0][0]
+            high = fields[i + _GROUP][0] if i + _GROUP < len(fields) else pos
+            self.groups.append((low, (1 << (high - low)) - 1,
+                                _Group([(at - low, *rest, {}) for at, *rest in group])))
 
     def pack(self, p: Polynomial) -> list:
         """The terms of ``p`` as (packed exponent vector, coefficient) pairs."""
@@ -467,24 +462,38 @@ class _Fields:
 
     def decode(self, key: int) -> Key:
         """The sorted (vid, exp4) key of base + a packed exponent vector."""
-        return tuple([pair for off, mask, pairs in self.fields
-                      if (pair := pairs[key >> off & mask])])
+        groups = self.groups
+        if len(groups) == 1:        # the key is the one group's bits
+            return groups[0][2][key]
+        pairs: list = []
+        for low, mask, group in groups:
+            pairs += group[key >> low & mask]
+        return tuple(pairs)     # exact size, where tuple(chain(...)) over-allocates
 
 
-class _Pairs(dict):
-    """A field's value -> its (vid, exp4) pair, None for exp4 0; each pair
-    is made once, and the decoded keys share it."""
+class _Group(dict):
+    """The bits of _GROUP consecutive fields -> the (vid, exp4) pairs of the
+    fields whose exp4 is not 0, made once per value.  A field is (offset in
+    the group, mask, vid, bias, its pairs by exp4): each pair is made once,
+    so every decoded key holds the same pair objects, and the sets and
+    dicts of pairs that ``canonical`` builds compare them by identity."""
 
-    __slots__ = ("vid", "bias")
+    __slots__ = ("fields",)
 
-    def __init__(self, vid: int, bias: int):
+    def __init__(self, fields: list):
         super().__init__()
-        self.vid, self.bias = vid, bias
+        self.fields = fields
 
-    def __missing__(self, value: int):
-        e4 = value - self.bias
-        pair = self[value] = (self.vid, e4) if e4 else None
-        return pair
+    def __missing__(self, bits: int) -> tuple:
+        pairs = []
+        for at, mask, vid, bias, made in self.fields:
+            if e4 := (bits >> at & mask) - bias:
+                pair = made.get(e4)
+                if pair is None:
+                    pair = made[e4] = (vid, e4)
+                pairs.append(pair)
+        out = self[bits] = tuple(pairs)
+        return out
 
 
 def _times(a: list, b: list) -> list:

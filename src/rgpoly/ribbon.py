@@ -20,14 +20,15 @@ half-edges from the rotation.  The cycles are the boundary components of a
 ribbon subgraph, the medial circles of a plane map (every ribbon twisted)
 and the vertex circles that ``plane_to_ribbon`` rebuilds.  The slots
 compile into a ``util.CycleKernel``: the edges outside the enumerated set
-have fixed links and collapse once, so each state of a sum over m edges
-fills 4m links and costs O(m), however many fixed edges the map has.
-``from_slots`` reads a ribbon graph back off such slots (the gem encoding).
+have fixed links and collapse once, so a state of a sum over m edges costs
+O(m) at most, however many fixed edges the map has.  ``from_slots`` reads
+a ribbon graph back off such slots (the gem encoding).
 
 On top of the core the module computes nullity and boundary components of
 spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial (all
-edges live, nothing to collapse), and converts to and from arrow
-presentations.
+edges live, nothing to collapse, every subgraph visited by one depth-first
+``util.sweep`` that also counts its vertex joins), and converts to and
+from arrow presentations.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
-from .errors import MalformedPresentation
-from .poly import Polynomial, state_sum, var
-from .util import CycleKernel, Merges, cycles, roots
+from .errors import MalformedPresentation, SizeLimit
+from .poly import Polynomial, class_sum, var
+from .util import CycleKernel, cycles, roots, sweep
 
 DEFAULT_EDGE_CAP = 24
 
@@ -233,24 +234,30 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     Sums over all 2^|E| spanning subgraphs F the term
     (prod_{e in F} x_e)(prod_{e not in F} y_e)
     X^(k(F)-k(R)) Y^(n(F)) Z^(k(F)-bc(F)+n(F)),
-    on one kernel whose 4|E| slots are all live.
+    on one kernel whose 4|E| slots are all live.  ``util.sweep`` walks the
+    subgraphs depth first and gives each one's boundary components and the
+    joins of its edges on the vertices, so k(F) = v - joins; every edge is a
+    weight class of its own, so a mask is its own ``class_sum`` index.
+    More than ``cap`` edges raise SizeLimit before anything is compiled.
     """
     m = R.num_edges
+    if m > cap:
+        raise SizeLimit(f"{m} edges exceeds the enumeration cap {cap}")
     nv = R.num_vertices
     kR = R.components()
     kernel = side_kernel(R, twist_links(R), range(m))
-    joins = Merges([(R.vertex_of(h1), R.vertex_of(h2))
-                    for h1, h2 in (e.ends for e in R.edges)])
+    ends = [(R.vertex_of(h1), R.vertex_of(h2)) for h1, h2 in (e.ends for e in R.edges)]
 
-    def term(mask):
-        k = nv - joins.count(mask)
-        n = mask.bit_count() - nv + k
-        return k - kR, n, k - kernel.cycles(mask) + n
+    def states():
+        for block in sweep(kernel, [ends], [nv]):
+            for mask, bc, joins in block:
+                k = nv - joins
+                n = mask.bit_count() - joins
+                yield mask, (k - kR, n, k - bc + n), 1
 
     # 0 <= k, kR <= nv, 0 <= n <= m and 0 <= bc <= closed + 2m
     bound = nv + m + kernel.closed + 2 * m
-    return state_sum([(e.x, e.y) for e in R.edges], ("X", "Y", "Z"), bound,
-                     term, cap, "{n} edges exceeds the enumeration cap {cap}")
+    return class_sum([(e.x, e.y, 1) for e in R.edges], ("X", "Y", "Z"), bound, states())
 
 
 # -- arrow presentations ---------------------------------------------

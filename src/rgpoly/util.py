@@ -1,10 +1,9 @@
 """Small shared helpers on int nodes: the one union-find, the one matching
 walker and the compiled state kernel that all three state sums run on.
 
-``roots`` gives every node's class once pairs are joined, and ``Merges``
-counts the joins a state's few edges make, on their ends and, in the same
-pass, on coarser classes of the ends.  ``cycles`` lists the cycles of
-two perfect matchings node by node; ``count_cycles`` only counts them.
+``roots`` gives every node's class once pairs are joined.  ``cycles`` lists
+the cycles of two perfect matchings node by node; ``count_cycles`` only
+counts them.
 
 A state sum counts, per state, the cycles of two such matchings: a fixed
 ``arc`` matching (disc arcs over the full rotation, or a diagram's arcs)
@@ -17,7 +16,13 @@ through arc, fixed link, arc, ... up to the next live node is the same in
 every state: ``collapse`` walks it once and keeps only the matching it
 induces on the live nodes, plus the number of cycles that never meet a live
 node.  A state then fills 4m links (``links``) and calls ``count_cycles``
-once, so it costs O(m) however large the drawn map is.  ``census`` counts
+once, so it costs O(m) however large the drawn map is.  ``sweep`` visits
+all 2^m states depth first instead: each step collapses one element's four
+slots into the arcs of the elements still open (a copy of the arcs and at
+most four entries changed), so a state costs O(m) at most, and it counts the joins the set elements make
+in one or more partitions of their ends on the way down (the components of
+a spanning subgraph, and of it with H).  B_R and the relative Tutte
+polynomial with per-edge weights read their states off it.  ``census`` counts
 all 2^m states without visiting them: one frontier pass over the elements,
 whose cost the number of open slots at once sets and whose memory
 ``CENSUS_ENTRIES`` bounds.  It runs several kernels that share their
@@ -29,7 +34,7 @@ weight pairs three kernels in one class per pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimit
 
@@ -56,73 +61,6 @@ def roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
         if u != v:
             parent[u] = v
     return [find(u) for u in range(n)]
-
-
-class Merges:
-    """Joins made by subsets of a few edges, on the edges' ends alone.
-
-    ``count(mask)`` is the number of edges ``ends[j]`` with bit j of
-    ``mask`` set that join two different classes, so a spanning subgraph
-    on n classes has n - count(mask) components.  Each call costs
-    O(len(ends)), not O(n).
-
-    Given ``classes``, a coarser class for every end (the components of a
-    fixed subgraph, say), ``count_both(mask)`` also counts the joins the
-    same edges make among those classes, in the same pass.
-    """
-
-    def __init__(self, ends: Sequence[tuple], classes: Sequence | None = None):
-        ids: dict = {}
-        self.ends = [(ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)))
-                     for u, v in ends]
-        self.size = len(ids)
-        # each end's class, numbered after the ends in one parent list
-        cid: dict = {}
-        self.classes = [self.size + cid.setdefault(classes[u], len(cid))
-                        for u in ids] if classes is not None else []
-        self.size_both = self.size + len(cid)
-
-    def count(self, mask: int) -> int:
-        parent = list(range(self.size))
-        joins = 0
-        for j, (u, v) in enumerate(self.ends):
-            if mask >> j & 1:
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
-                if u != v:
-                    parent[u] = v
-                    joins += 1
-        return joins
-
-    def count_both(self, mask: int) -> tuple[int, int]:
-        """``count(mask)`` and the joins among ``classes``.  An edge whose
-        ends were already joined joins no two classes either, as the edges
-        that joined them join their classes, so only a join looks classes
-        up."""
-        parent = list(range(self.size_both))
-        classes = self.classes
-        joins = class_joins = 0
-        for j, (a, b) in enumerate(self.ends):
-            if mask >> j & 1:
-                u, v = a, b
-                while parent[u] != u:
-                    u = parent[u]
-                while parent[v] != v:
-                    v = parent[v]
-                if u != v:
-                    parent[u] = v
-                    joins += 1
-                    u, v = classes[a], classes[b]
-                    while parent[u] != u:
-                        u = parent[u]
-                    while parent[v] != v:
-                        v = parent[v]
-                    if u != v:
-                        parent[u] = v
-                        class_joins += 1
-        return joins, class_joins
 
 
 def count_cycles(a: Sequence[int], b: Sequence[int],
@@ -226,6 +164,100 @@ class CycleKernel:
 
     def cycles(self, mask: int) -> int:
         return self.closed + count_cycles(self.arc, self.links(mask))
+
+
+# the states of the last _BLOCK elements of a sweep go out as one list
+_BLOCK = 8
+
+
+def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
+          sizes: Sequence[int] = ()) -> Iterator[list]:
+    """Every state of ``kernel`` as (mask, ``kernel.cycles(mask)``, joins...),
+    in ascending mask order and in lists of at most 2^_BLOCK states.
+
+    ``ends[p][j]`` is the pair of labels in range(``sizes[p]``) that element
+    j joins in partition p when its bit is set, and the state's p-th join
+    count is the number of set elements that join two different classes of
+    partition p, as ``roots`` would find them.
+
+    A depth-first walk over the elements from the last to the first, bit
+    clear before bit set.  At element j the arc matching on the slots of
+    elements 0..j is what the paths through the elements above j leave:
+    linking j's four slots joins the arc partners of each linked pair, at
+    most four entries, and a pair that are each other's arc partners closes
+    a cycle.  Element 0 is then alone, and its arc matching is either its
+    link (two cycles) or not (one).  Each level holds one copy of the arcs
+    and, per partition, the class of every label, relabelled on a join, so
+    the walk holds O(m) lists, each of the 4m arcs or of one partition's
+    labels, and recurses at most m deep.
+    """
+    m = len(kernel._links)
+    # per element, for bit clear and set: its two link pairs (s, t, u, v)
+    pairs = []
+    for j, choice in enumerate(kernel._links):
+        s = 4 * j
+        row = []
+        for link in choice:
+            t = link[0]
+            u = s + 1 if t != s + 1 else s + 2
+            row.append((s, t, u, link[u - s]))
+        pairs.append(row)
+    ends = list(zip(*ends)) or [()] * m      # per element, one pair per partition
+    labels = tuple(list(range(n)) for n in sizes)
+    joins = (0,) * len(sizes)
+    if not m:
+        yield [(0, kernel.closed, *joins)]
+        return
+    last0, last1 = pairs[0][0][1], pairs[0][1][1]
+
+    def join(j, labels, joins):
+        for p, (u, v) in enumerate(ends[j]):
+            label = labels[p]
+            a, b = label[u], label[v]
+            if a != b:
+                labels = (*labels[:p], [a if x == b else x for x in label], *labels[p + 1:])
+                joins = (*joins[:p], joins[p] + 1, *joins[p + 1:])
+        return labels, joins
+
+    def walk(j, arc, closed, mask, labels, joins, out, stop):
+        """Append to ``out`` the states that elements j, j-1, ... leave,
+        down to the state before element ``stop``, or every state."""
+        if j == stop:
+            out.append((arc, closed, mask, labels, joins))
+        elif j:
+            for bit, (s, t, u, v) in enumerate(pairs[j]):
+                a = arc if bit else arc[:]      # bit set takes the parent's list
+                c = closed
+                p, q = a[s], a[t]
+                if p == t:
+                    c += 1
+                else:
+                    a[p], a[q] = q, p
+                p, q = a[u], a[v]
+                if p == v:
+                    c += 1
+                else:
+                    a[p], a[q] = q, p
+                if bit:
+                    walk(j - 1, a, c, mask | 1 << j, *join(j, labels, joins), out, stop)
+                else:
+                    walk(j - 1, a, c, mask, labels, joins, out, stop)
+        else:
+            a = arc[0]
+            out.append((mask, closed + (a == last0) + 1, *joins))
+            out.append((mask | 1, closed + (a == last1) + 1, *join(0, labels, joins)[1]))
+
+    def levels(j, state):
+        out: list = []
+        if j < _BLOCK:
+            walk(j, *state, out, -1)
+            yield out
+        else:
+            walk(j, *state, out, j - 1)
+            for child in out:
+                yield from levels(j - 1, child)
+
+    yield from levels(m - 1, (list(kernel.arc), kernel.closed, 0, labels, joins))
 
 
 def census(kernels: Sequence[CycleKernel], classes: Sequence[int] = ()) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import SizeLimit
 from .planemap import (
@@ -34,6 +35,7 @@ from .ribbon import (
     side_kernel,
     twist_links,
 )
+from .util import sweep
 
 HALF = Fraction(1, 2)
 
@@ -184,9 +186,10 @@ def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
 def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
                             seed=None) -> CheckReport:
     """Per-subset bookkeeping behind the main theorem, for every F: H_F
-    from the reference ``contract_all``, bc(F') off one kernel of R, and
-    k(F), k(F u H) from the joins of F's ends, on G's vertices and on H's
-    classes, set up once.  More regular edges than the enumeration cap of
+    from the reference ``contract_all``, and bc(F') and k(F), k(F u H)
+    from one ``util.sweep`` over a kernel of R, its edges in the order of
+    their regular edges in G, with the joins of F's ends on G's vertices
+    and on H's classes.  More regular edges than the enumeration cap of
     ``relative_tutte``, or than ``REFERENCE_CAP``, raise SizeLimit."""
     regular = G.regular_indices()
     if len(regular) > DEFAULT_EDGE_CAP:
@@ -194,21 +197,18 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     if len(regular) > REFERENCE_CAP:
         raise SizeLimit(f"{len(regular)} regular edges exceeds the reference "
                         f"check's cap {REFERENCE_CAP}")
-    bc = side_kernel(R, twist_links(R), range(R.num_edges))
+    bc = side_kernel(R, twist_links(R), [cert.g_to_r[ei] for ei in regular])
     nv = G.map.num_vertices
-    joins, kH = relative_joins(G)
-    ok = True
+    ends, sizes, kH = relative_joins(G)
     detail = ""
-    for mask in range(1 << len(regular)):
+    for mask, bcFr, j, jh in chain.from_iterable(sweep(bc, ends, sizes)):
         F = [regular[i] for i in range(len(regular)) if mask >> i & 1]
         Fr = [cert.g_to_r[ei] for ei in F]
         hf = contract_all(G, F)
         kHF = hf.map.components()
-        j, jh = joins.count_both(mask)
         kFH = kH - jh
         kF = nv - j
         nF = len(F) - nv + kF
-        bcFr = bc.cycles(sum(1 << ri for ri in Fr))
         checks = {
             "|E(F)|=|E(F')|": len(F) == len(Fr),
             "k(H_F)=k(FuH)": kHF == kFH,
@@ -216,10 +216,9 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
             "v(H_F)=k(F)": hf.map.num_vertices == kF,
         }
         if not all(checks.values()):
-            ok = False
             detail = f"F={F}: " + ", ".join(k for k, v in checks.items() if not v)
             break
-    return CheckReport("subset_identities", repr(R), ok, detail, "", seed)
+    return CheckReport("subset_identities", repr(R), not detail, detail, "", seed)
 
 
 def check_duality(G: RelPlaneGraph, seed=None) -> CheckReport:

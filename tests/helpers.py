@@ -12,17 +12,27 @@ side slots (h, side) traced over the rotation restricted to the present
 half-edges, union-finds over all vertices, and the bracket's smoothing
 matching over every dart.  The compiled kernel must agree with them.
 
+``Merges`` and ``state_sum`` are the library's earlier per-state join
+counter and enumerating accumulator: ``Merges.count`` runs one union-find
+over a state's edge ends, ``count_both`` also over coarser classes of the
+ends, and ``state_sum`` feeds ``poly.class_sum`` every subset of its
+elements, one ``term(mask)`` call each.  The library now reads every
+state's cycles and joins off one depth-first ``util.sweep``;
+``relative_merges`` keeps the earlier ``planemap.relative_joins`` on
+``Merges``.  ``decode_by_fields`` keeps the earlier per-field decode of
+``poly._Fields``, which now reads its fields in groups.
+
 ``kauffman_bracket_by_states`` keeps the earlier bracket, which runs
-``poly.state_sum`` over all 2^n states of the compiled kernel; the bracket
+``state_sum`` over all 2^n states of the compiled kernel; the bracket
 now counts them in one frontier pass.
 
-``relative_tutte_by_states`` keeps the enumerating ``planemap.relative_tutte``,
-which runs ``poly.state_sum`` over all 2^m subsets of the regular edges;
-the library now counts them in one frontier census when few weight pairs
-occur on a genus-0 map.
+``relative_tutte_by_states`` keeps the enumerating ``planemap.relative_tutte``
+of per-mask ``state_sum`` calls, ``relative_kernel(G).cycles`` and
+``relative_merges``; the library now counts the subsets in one frontier
+census when few weight pairs occur, and sweeps them otherwise.
 
 ``state_sum_by_products`` keeps the earlier accumulator of
-``poly.state_sum``: every state multiplies its weight polynomials and a
+``state_sum``: every state multiplies its weight polynomials and a
 ``monomial`` of its term's exponents.
 
 ``parse_by_tokens`` keeps the earlier reader of ``poly.parse``: a token
@@ -60,12 +70,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
+from typing import Sequence
 
 from rgpoly.formats import _build, _fail, _lines
 from rgpoly.links import (DEFAULT_CROSSING_CAP, VirtualLinkDiagram, bracket_kernel,
                           realize_gauss_code)
 from rgpoly.planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_all, faces,
-                             psi, relative_joins, relative_kernel, submap)
+                             psi, relative_kernel, submap)
 from rgpoly.errors import MalformedCode, ParseError, SizeLimit
 from rgpoly.poly import (
     _NUM_BUILTINS,
@@ -73,9 +85,9 @@ from rgpoly.poly import (
     Polynomial,
     _accumulate,
     _decimal,
+    class_sum,
     monomial,
     register,
-    state_sum,
     var,
     var_name,
 )
@@ -123,8 +135,115 @@ def union_find_by_dicts(R: RibbonGraph, subset=None) -> UnionFind:
     return uf
 
 
+class Merges:
+    """Joins made by subsets of a few edges, on the edges' ends alone.
+
+    ``count(mask)`` is the number of edges ``ends[j]`` with bit j of
+    ``mask`` set that join two different classes, so a spanning subgraph
+    on n classes has n - count(mask) components.  Each call costs
+    O(len(ends)), not O(n).
+
+    Given ``classes``, a coarser class for every end (the components of a
+    fixed subgraph, say), ``count_both(mask)`` also counts the joins the
+    same edges make among those classes, in the same pass.
+    """
+
+    def __init__(self, ends: Sequence[tuple], classes: Sequence | None = None):
+        ids: dict = {}
+        self.ends = [(ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)))
+                     for u, v in ends]
+        self.size = len(ids)
+        # each end's class, numbered after the ends in one parent list
+        cid: dict = {}
+        self.classes = [self.size + cid.setdefault(classes[u], len(cid))
+                        for u in ids] if classes is not None else []
+        self.size_both = self.size + len(cid)
+
+    def count(self, mask: int) -> int:
+        parent = list(range(self.size))
+        joins = 0
+        for j, (u, v) in enumerate(self.ends):
+            if mask >> j & 1:
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    parent[u] = v
+                    joins += 1
+        return joins
+
+    def count_both(self, mask: int) -> tuple[int, int]:
+        """``count(mask)`` and the joins among ``classes``.  An edge whose
+        ends were already joined joins no two classes either, as the edges
+        that joined them join their classes, so only a join looks classes
+        up."""
+        parent = list(range(self.size_both))
+        classes = self.classes
+        joins = class_joins = 0
+        for j, (a, b) in enumerate(self.ends):
+            if mask >> j & 1:
+                u, v = a, b
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u != v:
+                    parent[u] = v
+                    joins += 1
+                    u, v = classes[a], classes[b]
+                    while parent[u] != u:
+                        u = parent[u]
+                    while parent[v] != v:
+                        v = parent[v]
+                    if u != v:
+                        parent[u] = v
+                        class_joins += 1
+        return joins, class_joins
+
+
+def state_sum(weights: list, names: tuple, bound: int, term,
+              cap: int, too_many: str) -> Polynomial:
+    """Sum over all subsets S of range(len(weights)), given as bit masks, of
+    prod(x_i for i in S) * prod(y_i for i not in S) * prod(v^e_v), where
+    ``term(mask)`` returns the int exponents e_v of the variables ``names``.
+
+    ``weights`` lists one (x, y) pair per element.  Every exponent that
+    ``term`` returns lies in [-bound, bound].  More than ``cap`` elements
+    raise SizeLimit with ``too_many`` formatted with ``n`` and ``cap``,
+    before anything is built.  Each element is a weight class of its own,
+    so a mask is its own ``class_sum`` index and every state counts once.
+    """
+    n = len(weights)
+    if n > cap:
+        raise SizeLimit(too_many.format(n=n, cap=cap))
+    masks = range(1 << n)
+    return class_sum([(x, y, 1) for x, y in weights], names, bound,
+                     zip(masks, map(term, masks), repeat(1)))
+
+
+def relative_merges(G: RelPlaneGraph) -> tuple[Merges, int]:
+    """The earlier ``planemap.relative_joins``: the joins of F on the
+    vertices and on the components of H, F given as a mask over the regular
+    edges, and k(H): with ``j, jh = joins.count_both(mask)``, k(F) = v - j
+    and k(F u H) = k(H) - jh."""
+    M = G.map
+    root = M.roots(G.zero)
+    ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends)
+            for ei in G.regular_indices()]
+    return Merges(ends, root), len(set(root))
+
+
+def decode_by_fields(fields, key: int) -> tuple:
+    """``poly._Fields.decode`` one field at a time, as it was before fields
+    were read in groups: every field's exp4 off its own bits."""
+    return tuple((vid, e4) for low, _, group in fields.groups
+                 for at, mask, vid, bias, _ in group.fields
+                 if (e4 := (key >> (low + at) & mask) - bias))
+
+
 def state_sum_by_products(weights, names, bound, term, cap, too_many) -> Polynomial:
-    """``poly.state_sum`` one state at a time: the product of the state's
+    """``state_sum`` one state at a time: the product of the state's
     weights times the monomial of ``term(mask)``, added up; ``bound`` is
     not used."""
     n = len(weights)
@@ -476,7 +595,7 @@ def relative_tutte_by_states(G: RelPlaneGraph) -> Polynomial:
     nv = M.num_vertices
     kG = M.components()
     kernel = relative_kernel(G)
-    joins, kH = relative_joins(G)
+    joins, kH = relative_merges(G)
 
     def term(mask):
         j, jh = joins.count_both(mask)

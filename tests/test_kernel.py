@@ -47,6 +47,7 @@ from helpers import (
     boundary_components_by_subset,
     flip_equivalent,
     kauffman_bracket_by_dicts,
+    relative_merges,
     relative_tutte_by_side_links,
     split_by_dicts,
 )
@@ -99,13 +100,20 @@ def test_relative_tutte_matches_side_link_oracle():
 
 
 def test_one_join_pass_counts_components_of_f_and_f_union_h():
+    # the Merges oracle and the sweep over relative_joins' two partitions
     for G in _relative_plane_graphs():
         M, H, regular = G.map, sorted(G.zero), G.regular_indices()
-        joins, kH = relative_joins(G)
-        for mask in range(1 << len(regular)):
+        joins, kH = relative_merges(G)
+        ends, sizes, kH_sweep = relative_joins(G)
+        assert kH_sweep == kH, G
+        swept = [state for block in util.sweep(relative_kernel(G), ends, sizes)
+                 for state in block]
+        assert [state[0] for state in swept] == list(range(1 << len(regular))), G
+        for mask, _, j_sweep, jh_sweep in swept:
             F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
             j, jh = joins.count_both(mask)
             assert j == joins.count(mask), (G, F)
+            assert (j_sweep, jh_sweep) == (j, jh), (G, F)
             assert M.num_vertices - j == M.components(F), (G, F)
             assert kH - jh == M.components(F + H), (G, F)
 

@@ -9,14 +9,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import canonical_by_dense_keys, state_sum_by_products
+from helpers import canonical_by_dense_keys, state_sum, state_sum_by_products
 from rgpoly import poly
 from rgpoly.convert import ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
 from rgpoly.links import jones, kauffman_bracket
 from rgpoly.planemap import relative_tutte
-from rgpoly.poly import (ZERO, Polynomial, class_sum, monomial, parse, state_sum, swap_vars,
-                         var)
+from rgpoly.poly import ZERO, Polynomial, class_sum, monomial, parse, swap_vars, var
 from rgpoly.ribbon import bollobas_riordan
 from rgpoly.verify import generate
 
