@@ -36,11 +36,18 @@ so adding packed ints multiplies monomials and no sum carries into the
 next field.  The weight products of the low and high halves of the classes
 are tabulated once as lists of (packed int, coefficient), a multi-term
 weight being a longer list on the same path; a term adds its exponents to
-one entry of each and accumulates one int key in place.  Each distinct
-key is decoded once, at the end, into the sorted (vid, exp4) key that
-every ``Polynomial`` uses: eight fields at a time, each group of fields
-through a memo of its bits, so a B_R with one x_e and y_e field per edge
-looks up a few groups per key instead of every field.
+one entry of each and accumulates one int key in place.
+
+The sum keeps its packed keys.  The lowest id owns the highest bits
+(``_layout``) and every field is nonnegative, so the keys in descending
+order are the terms in canonical order: ``canonical()`` sorts the ints and
+writes each term from memos of its field groups' text, the registered
+names' groups apart from the builtins'.  The sorted (vid, exp4) keys that
+every other ``Polynomial`` holds are decoded only when something first
+reads them (equality, hashing, arithmetic, ``subs``), through memos of the
+groups' pairs.  A group is up to eight fields read at once, so a B_R with
+one x_e and y_e field per edge looks up a few groups per key instead of
+every field.
 """
 
 from __future__ import annotations
@@ -48,8 +55,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from functools import cached_property
+from itertools import chain, repeat
+from operator import and_, itemgetter, mul, rshift
 from typing import Iterable, Mapping, Union
 
 from .errors import NonMonomialNegativePower, ParseError, RenderError
@@ -114,13 +122,27 @@ class Polynomial:
 
     Terms map monomial keys to nonzero integer coefficients; zero
     coefficients and zero exponents are never stored, so equality of
-    polynomials is equality of the term mappings.
+    polynomials is equality of the term mappings.  A sum from
+    ``class_sum`` holds its terms packed (``_packed``: its ``_Fields`` and
+    a map from packed keys to coefficients) and decodes ``_terms`` on the
+    first read.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms: dict | None = None):
         self._terms = terms if terms is not None else {}
+        self._packed = None
+
+    def __getattr__(self, name):
+        # only ``class_sum``'s packed polynomials leave ``_terms`` unset:
+        # decode their keys on the first read and keep the result
+        if name != "_terms" or self._packed is None:
+            raise AttributeError(name)
+        fields, acc = self._packed
+        decode = fields.decode
+        terms = self._terms = {decode(key): c for key, c in acc.items()}
+        return terms
 
     # -- constructors -------------------------------------------------
 
@@ -234,15 +256,21 @@ class Polynomial:
         the registered names come before the builtins, each group in
         registry-id order, after the coefficient unless it is 1 or -1.
 
-        The order is one int per term: every variable present owns a bit
-        field as wide as the range [min(0, lo), max(0, hi)] of its exp4,
-        the highest id in the lowest bits, and a term is the sum of
-        exp4 << offset over its factors.  A field holds its whole range, so
-        comparing these ints compares the exponent vectors.  Each distinct
-        (vid, exp4) pair is weighed and rendered once.
+        The order is one int per term, its bit fields laid out by
+        ``_layout``, so comparing these ints compares the exponent vectors.
+        A packed polynomial (``class_sum``'s) sorts its own keys and writes
+        each term from the memoized text of its field groups, without
+        decoding them.  Any other polynomial has no fields to read, and
+        laying them out and filling group memos for it would cost more than
+        it saves on the few terms of a substituted or multiplied value: its
+        variables present each own a field as wide as the range
+        [min(0, lo), max(0, hi)] of their exp4, a term is the sum of
+        exp4 << offset over its factors, and each distinct (vid, exp4) pair
+        is weighed and rendered once.
         """
-        if not self._terms:
-            return "0"
+        if self._packed is not None:
+            fields, acc = self._packed
+            return _join_terms(fields.texts(acc))
         pairs = set(chain.from_iterable(self._terms))
         lo: dict = {}
         hi: dict = {}
@@ -250,23 +278,17 @@ class Polynomial:
             lo[vid] = min(lo.get(vid, 0), e4)
             hi[vid] = max(hi.get(vid, 0), e4)
         offset, pos = {}, 0
-        for vid in sorted(lo, reverse=True):
+        for vid in _layout(lo):
             offset[vid] = pos
             pos += (hi[vid] - lo[vid]).bit_length()
         weight = {pair: pair[1] << offset[pair[0]] for pair in pairs}.__getitem__
         text = {pair: _render_factor(*pair) for pair in pairs}.__getitem__
-        parts = []
+        terms = []
         for key, c in sorted(self._terms.items(), reverse=True,
                              key=lambda kc: sum(map(weight, kc[0]))):
             cut = bisect_left(key, (_NUM_BUILTINS,))
-            body = "*".join(map(text, key[cut:] + key[:cut]))
-            if c not in (1, -1):
-                coeff = _decimal(abs(c))
-                body = f"{coeff}*{body}" if body else coeff
-            parts.append((" + " if c > 0 else " - ") + (body or "1"))
-        first = parts[0]
-        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-        return "".join(parts)
+            terms.append(("*".join(map(text, key[cut:] + key[:cut])), c))
+        return _join_terms(terms)
 
     def __str__(self) -> str:
         return self.canonical()
@@ -374,7 +396,9 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
     the index, as lists of (packed int, coefficient); a multi-term weight
     is a longer list on the same path.  A term adds its exponents times the
     field units to one entry of each table and accumulates the sums in
-    place; each distinct int is decoded once at the end.
+    place.  The result keeps the packed ints and their fields: ``canonical``
+    writes its text from them, and its (vid, exp4) keys are decoded only
+    when first read.
     """
     fields = _Fields(classes, names, bound)
     units = [4 << fields.offset[register(name)] for name in names]
@@ -390,8 +414,9 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
             for k2, c2 in highs:
                 key = e + k1 + k2
                 acc[key] = acc.get(key, 0) + count * c1 * c2
-    decode = fields.decode
-    return Polynomial({decode(key): c for key, c in acc.items() if c})
+    out = Polynomial.__new__(Polynomial)
+    out._packed = fields, {key: c for key, c in acc.items() if c}
+    return out
 
 
 def _table(fields: "_Fields", classes: list) -> list:
@@ -409,23 +434,35 @@ def _table(fields: "_Fields", classes: list) -> list:
     return table
 
 
-# consecutive fields that ``_Fields.decode`` reads at once
+# the most consecutive fields that ``_Fields`` reads at once
 _GROUP = 8
+
+
+def _layout(vids: Iterable[int]) -> list:
+    """The variables ``vids`` in the order their bit fields are laid out,
+    lowest bits first: the highest id in the lowest bits.  With every field
+    nonnegative, comparing the ints then compares the exponent vectors in
+    registry-id order, which is the canonical term order."""
+    return sorted(vids, reverse=True)
 
 
 class _Fields:
     """The bit fields of ``class_sum``'s packed exponent vectors.
 
-    Every variable of a weight or of the term gets a field, in vid order.
-    A field holds exp4 plus a bias, the largest |exp4| the variable can
-    reach in a state: 4 * bound if it is among the term's names, plus, per
-    element, its largest |exp4| in either weight; ``classes`` lists the
-    weights as (x, y, the number of elements that weigh (x, y)).  A field is
-    wide enough for twice its bias, so every reachable exponent packs into
-    [0, 2 * bias] and a sum of packed vectors never carries from one field
-    into the next.  The bias sum is ``base``: a state's key is base + its
-    packed vectors.  ``decode`` reads the fields _GROUP at a time, each
-    group's bits through a memo of its (vid, exp4) pairs (``_Group``).
+    Every variable of a weight or of the term gets a field, laid out by
+    ``_layout``.  A field holds exp4 plus a bias, the largest |exp4| the
+    variable can reach in a state: 4 * bound if it is among the term's
+    names, plus, per element, its largest |exp4| in either weight;
+    ``classes`` lists the weights as (x, y, the number of elements that
+    weigh (x, y)).  A field is wide enough for twice its bias, so every
+    reachable exponent packs into [0, 2 * bias] and a sum of packed vectors
+    never carries from one field into the next.  The bias sum is ``base``:
+    a state's key is base + its packed vectors, so the keys in descending
+    order are the terms in canonical order.
+
+    ``decode`` and ``texts`` read the fields in groups of at most _GROUP,
+    each group's bits through a memo (``_Memo``) of its (vid, exp4) pairs
+    or of its factor text; the memos are made on first use.
     """
 
     def __init__(self, classes: list, names: tuple, bound: int):
@@ -438,22 +475,34 @@ class _Fields:
             for vid, e4 in top.items():
                 span[vid] = span.get(vid, 0) + n * e4
         self.offset = {}
-        fields = []
+        self.fields = []        # (offset, mask, vid, bias), lowest bits first
         self.base = pos = 0
-        for vid in sorted(span):
+        for vid in _layout(span):
             bias = span[vid]
             width = (2 * bias).bit_length()
             self.offset[vid] = pos
-            fields.append((pos, (1 << width) - 1, vid, bias))
+            self.fields.append((pos, (1 << width) - 1, vid, bias))
             self.base += bias << pos
             pos += width
-        self.groups = []
-        for i in range(0, len(fields), _GROUP):
-            group = fields[i:i + _GROUP]
-            low = group[0][0]
-            high = fields[i + _GROUP][0] if i + _GROUP < len(fields) else pos
-            self.groups.append((low, (1 << (high - low)) - 1,
-                                _Group([(at - low, *rest, {}) for at, *rest in group])))
+
+    @cached_property
+    def groups(self) -> list:
+        """(low bit, mask, memo of the (vid, exp4) pairs) per group of
+        fields, highest bits first, so that a key's pairs come out in vid
+        order."""
+        return [(low, mask, _Memo(fields, tuple, tuple))
+                for low, mask, fields in _chunks(self.fields)]
+
+    @cached_property
+    def text_groups(self) -> list:
+        """(low bit, mask, memo of the factor text, each factor followed by
+        *) per group of fields, in a term's text order: the registered
+        names, in the low bits, are grouped apart from the builtins and come
+        first."""
+        cut = sum(vid >= _NUM_BUILTINS for _, _, vid, _ in self.fields)
+        return [(low, mask, _Memo(fields, lambda pair: _render_factor(*pair) + "*", "".join))
+                for part in (self.fields[:cut], self.fields[cut:])
+                for low, mask, fields in _chunks(part)]
 
     def pack(self, p: Polynomial) -> list:
         """The terms of ``p`` as (packed exponent vector, coefficient) pairs."""
@@ -470,30 +519,58 @@ class _Fields:
             pairs += group[key >> low & mask]
         return tuple(pairs)     # exact size, where tuple(chain(...)) over-allocates
 
+    def texts(self, acc: dict) -> Iterable:
+        """(factor text, coefficient) per term of ``acc``, a map from keys
+        to coefficients, in canonical order: the keys descending.  Each
+        group's text is read for all keys at once, a lazy column per group,
+        and a term's text is made only when it is taken."""
+        keys = sorted(acc, reverse=True)
+        columns = [map(text.__getitem__,
+                       map(and_, map(rshift, keys, repeat(low)), repeat(mask)))
+                   for low, mask, text in self.text_groups]
+        # every factor's text ends in *: drop the term's last one
+        return zip(map(itemgetter(slice(-1)), map("".join, zip(*columns))) if columns
+                   else repeat(""), map(acc.__getitem__, keys))
 
-class _Group(dict):
-    """The bits of _GROUP consecutive fields -> the (vid, exp4) pairs of the
-    fields whose exp4 is not 0, made once per value.  A field is (offset in
-    the group, mask, vid, bias, its pairs by exp4): each pair is made once,
-    so every decoded key holds the same pair objects, and the sets and
-    dicts of pairs that ``canonical`` builds compare them by identity."""
 
-    __slots__ = ("fields",)
+def _chunks(fields: list) -> list:
+    """``_Fields`` fields, lowest bits first, in groups of at most _GROUP
+    from the top, highest bits first: (low bit, mask, the group's fields as
+    (offset in the group, mask, vid, bias) in vid order)."""
+    groups = []
+    for top in range(len(fields), 0, -_GROUP):
+        chunk = fields[max(0, top - _GROUP):top]
+        low = chunk[0][0]
+        high = chunk[-1][0] + chunk[-1][1].bit_length()
+        groups.append((low, (1 << (high - low)) - 1,
+                       [(at - low, *rest) for at, *rest in reversed(chunk)]))
+    return groups
 
-    def __init__(self, fields: list):
+
+class _Memo(dict):
+    """The bits of a group's fields -> ``join`` of one entry per field whose
+    exp4 is not 0, made once per value.  An entry is ``make((vid, exp4))``,
+    made once per field and exp4: with ``make`` = ``tuple``, the pair
+    itself, so every decoded key holds the same pair objects."""
+
+    __slots__ = ("fields", "make", "join")
+
+    def __init__(self, fields: list, make, join):
         super().__init__()
-        self.fields = fields
+        self.fields = [(at, mask, vid, bias, {}) for at, mask, vid, bias in fields]
+        self.make = make
+        self.join = join
 
-    def __missing__(self, bits: int) -> tuple:
-        pairs = []
+    def __missing__(self, bits: int):
+        entries = []
         for at, mask, vid, bias, made in self.fields:
             if e4 := (bits >> at & mask) - bias:
-                pair = made.get(e4)
-                if pair is None:
-                    pair = made[e4] = (vid, e4)
-                pairs.append(pair)
-        out = self[bits] = tuple(pairs)
-        return out
+                entry = made.get(e4)
+                if entry is None:
+                    entry = made[e4] = self.make((vid, e4))
+                entries.append(entry)
+        value = self[bits] = self.join(entries)
+        return value
 
 
 def _times(a: list, b: list) -> list:
@@ -521,6 +598,23 @@ def _decimal(n: int) -> str:
         digits = abs(n).bit_length() * 30103 // 100000
         raise RenderError(f"a number of over {digits} digits is too large "
                           f"to print") from None
+
+
+def _join_terms(terms: Iterable) -> str:
+    """The text of the (factor text, coefficient) terms, in their order:
+    each signed, its coefficient first unless it is 1 or -1, and "0" for
+    no term."""
+    parts = []
+    for body, c in terms:
+        if c not in (1, -1):
+            coeff = _decimal(abs(c))
+            body = f"{coeff}*{body}" if body else coeff
+        parts.append((" + " if c > 0 else " - ") + (body or "1"))
+    if not parts:
+        return "0"
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(parts)
 
 
 def _render_factor(vid: int, e4: int) -> str:

@@ -7,8 +7,9 @@ vertex plus a sign per edge (-1 for a half-twisted ribbon).
 ``RibbonGraph`` is the one map class of the package.  Its constructor
 validates the rotation system once and indexes every half-edge by its
 vertex; it also provides the lazily built partner map and the vertex
-classes (``roots``) and component count of spanning subgraphs.  A plane
-map (``planemap.PlaneMap``) is the untwisted, unweighted case.
+classes (``roots``) and component count of spanning subgraphs, the count
+over all edges cached once per map.  A plane map (``planemap.PlaneMap``)
+is the untwisted, unweighted case.
 
 The compile step of the state sums lives here.  ``side_kernel`` gives
 every half-edge two int side slots, four per edge.  Disc arcs join the
@@ -119,8 +120,16 @@ class RibbonGraph:
                      [(home[a], home[b]) for a, b in (e.ends for e in edges)])
 
     def components(self, subset: Iterable[int] | None = None) -> int:
-        """Connected components of the spanning subgraph on ``subset``."""
+        """Connected components of the spanning subgraph on ``subset``
+        (default: all edges, k of the map, counted once per map: nothing
+        changes a map's rotations or edges after construction)."""
+        if subset is None:
+            return self._components
         return len(set(self.roots(subset)))
+
+    @cached_property
+    def _components(self) -> int:
+        return len(set(self.roots()))
 
     def __repr__(self):
         return f"{type(self).__name__}(v={self.num_vertices}, e={self.num_edges})"

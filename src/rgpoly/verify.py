@@ -25,12 +25,11 @@ from .planemap import (
     relative_joins,
     relative_tutte,
 )
-from .poly import monomial, swap_vars, var
+from .poly import Polynomial, monomial, swap_vars, var
 from .ribbon import (
     DEFAULT_EDGE_CAP,
     RibbonGraph,
     bollobas_riordan,
-    components,
     make_edge,
     side_kernel,
     twist_links,
@@ -46,13 +45,38 @@ INV_SQRT_XY = {"Z": monomial(1, {"X": -HALF, "Y": -HALF})}
 REFERENCE_CAP = 16      # regular edges; the reference pass takes ~1 ms per subset
 
 
+class _Text:
+    """A dataclass field read as text that may be set to a ``Polynomial``:
+    the polynomial is rendered by ``canonical()`` on the first read, and
+    the text kept.  Its default is ""."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ""
+        value = getattr(obj, self.slot)
+        if isinstance(value, Polynomial):
+            value = value.canonical()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value):
+        setattr(obj, self.slot, value)
+
+
 @dataclass
 class CheckReport:
+    """One check's outcome on one instance.  ``left`` and ``right`` are the
+    canonical text of the two sides compared, or a failure detail; a check
+    passes them as polynomials, rendered only when read."""
+
     name: str
     instance: str
     passed: bool
-    left: str = ""
-    right: str = ""
+    left: str = _Text()
+    right: str = _Text()
     seed: int | None = None
 
     def line(self, size=None) -> str:
@@ -176,11 +200,10 @@ def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
     from .convert import ribbon_to_plane
     G, _cert = ribbon_to_plane(R)
     beta = Fraction(-(R.num_vertices - G.map.num_vertices), 2)
-    alpha = G.map.components() - components(R, R.all_edges()) - beta
+    alpha = G.map.components() - R.components() - beta
     left = monomial(1, {"X": alpha, "Y": beta}) * relative_tutte(G).subs(SQRT_XY)
     right = bollobas_riordan(R).subs(INV_SQRT_XY)
-    return CheckReport("main_theorem", repr(R), left == right,
-                       left.canonical(), right.canonical(), seed)
+    return CheckReport("main_theorem", repr(R), left == right, left, right, seed)
 
 
 def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
@@ -238,8 +261,7 @@ def check_duality(G: RelPlaneGraph, seed=None) -> CheckReport:
              * swap_vars(Ts.subs(SQRT_XY), "X", "Y"))
     involution = relative_tutte(dual(Gs)) == T
     passed = left == right and involution
-    return CheckReport("duality", repr(G), passed,
-                       left.canonical(), right.canonical(), seed)
+    return CheckReport("duality", repr(G), passed, left, right, seed)
 
 
 def check_bracket(L, seed=None) -> CheckReport:
@@ -262,8 +284,7 @@ def check_bracket(L, seed=None) -> CheckReport:
     })
     right = monomial(1, {"A": v - k, "B": e_reg - v + k, "d": k - 1}) * specialized
     left = kauffman_bracket(L)
-    return CheckReport("bracket_theorem", repr(L), left == right,
-                       left.canonical(), right.canonical(), seed)
+    return CheckReport("bracket_theorem", repr(L), left == right, left, right, seed)
 
 
 # -- suite driver -----------------------------------------------------

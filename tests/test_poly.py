@@ -9,13 +9,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import canonical_by_dense_keys, state_sum, state_sum_by_products
+from helpers import canonical_by_dense_keys, decode_by_fields, state_sum, state_sum_by_products
 from rgpoly import poly
 from rgpoly.convert import ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
 from rgpoly.links import jones, kauffman_bracket
 from rgpoly.planemap import relative_tutte
-from rgpoly.poly import ZERO, Polynomial, class_sum, monomial, parse, swap_vars, var
+from rgpoly.poly import ONE, ZERO, Polynomial, class_sum, monomial, parse, swap_vars, var
 from rgpoly.ribbon import bollobas_riordan
 from rgpoly.verify import generate
 
@@ -376,3 +376,105 @@ def test_canonical_matches_dense_key_oracle(order, monomials):
     for coeff, powers in monomials:
         p = p + monomial(coeff, {names[i]: Fraction(e4, 4) for i, e4 in powers})
     assert p.canonical() == canonical_by_dense_keys(p)
+
+
+# -- packed polynomials: text from the packed keys, decode on first use ----
+#
+# ``class_sum`` returns a polynomial that keeps its packed keys: canonical()
+# writes them by field groups, and the (vid, exp4) terms are decoded only
+# when first read.
+
+_PACKED_EXP4 = st.one_of(st.integers(-9, 9),
+                         st.sampled_from([4 * _BIG, -4 * _BIG - 1, 2]))
+
+
+@st.composite
+def class_sums(draw):
+    """``class_sum`` inputs on up to 12 fresh names and the builtins:
+    multi-term and constant weights, quarter, negative and 10^30
+    exponents, and terms whose counts may cancel, or no term at all."""
+    tag = next(_fresh)
+    pool = [f"packed{tag}_{i}" for i in range(12)] + list("XYZABdwt")
+
+    def weight(i):
+        # multi-term weights on the first two classes only, which keeps
+        # the expanded sums small
+        p = ZERO
+        for _ in range(draw(st.integers(1, 2)) if i < 2 else 1):
+            coeff = draw(st.sampled_from([1, -1, 2, -3]))
+            powers = draw(st.lists(st.tuples(st.sampled_from(pool), _PACKED_EXP4), max_size=3))
+            p = p + monomial(coeff, {n: Fraction(e4, 4) for n, e4 in powers})
+        return p
+
+    classes = [(weight(i), weight(i), draw(st.integers(1, 3)))
+               for i in range(draw(st.integers(0, 12)))]
+    names = tuple(draw(st.lists(st.sampled_from(pool), unique=True, max_size=4)))
+    bound = draw(st.integers(0, 3))
+    radix = 1
+    for _, _, n in classes:
+        radix *= n + 1
+    terms = draw(st.lists(st.tuples(st.integers(0, radix - 1),
+                                    st.tuples(*[st.integers(-bound, bound)] * len(names)),
+                                    st.sampled_from([1, -1, 2, -3])), max_size=12))
+    # some terms again, negated, to cancel: all of them leaves 0
+    terms += [(index, exps, -count)
+              for index, exps, count in terms[:draw(st.integers(0, len(terms)))]]
+    return classes, names, bound, terms
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(class_sums())
+def test_packed_canonical_matches_decoded_text(args):
+    p = class_sum(*args)
+    text = p.canonical()
+    assert text == canonical_by_dense_keys(p)      # decodes p
+    assert p.canonical() == text
+    assert Polynomial(dict(p._terms)).canonical() == text
+    assert parse(text).canonical() == text
+    p.check_invariants()
+
+
+def test_packed_canonical_of_empty_cancelled_and_constant_sums():
+    x, y = var("x_pk"), var("y_pk")
+    assert class_sum([], ("X",), 2, []).canonical() == "0"
+    assert class_sum([(x, y, 1)], ("X",), 1, [(0, (1,), 2), (0, (1,), -2)]).canonical() == "0"
+    assert class_sum([], ("X", "Y"), 1, [(0, (0, 0), -7)]).canonical() == "-7"
+    assert class_sum([(ONE, ONE, 2)], ("d",), 0, [(1, (0,), 3)]).canonical() == "3"
+
+
+def test_packed_polynomial_decodes_on_first_use():
+    # each operation gets a fresh packed polynomial, so it is the first read
+    rng = random.Random(17)
+    other = X * Y - 2 * var("x_s1") + 3
+    sub = {"X": monomial(1, {"Y": Fraction(1, 2), "t": -1}), "x_s0": t * Y}
+    ops = [lambda p: p == eager, lambda p: eager == p, hash,
+           lambda p: p.subs(sub), lambda p: p + other, lambda p: other + p,
+           lambda p: p * other, lambda p: p.variables(), lambda p: p.is_zero(),
+           lambda p: p.check_invariants()]
+    for trial in range(60):
+        names = _NAMES[trial % len(_NAMES)]
+        bound = rng.randint(0, 3)
+        classes = [(_weight(rng, i), _weight(rng, i), rng.randint(1, 2))
+                   for i in range(rng.randint(0, 5))]
+        radix = 1
+        for _, _, n in classes:
+            radix *= n + 1
+        terms = [(rng.randrange(radix), tuple(rng.randint(-bound, bound) for _ in names),
+                  rng.randint(-2, 2)) for _ in range(rng.randint(0, 20))]
+        fields, acc = class_sum(classes, names, bound, terms)._packed
+        eager = Polynomial({decode_by_fields(fields, key): c for key, c in acc.items()})
+        for op in ops:
+            p = class_sum(classes, names, bound, terms)
+            assert type(p) is Polynomial and p._packed is not None
+            assert op(p) == op(eager), trial
+        p = class_sum(classes, names, bound, terms)
+        before = p.canonical()
+        p.check_invariants()
+        assert p.canonical() == before == eager.canonical(), trial
+
+
+def test_state_sums_return_exactly_polynomial():
+    R = generate("ribbon", 5, 6)
+    for p in (bollobas_riordan(R), relative_tutte(ribbon_to_plane(R)[0]),
+              kauffman_bracket(generate("link", 5, 6))):
+        assert type(p) is Polynomial and p._packed is not None

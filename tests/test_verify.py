@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 
 from rgpoly.convert import plane_to_ribbon, ribbon_to_plane
-from rgpoly.poly import parse
+from rgpoly.poly import Polynomial, parse
 from rgpoly.ribbon import RibbonGraph, make_edge
 from rgpoly.verify import (
     CheckReport,
@@ -51,6 +52,25 @@ def test_main_theorem_from_the_plane_side():
             assert check_main_theorem(R).passed, (seed, size)
 
 
+def test_main_theorem_counts_each_map_once(monkeypatch):
+    # k of the plane map is read by its genus check, by the theorem's
+    # prefactor and by relative_tutte: one union-find pass over all its
+    # edges serves them all, and one serves R
+    passes = Counter()
+    roots = RibbonGraph.roots
+
+    def counted(self, subset=None):
+        if subset is not None:
+            subset = list(subset)
+        if subset is None or sorted(subset) == list(range(self.num_edges)):
+            passes[id(self)] += 1
+        return roots(self, subset)
+
+    monkeypatch.setattr(RibbonGraph, "roots", counted)
+    assert check_main_theorem(generate("ribbon", 45, 10)).passed
+    assert passes and max(passes.values()) == 1, passes
+
+
 def test_subset_identities_small():
     R = RibbonGraph([("a", "b", "c", "d")],
                     [make_edge("a", "c", sign=-1, label="e0"),
@@ -64,6 +84,22 @@ def test_report_line_format():
     assert rep.line(5) == "PASS main_theorem seed=12 size=5"
     rep = CheckReport("duality", "inst", False, seed=3)
     assert rep.line(2) == "FAIL duality seed=3 size=2"
+    assert (rep.left, rep.right) == ("", "")
+
+
+def test_report_renders_its_sides_when_read(monkeypatch):
+    rendered = []
+    canonical = Polynomial.canonical
+
+    def counted(self):
+        rendered.append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(Polynomial, "canonical", counted)
+    rep = check_main_theorem(generate("ribbon", 3, 4))
+    assert rep.passed and not rendered
+    assert rep.left == rep.right and len(rendered) == 2
+    assert rep.left.startswith("y_e0*") and len(rendered) == 2
 
 
 def test_run_suite_all_checks_pass():
