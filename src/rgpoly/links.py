@@ -13,15 +13,16 @@ with ``util.count_cycles`` in O(n).
 The bracket does not visit the 2^n states.  ``util.census``, on the one
 kernel in one weight class, counts them by (A-splittings, circles) in one
 frontier (transfer-matrix) pass, the same pass that counts the Tait graph's
-relative Tutte polynomial (``planemap.relative_tutte``), as
-Sekine, Imai and Tani do for the Tutte polynomial (ISAAC 1995) and
-Bar-Natan for Khovanov homology (JKTR 2007): the crossings are taken in
-greedy order, each next the one that closes the most arcs to the crossings
-already taken, and the partial states that pair up the open arc ends alike
-merge.  Its cost is n times the pairings reached times the histogram size,
-set by the frontier width, not by 2^n; after k crossings at most 2^k
-pairings are reached.  The strands are the cycles of the arcs and the
-opposite darts, listed by ``util.cycles``.
+relative Tutte polynomial (``planemap.relative_tutte``, which also tracks
+the components of its edges on the frontier), as Sekine, Imai and Tani do
+for the Tutte polynomial (ISAAC 1995) and Bar-Natan for Khovanov homology
+(JKTR 2007): the crossings are taken in greedy order, each next the one
+that closes the most arcs to the crossings already taken, and the partial
+states that pair up the open arc ends alike merge.  Its cost is n times
+the pairings reached times the histogram size, set by the frontier width,
+not by 2^n; after k crossings at most 2^k pairings are reached.  The
+strands are the cycles of the arcs and the opposite darts, listed by
+``util.cycles``.
 """
 
 from __future__ import annotations
@@ -160,11 +161,11 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
     kernel = bracket_kernel(L)
-    counts = census([kernel])
+    counts = census(kernel)
     # a state has 0 to closed + 2n circles
     return class_sum([], ("A", "B", "d"), kernel.closed + 2 * n + 1,
                      ((0, (ones, n - ones, cycles - 1), count)
-                      for ((ones,), (cycles,)), count in counts.items()))
+                      for ((ones,), cycles), count in counts.items()))
 
 
 def writhe(L: VirtualLinkDiagram) -> int:

@@ -18,23 +18,15 @@ two sides of each end, which drops it, so the arcs serve every F.  The
 onto the 4m slots of the m regular edges.  ``convert.plane_to_ribbon``
 reads its ribbon graph off the same kernel.
 
-The polynomial is counted in one of two ways.  When the regular edges
-carry few distinct (x, y) pairs (a Tait graph carries two, (1, 1) and
-(x_minus, y_minus)) and m >= 7, it is counted by one frontier census
-(``util.census``) over three kernels on the same 4m slots, with H
-twisted, absent and untwisted, by set bits per pair: no union-find is
-needed, since every subgraph of a genus-0 map is genus 0 and its faces (the
-side cycles with every edge untwisted) give k(F) and k(F union H) by Euler,
-2k = v - e + f.  Per-edge symbolic weights (ribbon-plane, duality), where
-the pairs are all distinct and the census would cost more, and small m
-are enumerated by one depth-first ``util.sweep`` over the regular edges:
-each step collapses one edge's four slots into the arcs of the edges still
-open and relabels F's ends on a join, on vertex ids and on the components
-of H, so a state costs O(m) however large G is, and k(F), k(F union H)
-come with its side cycles.  Both paths sum their terms with
-``poly.class_sum``.  The reference path ``psi(contract_all(G, F))``
-builds H_F.  ``RelPlaneGraph`` admits genus-0 maps only, so neither path
-checks the genus.
+The polynomial is counted in one of two ways on the same kernel and on
+two partitions of F's ends, the vertices and the components of H, whose
+joins give k(F) and k(F union H) (``relative_joins``).  Few distinct
+(x, y) pairs (a Tait graph carries two) and m >= 7 take one frontier
+census (``util.census``) by set bits per pair; per-edge symbolic weights,
+where the census would cost more, and small m one depth-first
+``util.sweep``.  Both feed one term formula and ``poly.class_sum``.
+``RelPlaneGraph`` admits genus-0 maps only, so neither path checks the
+genus; the reference path ``psi(contract_all(G, F))`` builds H_F.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
@@ -51,8 +43,8 @@ from typing import Container, Iterable, Mapping
 
 from .errors import GenusError, SizeLimit
 from .poly import Polynomial, class_sum, monomial, var
-from .ribbon import (CLOSED, CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph,
-                     side_cycles, side_kernel)
+from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph, side_cycles,
+                     side_kernel)
 from .util import CycleKernel, census, sweep
 
 
@@ -261,19 +253,12 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     side-cycle count of F union H with F untwisted.  The reference path
     ``psi(contract_all(G, F))`` builds H_F.
 
-    When the regular edges carry few distinct (x, y) pairs, so that the
-    census pays (``_census_pays``), the 2^m subsets are counted in one
-    frontier census (``util.census``) by set bits per pair and the side
-    cycles of three kernels on the same slots: F union H with H twisted,
-    F alone, and F union H untwisted.  G is genus 0, as ``RelPlaneGraph``
-    checks, and so is each of its subgraphs, so Euler gives
-    2k(F) = v - |F| + bc(F) and 2k(F union H) = v - |F| - |H| + bc(F union H),
-    bc counting the faces (the side cycles, all untwisted).  Otherwise, as
-    with per-edge symbolic weights, ``util.sweep`` enumerates the subsets
-    with their side cycles and the joins of F on the vertices and on the
-    components of H (``relative_joins``), and every regular edge is a
-    weight class of its own.  Both paths give the same polynomial.  ``cap``
-    bounds m on both and is checked before anything is compiled.
+    The side cycles come from ``relative_kernel`` and k(F), k(F union H)
+    from the joins of ``relative_joins``.  With few distinct (x, y) pairs,
+    so that ``_census_pays``, one ``util.census`` counts the subsets by set
+    bits per pair; otherwise ``util.sweep`` enumerates them, every regular
+    edge a weight class of its own.  Both paths feed one term formula.
+    ``cap`` bounds m and is checked before anything is compiled.
     """
     regular = G.regular_indices()
     m = len(regular)
@@ -282,53 +267,46 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     M = G.map
     nv, kG = M.num_vertices, M.components()
     weights = [G.weights[ei] for ei in regular]
-    if _census_pays(weights):
-        twisted, alone, untwisted = (_side_kernel(G, link)
-                                     for link in (SAME_SIDE, CLOSED, CROSSWISE))
-        pairs = Counter(weights)
-        index = dict(zip(pairs, range(len(pairs))))
-        counts = census([twisted, alone, untwisted], [index[w] for w in weights])
-        place = list(accumulate((n + 1 for n in pairs.values()), mul, initial=1))
-        h = len(G.zero)
-        terms = []
-        for (ones, (cycles, bc_F, bc_FH)), count in counts.items():
-            f = sum(ones)
-            kF = (nv - f + bc_F) // 2
-            kFH = (nv - f - h + bc_FH) // 2
-            nF = f - nv + kF
-            terms.append((sum(map(mul, ones, place)),
-                          (kFH - kG, nF, cycles - nF - kFH, kF - kFH), count))
-        return class_sum([(x, y, n) for (x, y), n in pairs.items()],
-                         ("X", "Y", "d", "w"), nv + 3 * m + twisted.closed, terms)
     kernel = relative_kernel(G)
     ends, sizes, kH = relative_joins(G)
+    if _census_pays(weights):
+        pairs = Counter(weights)
+        index = dict(zip(pairs, range(len(pairs))))
+        place = list(accumulate((n + 1 for n in pairs.values()), mul, initial=1))
+        classes = [(x, y, n) for (x, y), n in pairs.items()]
+        counts = census(kernel, [index[w] for w in weights], ends, sizes)
+        states = ((sum(map(mul, ones, place)), sum(ones), cycles, j, jh, count)
+                  for (ones, cycles, j, jh), count in counts.items())
+    else:
+        classes = [(x, y, 1) for x, y in weights]
+        states = ((mask, mask.bit_count(), cycles, j, jh, 1)
+                  for block in sweep(kernel, ends, sizes) for mask, cycles, j, jh in block)
 
-    def states():
-        for block in sweep(kernel, ends, sizes):
-            for mask, cycles, j, jh in block:
-                kF, kFH = nv - j, kH - jh
-                nF = mask.bit_count() - j
-                yield mask, (kFH - kG, nF, cycles - nF - kFH, kF - kFH), 1
+    def terms():
+        for index, f, cycles, j, jh, count in states:
+            kF, kFH = nv - j, kH - jh
+            nF = f - j
+            yield index, (kFH - kG, nF, cycles - nF - kFH, kF - kFH), count
 
     # 0 <= k(F), k(F u H), k(G) <= nv, 0 <= n(F) <= m, and the side
     # cycles n(F) + delta lie in [0, closed + 2m]
     bound = nv + m + kernel.closed + 2 * m
-    return class_sum([(x, y, 1) for x, y in weights], ("X", "Y", "d", "w"), bound, states())
+    return class_sum(classes, ("X", "Y", "d", "w"), bound, terms())
 
 
 def _census_pays(weights: list) -> bool:
     """Whether the census beats enumerating the 2^m subsets of m regular
     edges with these (x, y) weight pairs, n_c of them equal to pair c.
 
-    Enumeration by ``util.sweep`` costs about 3-5 us a subset at m = 8-9,
-    ``class_sum`` included.  The census costs a fixed 0.3-0.5 ms (three
-    kernels) plus its steps, whose histograms grow with prod(n_c + 1), the
-    per-class set-bit counts.  Measured on Tait graphs and on one- and
-    two-class weighted ``generate("rpg")`` maps (six each), the census took
-    1.0-1.6x the time of the sweep at m = 5-6, 0.93-0.99x at m = 7 and
-    0.3-0.8x at m = 8-9, so the crossover stays at m = 7; per-edge symbolic
-    weights make prod(n_c + 1) = 2^m, so they enumerate.  Below 7 edges no
-    pair is hashed.
+    Enumeration by ``util.sweep`` costs about 2.5-7 us a subset at m = 8-9,
+    ``class_sum`` included.  The census path costs a fixed 30-90 us (the
+    whole call at m = 0-1) plus its steps, whose histograms grow with
+    prod(n_c + 1), the per-class set-bit counts.  On Tait graphs and on
+    one- and two-class weighted ``generate("rpg")`` maps (six each, best of
+    7), the census took 1.2-1.6x the time of the sweep at m = 5, 0.99-1.19x
+    at m = 6, 0.61-0.91x at m = 7 and 0.30-0.65x at m = 8-9, so the
+    crossover stays at m = 7; per-edge symbolic weights make
+    prod(n_c + 1) = 2^m, so they enumerate.  Below 7 edges no pair is hashed.
     """
     m = len(weights)
     return m >= 7 and 4 * prod(n + 1 for n in Counter(weights).values()) <= 1 << m
@@ -338,14 +316,8 @@ def relative_kernel(G: RelPlaneGraph) -> CycleKernel:
     """The side cycles of F union H with H twisted and fixed, F untwisted,
     on the 4 * |regular| slots of the regular edges: the compiled state of
     ``relative_tutte``, built once per graph."""
-    return _side_kernel(G, SAME_SIDE)
-
-
-def _side_kernel(G: RelPlaneGraph, zero: int) -> CycleKernel:
-    """``relative_kernel`` with the 0-edges linked by ``zero``: SAME_SIDE
-    (twisted), CROSSWISE (untwisted) or CLOSED (absent)."""
     regular = G.regular_indices()
-    present = dict.fromkeys(G.zero, zero)
+    present = dict.fromkeys(G.zero, SAME_SIDE)
     present.update(dict.fromkeys(regular, CROSSWISE))
     return side_kernel(G.map, present, regular)
 

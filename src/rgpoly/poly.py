@@ -225,18 +225,32 @@ class Polynomial:
 
         A multi-term replacement may only be substituted into nonnegative
         integer powers of its variable; a single-term replacement goes into
-        any quarter-integer power as long as the result stays exact.
+        any quarter-integer power as long as the result stays exact.  A
+        term folds the powers of its single-term replacements into one
+        exponent dict and coefficient; only multi-term powers multiply.
         """
         repl = {register(n): _coerce(p) for n, p in mapping.items()}
+        order = sorted(repl)        # key order: the first bad power raises
         out: dict = {}
         cache: dict = {}
         for key, c in self._terms.items():
-            kept = tuple(kv for kv in key if kv[0] not in repl)
-            term = Polynomial({kept: c})
-            for vid, e4 in key:
-                if vid in repl:
-                    term = term * _power_cached(repl[vid], e4, vid, cache)
-            _accumulate(out, term._terms.items())
+            exps = dict(key)
+            products = []
+            for vid, e4 in [(vid, exps.pop(vid)) for vid in order if vid in exps]:
+                power = _power_cached(repl[vid], e4, vid, cache)
+                if len(power._terms) != 1:
+                    products.append(power)
+                    continue
+                ((k, pc),) = power._terms.items()
+                c *= pc
+                for v, e in k:
+                    if e := e + exps.pop(v, 0):
+                        exps[v] = e
+            items = [(tuple(sorted(exps.items())), c)]
+            for power in products:
+                items = [(_mul_keys(k1, k2), c1 * c2)
+                         for k1, c1 in items for k2, c2 in power._terms.items()]
+            _accumulate(out, items)
         return Polynomial(out)
 
     def substitute(self, name: str, value: Union["Polynomial", int]) -> "Polynomial":

@@ -25,15 +25,19 @@ a spanning subgraph, and of it with H).  B_R and the relative Tutte
 polynomial with per-edge weights read their states off it.  ``census`` counts
 all 2^m states without visiting them: one frontier pass over the elements,
 whose cost the number of open slots at once sets and whose memory
-``CENSUS_ENTRIES`` bounds.  It runs several kernels that share their
-choices at once, keyed by each kernel's cycles and by the set bits in each
-weight class of the elements: the Kauffman bracket counts one kernel in
-one class, and the relative Tutte polynomial of a genus-0 map with few
-weight pairs three kernels in one class per pair.
+``CENSUS_ENTRIES`` bounds.  It takes ``sweep``'s kernel and partitions,
+keeps the classes of the labels on the frontier as Sekine, Imai and Tani's
+transfer-matrix pass keeps components (ISAAC 1995), and keys its counts by
+set bits per weight class, cycles and joins: the Kauffman bracket counts
+its kernel, and the relative Tutte polynomial with few weight pairs its
+kernel and two partitions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate, chain
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimit
@@ -260,118 +264,123 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
     yield from levels(m - 1, (list(kernel.arc), kernel.closed, 0, labels, joins))
 
 
-def census(kernels: Sequence[CycleKernel], classes: Sequence[int] = ()) -> dict:
-    """{(ones, cycles): the number of masks with ``ones[c]`` set bits among
-    the elements of class c and ``kernels[k].cycles(mask)`` = ``cycles[k]``},
-    in one frontier pass.
+def census(kernel: CycleKernel, classes: Sequence[int] = (),
+           ends: Sequence[Sequence[tuple[int, int]]] = (),
+           sizes: Sequence[int] = ()) -> dict:
+    """{(ones, cycles, joins...): the number of masks with ``ones[c]`` set
+    bits among the elements of class c, ``kernel.cycles(mask)`` = cycles
+    and these joins}, in one frontier pass.  ``classes[j]`` is element j's
+    class (default: all in class 0), the classes are range(1 + the
+    largest), and ``ends`` and ``sizes`` give the partitions as in ``sweep``.
 
-    The kernels share their choices (the same links on the live slots) and
-    differ only in what they collapsed.  ``classes[j]`` is element j's class
-    (default: every element in class 0); the classes are range(1 + the
-    largest).  The pass runs on one product kernel: slot s of kernel k is
-    4K * (s >> 2) + 4k + (s & 3), so element j owns the 4K slots from 4Kj
-    and a path never leaves its kernel.
-
-    The elements are taken in the first kernel's greedy order: next, the
-    one whose slots close the most of its arcs to processed slots, ties to
-    the lowest index.  (Counting every kernel's arcs reads the narrower
-    kernels as much as the widest and can widen the frontier: on the three
-    kernels of a 24-crossing Tait graph it held five times the states.)
-    The frontier is the processed slots whose arc partner is not yet
-    processed; the processed links and arcs leave paths between them.
-    A partial state is how the paths pair up the frontier, as the tuple of
-    each frontier slot's partner's position in the frontier, mapped to a
-    histogram of the partial masks by per-class set bits and per-kernel
-    closed cycles, packed mixed-radix into one int; states with equal
-    pairings merge.  A step lists the frontier and then the element's own
-    slots as the ends, and closes its arcs on a list of partner positions.
-    After k elements there are at most 2^k pairings, so the pass never
-    holds more states than the masks it counts.  A step that ends with more
-    than ``CENSUS_ENTRIES`` histogram entries raises ``SizeLimit``; as a
-    step at most doubles them, the pass never holds more than three times
-    that many.
+    The elements are taken in greedy order: next, the one whose slots close
+    the most of its arcs to processed slots, ties to the lowest index.  The
+    frontier is the processed slots whose arc partner is not yet processed;
+    the processed links and arcs leave paths between them.  A partial state
+    is how the paths pair up the frontier (each frontier slot's partner's
+    position in it) and, per partition, the classes of the labels that a
+    processed element has an end on and an unprocessed one still has (the
+    open labels), numbered by first occurrence, so equal states merge.  It
+    maps to a histogram of the partial masks by cycles, joins per partition
+    and set bits per class, packed mixed-radix into one int.  A step closes
+    the element's arcs on a list of partner positions, the frontier's and
+    then its own slots'; the classes change only at its ends, so they are
+    worked out once per distinct tuple of them.  After k elements there are
+    at most 2^k states.  A step that ends with more than ``CENSUS_ENTRIES``
+    histogram entries raises ``SizeLimit``; as a step at most doubles them,
+    the pass never holds more than three times that many.
     """
-    first = kernels[0]
-    m, K = len(first._links), len(kernels)
-    if any(kernel._links != first._links for kernel in kernels):
-        raise ValueError("census kernels must share their choices")
+    m = len(kernel._links)
     classes = list(classes) or [0] * m
-    sizes = [0] * (max(classes, default=0) + 1)
-    for c in classes:
-        sizes[c] += 1
-    width = 4 * K
-    place = [s + (width - 4) * (s >> 2) for s in range(4 * m)]   # slot s of kernel 0
-    arc = [0] * (width * m)
-    for k, kernel in enumerate(kernels):
-        k *= 4
-        for s, t in zip(place, kernel.arc):
-            arc[s + k] = place[t] + k
-    offsets = range(0, width, 4)
-    links = [[tuple([place[t] + k for k in offsets for t in link]) for link in pair]
-             for pair in first._links]
-    # key = sum of cycles[k] * span^k, then ones[c] * span^K * prod(sizes[:c] + 1)
-    span = 2 * m + 1                # a cycle holds two live slots or more
-    unit = [span ** k for k in range(K) for _ in range(4)]
-    radix = [span ** K]
-    for n in sizes:
-        radix.append(radix[-1] * (n + 1))
-    pending = [0] * m               # first-kernel arcs from each element to processed slots
+    counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
+    arc = kernel.arc
+    # the key's digits: cycles (a cycle holds two live slots or more), the
+    # joins of each partition, then the set bits of each class
+    radices = [2 * m + 1] + [m + 1] * len(sizes) + [n + 1 for n in counts]
+    place = list(accumulate(radices, mul, initial=1))
+    left = [Counter(chain.from_iterable(pairs)) for pairs in ends]     # unprocessed ends
+    opened: list = [[] for _ in sizes]
+    pending = [0] * m               # arcs from each element to processed slots
     todo = list(range(m))
-    processed = bytearray(width * m)
-    block = b"\1" * width
+    processed = bytearray(4 * m)
     frontier: list = []
-    states = {(): {0: 1}}
+    states = {((), ((),) * len(sizes)): {0: 1}}
     while todo:
         j = max(todo, key=pending.__getitem__)      # todo ascends: ties to the lowest
         todo.remove(j)
-        start = width * j
-        own = range(start, start + width)
-        processed[start:start + width] = block
-        for s in own[:4]:
+        start = 4 * j
+        own = range(start, start + 4)
+        processed[start:start + 4] = b"\1\1\1\1"
+        for s in own:
             if not processed[t := arc[s]]:
-                pending[t // width] += 1
-        ends = frontier + list(own)
-        at = dict(zip(ends, range(len(ends))))
-        # each arc closed now, an arc inside the element once, with the
-        # unit of its kernel's closed cycles
-        joins = [(at[s], at[t], unit[s - start]) for s in own
-                 if processed[t := arc[s]] and (t // width != j or t > s)]
-        keep = [i for i, s in enumerate(ends) if not processed[arc[s]]]
-        renumber = [0] * len(ends)
-        for i, e in enumerate(keep):
-            renumber[e] = i
+                pending[t >> 2] += 1
+        slots = frontier + list(own)
+        at = dict(zip(slots, range(len(slots))))
+        # each arc closed now, an arc inside the element once
+        closes = [(at[s], at[t]) for s in own
+                  if processed[t := arc[s]] and (t >> 2 != j or t > s)]
+        keep = [i for i, s in enumerate(slots) if not processed[arc[s]]]
+        renumber = dict(zip(keep, range(len(keep))))
         base = len(frontier) - start
-        choices = [(shift, tuple([base + t for t in link]))
-                   for shift, link in zip((0, radix[classes[j]]), links[j])]
+        choices = [(shift, tuple([base + t for t in link])) for shift, link
+                   in zip((0, place[1 + len(sizes) + classes[j]]), kernel._links[j])]
+        # per partition: fresh classes for the element's ends that open now,
+        # the positions of its ends, which labels stay open, a join's unit
+        parts = []
+        for p, labels in enumerate(opened):
+            u, v = ends[p][j]
+            n = len(labels)
+            labels = labels + [w for w in dict.fromkeys((u, v)) if w not in labels]
+            left[p].subtract((u, v))
+            stay = [i for i, w in enumerate(labels) if left[p][w]]
+            parts.append((range(n, len(labels)), labels.index(u), labels.index(v),
+                          stay, place[1 + p]))
+            opened[p] = [labels[i] for i in stay]
+        relabelled: dict = {}
         nxt: dict = {}
-        for pairing, histogram in states.items():
-            for shift, link in choices:
+        for (pairing, tracked), histogram in states.items():
+            after = relabelled.get(tracked)
+            if after is None:
+                after = relabelled[tracked] = _relabel(tracked, parts)
+            for (shift, link), (tail, joined) in zip(choices, after):
                 pair = [*pairing, *link]
-                for s, t, closes in joins:
+                for s, t in closes:
                     u, v = pair[s], pair[t]
                     if u == t:
-                        shift += closes
+                        shift += 1
                     else:
                         pair[u] = v
                         pair[v] = u
                 out = nxt.setdefault(
-                    tuple(map(renumber.__getitem__, map(pair.__getitem__, keep))), {})
+                    (tuple(map(renumber.__getitem__, map(pair.__getitem__, keep))), tail), {})
+                shift += joined
                 for key, count in histogram.items():
                     out[key + shift] = out.get(key + shift, 0) + count
         if sum(map(len, nxt.values())) > CENSUS_ENTRIES:
             raise SizeLimit(f"the census of {m} elements holds more than "
                             f"{CENSUS_ENTRIES} histogram entries")
         states = nxt
-        frontier = list(map(ends.__getitem__, keep))
+        frontier = list(map(slots.__getitem__, keep))
+    (histogram,) = states.values()
     out = {}
-    for key, count in states[()].items():
-        closed = []
-        for kernel in kernels:
-            key, c = divmod(key, span)
-            closed.append(kernel.closed + c)
-        ones = []
-        for n in sizes:
-            key, a = divmod(key, n + 1)
-            ones.append(a)
-        out[tuple(ones), tuple(closed)] = count
+    for key, count in histogram.items():
+        cycles, *digits = (key // p % r for p, r in zip(place, radices))
+        out[(tuple(digits[len(sizes):]), kernel.closed + cycles, *digits[:len(sizes)])] = count
     return out
+
+
+def _relabel(tracked: tuple, parts: list) -> tuple:
+    """The classes of the open labels after a census step from ``tracked``,
+    with the element's bit clear and set, each with its joins' key units."""
+    clear, set_ = [], []
+    joined = 0
+    for classes, (fresh, iu, iv, stay, unit) in zip(tracked, parts):
+        row = joins = [*classes, *fresh]
+        a, b = row[iu], row[iv]
+        if a != b:
+            joined += unit
+            joins = [a if c == b else c for c in row]
+        for out, new in (clear, row), (set_, joins):
+            seen: dict = {}
+            out.append(tuple([seen.setdefault(new[i], len(seen)) for i in stay]))
+    return (tuple(clear), 0), (tuple(set_), joined)

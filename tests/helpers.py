@@ -21,6 +21,9 @@ state's cycles and joins off one depth-first ``util.sweep``;
 ``relative_merges`` keeps the earlier ``planemap.relative_joins`` on
 ``Merges``.  ``decode_by_fields`` keeps the earlier per-field decode of
 ``poly._Fields``, which now reads its fields in groups.
+``subs_by_products`` keeps the earlier ``Polynomial.subs``, which
+multiplies one ``Polynomial`` per substituted factor; ``subs`` now folds
+single-term powers into one exponent dict per term.
 
 ``kauffman_bracket_by_states`` keeps the earlier bracket, which runs
 ``state_sum`` over all 2^n states of the compiled kernel; the bracket
@@ -84,7 +87,9 @@ from rgpoly.poly import (
     ONE,
     Polynomial,
     _accumulate,
+    _coerce,
     _decimal,
+    _power_cached,
     class_sum,
     monomial,
     register,
@@ -232,6 +237,22 @@ def relative_merges(G: RelPlaneGraph) -> tuple[Merges, int]:
     ends = [tuple(M.vertex_of(h) for h in M.edges[ei].ends)
             for ei in G.regular_indices()]
     return Merges(ends, root), len(set(root))
+
+
+def subs_by_products(p: Polynomial, mapping) -> Polynomial:
+    """The earlier ``Polynomial.subs``: a ``Polynomial`` per term, times the
+    power of every substituted factor."""
+    repl = {register(n): _coerce(q) for n, q in mapping.items()}
+    out: dict = {}
+    cache: dict = {}
+    for key, c in p._terms.items():
+        kept = tuple(kv for kv in key if kv[0] not in repl)
+        term = Polynomial({kept: c})
+        for vid, e4 in key:
+            if vid in repl:
+                term = term * _power_cached(repl[vid], e4, vid, cache)
+        _accumulate(out, term._terms.items())
+    return Polynomial(out)
 
 
 def decode_by_fields(fields, key: int) -> tuple:

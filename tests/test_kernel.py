@@ -4,8 +4,9 @@ Every state sum now runs on ``util.CycleKernel``: fixed links (0-edges,
 virtual crossings, edges outside the enumerated set) are collapsed once and
 each state traces only 4m live slots.  These tests compare it with the
 earlier dict-keyed bodies kept in ``helpers`` and pin the slot count.
-``util.census`` counts the masks by (set bits, cycles) in one frontier
-pass; on one kernel it is compared with ``cycles`` on every mask.
+``util.census`` counts the masks by (set bits, cycles, joins) in one
+frontier pass; it is compared with ``cycles`` on every mask, and with a
+count over ``util.sweep`` in the partitions of every caller.
 ``ribbon.from_slots`` reads a kernel's slots back into a ribbon graph.
 """
 
@@ -13,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from rgpoly import planemap, util
+from rgpoly import util
 from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.errors import SizeLimit
 from rgpoly.links import (
@@ -30,9 +31,6 @@ from rgpoly.planemap import (
     relative_tutte,
 )
 from rgpoly.ribbon import (
-    CLOSED,
-    CROSSWISE,
-    SAME_SIDE,
     RibbonGraph,
     bollobas_riordan,
     boundary_components,
@@ -154,14 +152,14 @@ def test_live_slots_are_four_per_enumerated_element():
 
 def _census_by_masks(kernel):
     m = len(kernel.arc) // 4
-    return Counter(((mask.bit_count(),), (kernel.cycles(mask),)) for mask in range(1 << m))
+    return Counter(((mask.bit_count(),), kernel.cycles(mask)) for mask in range(1 << m))
 
 
 def test_census_counts_every_mask_of_bracket_kernels():
     for seed in range(40):
         for size in range(13):
             kernel = bracket_kernel(generate("link", seed, size))
-            assert util.census([kernel]) == _census_by_masks(kernel), (seed, size)
+            assert util.census(kernel) == _census_by_masks(kernel), (seed, size)
 
 
 def test_census_counts_every_mask_of_bollobas_riordan_kernels():
@@ -173,32 +171,55 @@ def test_census_counts_every_mask_of_bollobas_riordan_kernels():
             for G in (R, RibbonGraph(R.vertices + [()], R.edges)):
                 for state in (range(size), range(0, size, 2)):
                     kernel = side_kernel(G, twist_links(G), state)
-                    assert util.census([kernel]) == _census_by_masks(kernel), (seed, size)
+                    assert util.census(kernel) == _census_by_masks(kernel), (seed, size)
 
 
-def test_census_of_kernels_sharing_choices_keys_by_class_and_kernel():
-    # the three side kernels of relative_tutte share their choices; elements
-    # fall into up to three classes
-    for seed in range(20):
+def _census_by_sweep(kernel, classes, ends=(), sizes=()):
+    counts = [0] * (max(classes, default=0) + 1)
+    out = Counter()
+    for block in util.sweep(kernel, ends, sizes):
+        for mask, cycles, *joins in block:
+            ones = counts[:]
+            for j, c in enumerate(classes):
+                ones[c] += mask >> j & 1
+            out[(tuple(ones), cycles, *joins)] += 1
+    return out
+
+
+def _census_cases():
+    # (key, kernel, ends, sizes) on every caller's kernels with at most 12
+    # elements: bracket kernels, B_R side kernels with the vertex partition
+    # (with and without bare vertices, all edges or every other edge live),
+    # and relative kernels with both relative_joins partitions
+    for seed in range(12):
+        for size in range(13):
+            yield (seed, size, "link"), bracket_kernel(generate("link", seed, size)), (), ()
         for size in range(11):
-            G = link_to_tait(generate("link", seed, size))
-            kernels = [planemap._side_kernel(G, link) for link in (SAME_SIDE, CLOSED, CROSSWISE)]
-            m = len(G.regular_indices())
-            classes = [(seed + j * j) % 3 for j in range(m)]
-            expected = Counter()
-            for mask in range(1 << m):
-                ones = [0] * (max(classes, default=0) + 1)
-                for j, c in enumerate(classes):
-                    ones[c] += mask >> j & 1
-                expected[tuple(ones), tuple(k.cycles(mask) for k in kernels)] += 1
-            assert util.census(kernels, classes) == expected, (seed, size)
+            R = generate("ribbon", seed, size)
+            for G in (R, RibbonGraph(R.vertices + [(), ()], R.edges)):
+                for state in (range(size), range(0, size, 2)):
+                    ends = [(G.vertex_of(h1), G.vertex_of(h2))
+                            for h1, h2 in (G.edges[e].ends for e in state)]
+                    yield ((seed, size, "ribbon", G.num_vertices, len(state)),
+                           side_kernel(G, twist_links(G), state), [ends], [G.num_vertices])
+        for size in range(13):
+            graphs = [("tait", link_to_tait(generate("link", seed, size))),
+                      ("rpg", generate("rpg", seed, size))]
+            if size <= 6:
+                graphs.append(("plane", ribbon_to_plane(generate("ribbon", seed, size))[0]))
+            for name, G in graphs:
+                if len(G.regular_indices()) <= 12:
+                    ends, sizes, _ = relative_joins(G)
+                    yield (seed, size, name), relative_kernel(G), ends, sizes
 
 
-def test_census_refuses_kernels_with_other_choices():
-    R = generate("ribbon", 3, 4)
-    with pytest.raises(ValueError, match="share their choices"):
-        util.census([side_kernel(R, twist_links(R), range(4)),
-                     side_kernel(R, twist_links(R), range(3))])
+def test_census_matches_a_counter_over_sweep():
+    for key, kernel, ends, sizes in _census_cases():
+        m = len(kernel.arc) // 4
+        for k in range(1, 4):
+            classes = [(key[0] + j * j) % k for j in range(m)]
+            expected = _census_by_sweep(kernel, classes, ends, sizes)
+            assert util.census(kernel, classes, ends, sizes) == expected, (key, k)
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):

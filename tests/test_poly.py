@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import canonical_by_dense_keys, decode_by_fields, state_sum, state_sum_by_products
+from helpers import (canonical_by_dense_keys, decode_by_fields, state_sum, state_sum_by_products,
+                     subs_by_products)
 from rgpoly import poly
 from rgpoly.convert import ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
@@ -221,6 +222,31 @@ def test_substitution_is_homomorphic(p, q, r):
     right = p.substitute("d", r) * q.substitute("d", r)
     assert left == right
     left.check_invariants()
+
+
+@st.composite
+def replacements(draw):
+    # up to three variables, each replaced by an int, a single term with
+    # quarter or negative exponents, or a multi-term polynomial
+    names = draw(st.lists(st.sampled_from(_vars), max_size=3, unique=True))
+    return {name: draw(st.one_of(st.integers(-2, 2), polynomials(max_terms=1),
+                                 polynomials(max_terms=3)))
+            for name in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), replacements())
+def test_subs_matches_products_oracle(p, mapping):
+    try:
+        expected = subs_by_products(p, mapping)
+    except NonMonomialNegativePower as error:
+        with pytest.raises(NonMonomialNegativePower) as raised:
+            p.subs(mapping)
+        assert str(raised.value) == str(error)
+        return
+    got = p.subs(mapping)
+    assert got == expected and got.canonical() == expected.canonical()
+    got.check_invariants()
 
 
 @settings(max_examples=100, deadline=None)

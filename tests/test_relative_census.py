@@ -1,11 +1,12 @@
 """The relative Tutte polynomial read off one frontier census.
 
 When the regular edges carry few distinct weight pairs, ``relative_tutte``
-counts the subsets by set bits per pair and the side cycles of three
-kernels (F u H with H twisted, F alone, F u H untwisted) in one
-``util.census`` pass, which holds because ``RelPlaneGraph`` admits genus-0
-maps only.  Here the census path is forced (``_census_pays`` patched to
-True) and compared with the enumerating body kept as
+counts the subsets in one ``util.census`` pass over ``relative_kernel``,
+by set bits per pair, side cycles, and the joins of ``relative_joins``'
+two partitions (the vertices and the components of H), the same kernel
+and partitions that its ``util.sweep`` path enumerates, so both paths
+share one term formula.  Here the census path is forced (``_census_pays``
+patched to True) and compared with the enumerating body kept as
 ``helpers.relative_tutte_by_states`` and with the contraction oracle, also
 on per-edge symbolic weights, where ``poly.class_sum`` gets one class per
 edge.  The default dispatch is pinned separately: per-edge symbolic weights
@@ -130,8 +131,8 @@ def test_non_plane_graph_falls_back_to_enumeration():
 
 
 def test_non_plane_graph_fails_the_genus_check_by_default():
-    # 8 unit-weight edges: the cost rule would pick the census, whose face
-    # counts give k(F) only on genus 0
+    # 8 unit-weight edges: the cost rule would pick the census, but the map
+    # is refused first, as the side cycles give psi(H_F) only on genus 0
     weights = _refused(_torus(6))
     assert planemap._census_pays(list(weights.values()))
     assert not planemap._census_pays(list(_refused(_torus(0)).values()))
