@@ -10,19 +10,15 @@ a matching on the 4n darts of the n classical crossings.  A state picks the
 A or B splitting at every classical crossing; ``split`` counts its circles
 with ``util.count_cycles`` in O(n).
 
-The bracket does not visit the 2^n states.  ``util.census``, on the one
-kernel in one weight class, counts them by (A-splittings, circles) in one
-frontier (transfer-matrix) pass, the same pass that counts the Tait graph's
-relative Tutte polynomial (``planemap.relative_tutte``, which also tracks
-the components of its edges on the frontier), as Sekine, Imai and Tani do
-for the Tutte polynomial (ISAAC 1995) and Bar-Natan for Khovanov homology
-(JKTR 2007): the crossings are taken in greedy order, each next the one
-that closes the most arcs to the crossings already taken, and the partial
-states that pair up the open arc ends alike merge.  Its cost is n times
-the pairings reached times the histogram size, set by the frontier width,
-not by 2^n; after k crossings at most 2^k pairings are reached.  The
-strands are the cycles of the arcs and the opposite darts, listed by
-``util.cycles``.
+The bracket's states come from ``util.tally``, every crossing carrying
+the one weight pair (A, B).  From 7 crossings on that is the frontier
+(transfer-matrix) pass ``util.census``, the one that counts the Tait
+graph's relative Tutte polynomial, as Sekine, Imai and Tani do for the
+Tutte polynomial (ISAAC 1995) and Bar-Natan for Khovanov homology (JKTR
+2007): its cost is n times the pairings reached times the histogram size,
+set by the frontier width, not by 2^n.  Below 7 the depth-first
+``util.sweep`` visits the states.  The strands are the cycles of the arcs
+and the opposite darts, listed by ``util.cycles``.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from .errors import MalformedCode, MalformedDiagram, MissingOrientation, SizeLim
 from .planemap import PlaneMap
 from .poly import Polynomial, class_sum, monomial
 from .router import route
-from .util import CycleKernel, census, cycles
+from .util import CycleKernel, cycles, tally
 
 DEFAULT_CROSSING_CAP = 20
 
@@ -144,28 +140,24 @@ def split(L: VirtualLinkDiagram, state) -> int:
 
 def kauffman_bracket(L: VirtualLinkDiagram,
                      cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
-    """Sum of A^alpha B^beta d^(delta-1) over all 2^n states, from the
-    frontier census of ``bracket_kernel``: each (alpha, delta) once, with
-    the number of states that have it as coefficient, summed by
-    ``poly.class_sum`` with no weight class.
-
-    The census takes the crossings in greedy order, each next the one that
-    closes the most arcs to the crossings already taken, and merges the
-    partial states whose open arc ends pair up alike; after k crossings at
-    most 2^k pairings are held.  ``cap`` bounds the classical crossings n.
-    The pass costs n times the pairings reached times the histogram size,
-    which the frontier width sets, not 2^n; a 30-crossing link takes about
-    a second.
+    """Sum of A^alpha B^beta d^(delta-1) over all 2^n states, read off the
+    records of ``util.tally`` on ``bracket_kernel``: every crossing carries
+    the one pair (A, B), so from 7 crossings on the frontier census counts
+    the states by (alpha, delta), and below that the sweep visits them.
+    Each record's count is its coefficient, summed by ``poly.class_sum``
+    with A and B as term variables, not weight classes.  ``cap`` bounds
+    the classical crossings n; the census's cost is set by the frontier
+    width, not 2^n, and a 30-crossing link takes about a second.
     """
     n = len(L.classical)
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
     kernel = bracket_kernel(L)
-    counts = census(kernel)
+    _, records = tally(kernel, [("A", "B")] * n)
     # a state has 0 to closed + 2n circles
     return class_sum([], ("A", "B", "d"), kernel.closed + 2 * n + 1,
                      ((0, (ones, n - ones, cycles - 1), count)
-                      for ((ones,), cycles), count in counts.items()))
+                      for _, ones, cycles, count in records))
 
 
 def writhe(L: VirtualLinkDiagram) -> int:

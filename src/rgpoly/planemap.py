@@ -18,15 +18,14 @@ two sides of each end, which drops it, so the arcs serve every F.  The
 onto the 4m slots of the m regular edges.  ``convert.plane_to_ribbon``
 reads its ribbon graph off the same kernel.
 
-The polynomial is counted in one of two ways on the same kernel and on
-two partitions of F's ends, the vertices and the components of H, whose
-joins give k(F) and k(F union H) (``relative_joins``).  Few distinct
-(x, y) pairs (a Tait graph carries two) and m >= 7 take one frontier
-census (``util.census``) by set bits per pair; per-edge symbolic weights,
-where the census would cost more, and small m one depth-first
-``util.sweep``.  Both feed one term formula and ``poly.class_sum``.
-``RelPlaneGraph`` admits genus-0 maps only, so neither path checks the
-genus; the reference path ``psi(contract_all(G, F))`` builds H_F.
+The states come from ``util.tally`` on that kernel and on two partitions
+of F's ends, the vertices and the components of H, whose joins give k(F)
+and k(F union H) (``relative_joins``); it picks the frontier census for
+few distinct (x, y) pairs (a Tait graph carries two) and m >= 7, and the
+depth-first sweep otherwise, as for the other two sums.  One term formula
+reads every record into ``poly.class_sum``.  ``RelPlaneGraph`` admits
+genus-0 maps only, so the genus is not checked per state; the reference
+path ``psi(contract_all(G, F))`` builds H_F.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
@@ -34,18 +33,14 @@ genus; the reference path ``psi(contract_all(G, F))`` builds H_F.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from math import prod
-from operator import mul
 from typing import Container, Iterable, Mapping
 
 from .errors import GenusError, SizeLimit
 from .poly import Polynomial, class_sum, monomial, var
 from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph, side_cycles,
                      side_kernel)
-from .util import CycleKernel, census, sweep
+from .util import CycleKernel, tally
 
 
 @dataclass(frozen=True)
@@ -254,11 +249,10 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     ``psi(contract_all(G, F))`` builds H_F.
 
     The side cycles come from ``relative_kernel`` and k(F), k(F union H)
-    from the joins of ``relative_joins``.  With few distinct (x, y) pairs,
-    so that ``_census_pays``, one ``util.census`` counts the subsets by set
-    bits per pair; otherwise ``util.sweep`` enumerates them, every regular
-    edge a weight class of its own.  Both paths feed one term formula.
-    ``cap`` bounds m and is checked before anything is compiled.
+    from the joins of ``relative_joins``, both read off the records of
+    ``util.tally``, which counts the subsets by set bits per (x, y) pair
+    when few pairs occur and visits them otherwise.  ``cap`` bounds m and
+    is checked before anything is compiled.
     """
     regular = G.regular_indices()
     m = len(regular)
@@ -266,24 +260,12 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
         raise SizeLimit(_TOO_MANY_REGULAR.format(n=m, cap=cap))
     M = G.map
     nv, kG = M.num_vertices, M.components()
-    weights = [G.weights[ei] for ei in regular]
     kernel = relative_kernel(G)
     ends, sizes, kH = relative_joins(G)
-    if _census_pays(weights):
-        pairs = Counter(weights)
-        index = dict(zip(pairs, range(len(pairs))))
-        place = list(accumulate((n + 1 for n in pairs.values()), mul, initial=1))
-        classes = [(x, y, n) for (x, y), n in pairs.items()]
-        counts = census(kernel, [index[w] for w in weights], ends, sizes)
-        states = ((sum(map(mul, ones, place)), sum(ones), cycles, j, jh, count)
-                  for (ones, cycles, j, jh), count in counts.items())
-    else:
-        classes = [(x, y, 1) for x, y in weights]
-        states = ((mask, mask.bit_count(), cycles, j, jh, 1)
-                  for block in sweep(kernel, ends, sizes) for mask, cycles, j, jh in block)
+    classes, records = tally(kernel, [G.weights[ei] for ei in regular], ends, sizes)
 
     def terms():
-        for index, f, cycles, j, jh, count in states:
+        for index, f, cycles, j, jh, count in records:
             kF, kFH = nv - j, kH - jh
             nF = f - j
             yield index, (kFH - kG, nF, cycles - nF - kFH, kF - kFH), count
@@ -292,24 +274,6 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     # cycles n(F) + delta lie in [0, closed + 2m]
     bound = nv + m + kernel.closed + 2 * m
     return class_sum(classes, ("X", "Y", "d", "w"), bound, terms())
-
-
-def _census_pays(weights: list) -> bool:
-    """Whether the census beats enumerating the 2^m subsets of m regular
-    edges with these (x, y) weight pairs, n_c of them equal to pair c.
-
-    Enumeration by ``util.sweep`` costs about 2.5-7 us a subset at m = 8-9,
-    ``class_sum`` included.  The census path costs a fixed 30-90 us (the
-    whole call at m = 0-1) plus its steps, whose histograms grow with
-    prod(n_c + 1), the per-class set-bit counts.  On Tait graphs and on
-    one- and two-class weighted ``generate("rpg")`` maps (six each, best of
-    7), the census took 1.2-1.6x the time of the sweep at m = 5, 0.99-1.19x
-    at m = 6, 0.61-0.91x at m = 7 and 0.30-0.65x at m = 8-9, so the
-    crossover stays at m = 7; per-edge symbolic weights make
-    prod(n_c + 1) = 2^m, so they enumerate.  Below 7 edges no pair is hashed.
-    """
-    m = len(weights)
-    return m >= 7 and 4 * prod(n + 1 for n in Counter(weights).values()) <= 1 << m
 
 
 def relative_kernel(G: RelPlaneGraph) -> CycleKernel:
@@ -323,7 +287,7 @@ def relative_kernel(G: RelPlaneGraph) -> CycleKernel:
 
 
 def relative_joins(G: RelPlaneGraph) -> tuple[list, list, int]:
-    """The ends of the regular edges for ``util.sweep``, the label counts,
+    """The ends of the regular edges for ``util.tally``, the label counts,
     and k(H).  The ends come in two partitions: the vertices, and the
     components of H, each numbered from 0 in order of first appearance.
     With a state's joins j and jh in them, k(F) = v - j and

@@ -16,27 +16,22 @@ through arc, fixed link, arc, ... up to the next live node is the same in
 every state: ``collapse`` walks it once and keeps only the matching it
 induces on the live nodes, plus the number of cycles that never meet a live
 node.  A state then fills 4m links (``links``) and calls ``count_cycles``
-once, so it costs O(m) however large the drawn map is.  ``sweep`` visits
-all 2^m states depth first instead: each step collapses one element's four
-slots into the arcs of the elements still open (a copy of the arcs and at
-most four entries changed), so a state costs O(m) at most, and it counts the joins the set elements make
-in one or more partitions of their ends on the way down (the components of
-a spanning subgraph, and of it with H).  B_R and the relative Tutte
-polynomial with per-edge weights read their states off it.  ``census`` counts
-all 2^m states without visiting them: one frontier pass over the elements,
-whose cost the number of open slots at once sets and whose memory
-``CENSUS_ENTRIES`` bounds.  It takes ``sweep``'s kernel and partitions,
-keeps the classes of the labels on the frontier as Sekine, Imai and Tani's
-transfer-matrix pass keeps components (ISAAC 1995), and keys its counts by
-set bits per weight class, cycles and joins: the Kauffman bracket counts
-its kernel, and the relative Tutte polynomial with few weight pairs its
-kernel and two partitions.
+once, so it costs O(m) however large the drawn map is.
+
+``tally`` is the one entry point of the three state sums: it picks, by
+``_census_pays``, one of two engines that yield the same records (index,
+ones, cycles, joins..., count).  ``sweep`` visits the 2^m states depth
+first, each element a weight class of its own, in O(m^2) memory;
+``census`` counts them in one frontier pass by set bits per class of equal
+(x, y) weight pairs, as Sekine, Imai and Tani's transfer-matrix pass does
+(ISAAC 1995), in memory that ``CENSUS_ENTRIES`` bounds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain
+from math import prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -170,14 +165,16 @@ class CycleKernel:
         return self.closed + count_cycles(self.arc, self.links(mask))
 
 
-# the states of the last _BLOCK elements of a sweep go out as one list
+# the states of the last _BLOCK elements of a sweep are listed at once
 _BLOCK = 8
 
 
 def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
-          sizes: Sequence[int] = ()) -> Iterator[list]:
-    """Every state of ``kernel`` as (mask, ``kernel.cycles(mask)``, joins...),
-    in ascending mask order and in lists of at most 2^_BLOCK states.
+          sizes: Sequence[int] = ()) -> Iterator[tuple]:
+    """Every state of ``kernel`` as a record (mask, ones, cycles, joins...,
+    1) in ascending mask order: ones is the mask's set bits, cycles
+    ``kernel.cycles(mask)``, and the mask is its own ``poly.class_sum``
+    index when each element is a weight class of its own.
 
     ``ends[p][j]`` is the pair of labels in range(``sizes[p]``) that element
     j joins in partition p when its bit is set, and the state's p-th join
@@ -193,7 +190,8 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
     link (two cycles) or not (one).  Each level holds one copy of the arcs
     and, per partition, the class of every label, relabelled on a join, so
     the walk holds O(m) lists, each of the 4m arcs or of one partition's
-    labels, and recurses at most m deep.
+    labels, and recurses at most m deep; the states below the last
+    ``_BLOCK`` levels are listed at once, at most 2^_BLOCK of them.
     """
     m = len(kernel._links)
     # per element, for bit clear and set: its two link pairs (s, t, u, v)
@@ -210,8 +208,7 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
     labels = tuple(list(range(n)) for n in sizes)
     joins = (0,) * len(sizes)
     if not m:
-        yield [(0, kernel.closed, *joins)]
-        return
+        return iter([(0, 0, kernel.closed, *joins, 1)])
     last0, last1 = pairs[0][0][1], pairs[0][1][1]
 
     def join(j, labels, joins):
@@ -223,11 +220,11 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
                 joins = (*joins[:p], joins[p] + 1, *joins[p + 1:])
         return labels, joins
 
-    def walk(j, arc, closed, mask, labels, joins, out, stop):
+    def walk(j, arc, closed, mask, ones, labels, joins, out, stop):
         """Append to ``out`` the states that elements j, j-1, ... leave,
-        down to the state before element ``stop``, or every state."""
+        down to the state before element ``stop``, or every record."""
         if j == stop:
-            out.append((arc, closed, mask, labels, joins))
+            out.append((arc, closed, mask, ones, labels, joins))
         elif j:
             for bit, (s, t, u, v) in enumerate(pairs[j]):
                 a = arc if bit else arc[:]      # bit set takes the parent's list
@@ -243,15 +240,17 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
                 else:
                     a[p], a[q] = q, p
                 if bit:
-                    walk(j - 1, a, c, mask | 1 << j, *join(j, labels, joins), out, stop)
+                    walk(j - 1, a, c, mask | 1 << j, ones + 1, *join(j, labels, joins),
+                         out, stop)
                 else:
-                    walk(j - 1, a, c, mask, labels, joins, out, stop)
+                    walk(j - 1, a, c, mask, ones, labels, joins, out, stop)
         else:
             a = arc[0]
-            out.append((mask, closed + (a == last0) + 1, *joins))
-            out.append((mask | 1, closed + (a == last1) + 1, *join(0, labels, joins)[1]))
+            out.append((mask, ones, closed + (a == last0) + 1, *joins, 1))
+            out.append((mask | 1, ones + 1, closed + (a == last1) + 1,
+                        *join(0, labels, joins)[1], 1))
 
-    def levels(j, state):
+    def blocks(j, state):
         out: list = []
         if j < _BLOCK:
             walk(j, *state, out, -1)
@@ -259,19 +258,20 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
         else:
             walk(j, *state, out, j - 1)
             for child in out:
-                yield from levels(j - 1, child)
+                yield from blocks(j - 1, child)
 
-    yield from levels(m - 1, (list(kernel.arc), kernel.closed, 0, labels, joins))
+    return chain.from_iterable(blocks(m - 1, (list(kernel.arc), kernel.closed, 0, 0,
+                                              labels, joins)))
 
 
 def census(kernel: CycleKernel, classes: Sequence[int] = (),
            ends: Sequence[Sequence[tuple[int, int]]] = (),
-           sizes: Sequence[int] = ()) -> dict:
-    """{(ones, cycles, joins...): the number of masks with ``ones[c]`` set
-    bits among the elements of class c, ``kernel.cycles(mask)`` = cycles
-    and these joins}, in one frontier pass.  ``classes[j]`` is element j's
-    class (default: all in class 0), the classes are range(1 + the
-    largest), and ``ends`` and ``sizes`` give the partitions as in ``sweep``.
+           sizes: Sequence[int] = ()) -> list[tuple]:
+    """The states of ``kernel`` counted in one frontier pass, as a list of
+    ``sweep``'s records (index, ones, cycles, joins..., count) but with the
+    index the set bits per class, mixed-radix as ``poly.class_sum`` reads
+    it.  ``classes[j]`` is element j's class (default: all in class 0), and
+    ``ends`` and ``sizes`` give the partitions as in ``sweep``.
 
     The elements are taken in greedy order: next, the one whose slots close
     the most of its arcs to processed slots, ties to the lowest index.  The
@@ -281,23 +281,26 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
     position in it) and, per partition, the classes of the labels that a
     processed element has an end on and an unprocessed one still has (the
     open labels), numbered by first occurrence, so equal states merge.  It
-    maps to a histogram of the partial masks by cycles, joins per partition
-    and set bits per class, packed mixed-radix into one int.  A step closes
-    the element's arcs on a list of partner positions, the frontier's and
-    then its own slots'; the classes change only at its ends, so they are
-    worked out once per distinct tuple of them.  After k elements there are
-    at most 2^k states.  A step that ends with more than ``CENSUS_ENTRIES``
-    histogram entries raises ``SizeLimit``; as a step at most doubles them,
-    the pass never holds more than three times that many.
+    maps to a histogram of the partial masks by cycles, joins per partition,
+    set bits, and set bits per class, packed mixed-radix into one int in
+    that order, so the index is the key over the first class digit's place.
+    A step closes the element's arcs on a list of partner positions, the
+    frontier's and then its own slots'; the classes change only at its
+    ends, so they are worked out once per distinct tuple of them.  After k
+    elements there are at most 2^k states.  A step that ends with more than
+    ``CENSUS_ENTRIES`` histogram entries raises ``SizeLimit`` (at the call,
+    as the records are listed); as a step at most doubles them, the pass
+    never holds more than three times that many.
     """
     m = len(kernel._links)
     classes = list(classes) or [0] * m
     counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
     arc = kernel.arc
     # the key's digits: cycles (a cycle holds two live slots or more), the
-    # joins of each partition, then the set bits of each class
-    radices = [2 * m + 1] + [m + 1] * len(sizes) + [n + 1 for n in counts]
+    # joins of each partition, the set bits, then the set bits of each class
+    radices = [2 * m + 1] + [m + 1] * (len(sizes) + 1) + [n + 1 for n in counts]
     place = list(accumulate(radices, mul, initial=1))
+    top = 2 + len(sizes)            # the first class digit
     left = [Counter(chain.from_iterable(pairs)) for pairs in ends]     # unprocessed ends
     opened: list = [[] for _ in sizes]
     pending = [0] * m               # arcs from each element to processed slots
@@ -323,7 +326,7 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
         renumber = dict(zip(keep, range(len(keep))))
         base = len(frontier) - start
         choices = [(shift, tuple([base + t for t in link])) for shift, link
-                   in zip((0, place[1 + len(sizes) + classes[j]]), kernel._links[j])]
+                   in zip((0, place[top - 1] + place[top + classes[j]]), kernel._links[j])]
         # per partition: fresh classes for the element's ends that open now,
         # the positions of its ends, which labels stay open, a join's unit
         parts = []
@@ -362,10 +365,11 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
         states = nxt
         frontier = list(map(slots.__getitem__, keep))
     (histogram,) = states.values()
-    out = {}
+    digits = list(zip(place, radices[:top]))
+    out = []
     for key, count in histogram.items():
-        cycles, *digits = (key // p % r for p, r in zip(place, radices))
-        out[(tuple(digits[len(sizes):]), kernel.closed + cycles, *digits[:len(sizes)])] = count
+        cycles, *joins, ones = (key // p % r for p, r in digits)
+        out.append((key // place[top], ones, kernel.closed + cycles, *joins, count))
     return out
 
 
@@ -384,3 +388,39 @@ def _relabel(tracked: tuple, parts: list) -> tuple:
             seen: dict = {}
             out.append(tuple([seen.setdefault(new[i], len(seen)) for i in stay]))
     return (tuple(clear), 0), (tuple(set_), joined)
+
+
+def tally(kernel: CycleKernel, weights: Sequence[tuple],
+          ends: Sequence[Sequence[tuple[int, int]]] = (),
+          sizes: Sequence[int] = ()) -> tuple[list, Iterable[tuple]]:
+    """The ``poly.class_sum`` weight classes and the records of ``kernel``'s
+    states, with ``ends`` and ``sizes`` as in ``sweep``.  ``weights[j]`` is
+    element j's (x, y) pair, compared by equality only: ``census`` makes one
+    class (x, y, n) per distinct pair carried by n elements when
+    ``_census_pays``, and ``sweep`` one class (x, y, 1) per element
+    otherwise.
+    """
+    if _census_pays(weights):
+        pairs = Counter(weights)
+        index = dict(zip(pairs, range(len(pairs))))
+        return ([(x, y, n) for (x, y), n in pairs.items()],
+                census(kernel, [index[w] for w in weights], ends, sizes))
+    return [(x, y, 1) for x, y in weights], sweep(kernel, ends, sizes)
+
+
+def _census_pays(weights: Sequence[tuple]) -> bool:
+    """Whether the census beats visiting the 2^m states of m elements with
+    these weight pairs, n_c of them equal to pair c.
+
+    Full calls of the three sums with each engine forced (12 seeded
+    instances per family and m, median of 15 alternating rounds, on
+    brackets, Tait graphs, one- and two-class weighted ``generate("rpg")``
+    maps, and B_R of unit and two-class weighted ribbon graphs) took
+    census/sweep 1.34-1.58x at m = 5, 1.12-1.24x at m = 6, 0.83-1.02x at
+    m = 7, 0.52-0.68x at m = 8 and 0.38-0.47x at m = 9: the census costs
+    more per element, and its histograms grow with prod(n_c + 1).
+    Per-element symbolic weights make that 2^m, so they are swept.  Below
+    7 elements no pair is hashed.
+    """
+    m = len(weights)
+    return m >= 7 and 4 * prod(n + 1 for n in Counter(weights).values()) <= 1 << m

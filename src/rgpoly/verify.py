@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import SizeLimit
 from .planemap import (
@@ -224,7 +223,7 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     nv = G.map.num_vertices
     ends, sizes, kH = relative_joins(G)
     detail = ""
-    for mask, bcFr, j, jh in chain.from_iterable(sweep(bc, ends, sizes)):
+    for mask, _, bcFr, j, jh, _ in sweep(bc, ends, sizes):
         F = [regular[i] for i in range(len(regular)) if mask >> i & 1]
         Fr = [cert.g_to_r[ei] for ei in F]
         hf = contract_all(G, F)

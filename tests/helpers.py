@@ -17,7 +17,7 @@ counter and enumerating accumulator: ``Merges.count`` runs one union-find
 over a state's edge ends, ``count_both`` also over coarser classes of the
 ends, and ``state_sum`` feeds ``poly.class_sum`` every subset of its
 elements, one ``term(mask)`` call each.  The library now reads every
-state's cycles and joins off one depth-first ``util.sweep``;
+state's cycles and joins off the records of ``util.tally``;
 ``relative_merges`` keeps the earlier ``planemap.relative_joins`` on
 ``Merges``.  ``decode_by_fields`` keeps the earlier per-field decode of
 ``poly._Fields``, which now reads its fields in groups.
@@ -27,12 +27,14 @@ single-term powers into one exponent dict per term.
 
 ``kauffman_bracket_by_states`` keeps the earlier bracket, which runs
 ``state_sum`` over all 2^n states of the compiled kernel; the bracket
-now counts them in one frontier pass.
+now takes them from ``util.tally``, counted in one frontier pass from 7
+crossings on.
 
 ``relative_tutte_by_states`` keeps the enumerating ``planemap.relative_tutte``
 of per-mask ``state_sum`` calls, ``relative_kernel(G).cycles`` and
-``relative_merges``; the library now counts the subsets in one frontier
-census when few weight pairs occur, and sweeps them otherwise.
+``relative_merges``; the library now takes the subsets from
+``util.tally``, which counts them in one frontier census when few weight
+pairs occur and sweeps them otherwise.
 
 ``state_sum_by_products`` keeps the earlier accumulator of
 ``state_sum``: every state multiplies its weight polynomials and a

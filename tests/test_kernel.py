@@ -4,13 +4,15 @@ Every state sum now runs on ``util.CycleKernel``: fixed links (0-edges,
 virtual crossings, edges outside the enumerated set) are collapsed once and
 each state traces only 4m live slots.  These tests compare it with the
 earlier dict-keyed bodies kept in ``helpers`` and pin the slot count.
-``util.census`` counts the masks by (set bits, cycles, joins) in one
-frontier pass; it is compared with ``cycles`` on every mask, and with a
-count over ``util.sweep`` in the partitions of every caller.
+``util.census`` counts the masks by (class index, set bits, cycles,
+joins) in one frontier pass; it is compared with ``cycles`` on every mask,
+and with a count over ``util.sweep``'s records in the partitions of every
+caller.
 ``ribbon.from_slots`` reads a kernel's slots back into a ribbon graph.
 """
 
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -104,10 +106,9 @@ def test_one_join_pass_counts_components_of_f_and_f_union_h():
         joins, kH = relative_merges(G)
         ends, sizes, kH_sweep = relative_joins(G)
         assert kH_sweep == kH, G
-        swept = [state for block in util.sweep(relative_kernel(G), ends, sizes)
-                 for state in block]
+        swept = list(util.sweep(relative_kernel(G), ends, sizes))
         assert [state[0] for state in swept] == list(range(1 << len(regular))), G
-        for mask, _, j_sweep, jh_sweep in swept:
+        for mask, _, _, j_sweep, jh_sweep, _ in swept:
             F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
             j, jh = joins.count_both(mask)
             assert j == joins.count(mask), (G, F)
@@ -150,16 +151,25 @@ def test_live_slots_are_four_per_enumerated_element():
     assert L.map.num_vertices - len(L.classical) > 50
 
 
+def _counted(records):
+    out = Counter()
+    for *key, count in records:
+        out[tuple(key)] += count
+    return out
+
+
 def _census_by_masks(kernel):
+    # one class: the index is the set bits
     m = len(kernel.arc) // 4
-    return Counter(((mask.bit_count(),), kernel.cycles(mask)) for mask in range(1 << m))
+    return Counter((mask.bit_count(), mask.bit_count(), kernel.cycles(mask))
+                   for mask in range(1 << m))
 
 
 def test_census_counts_every_mask_of_bracket_kernels():
     for seed in range(40):
         for size in range(13):
             kernel = bracket_kernel(generate("link", seed, size))
-            assert util.census(kernel) == _census_by_masks(kernel), (seed, size)
+            assert _counted(util.census(kernel)) == _census_by_masks(kernel), (seed, size)
 
 
 def test_census_counts_every_mask_of_bollobas_riordan_kernels():
@@ -171,18 +181,17 @@ def test_census_counts_every_mask_of_bollobas_riordan_kernels():
             for G in (R, RibbonGraph(R.vertices + [()], R.edges)):
                 for state in (range(size), range(0, size, 2)):
                     kernel = side_kernel(G, twist_links(G), state)
-                    assert util.census(kernel) == _census_by_masks(kernel), (seed, size)
+                    assert _counted(util.census(kernel)) == _census_by_masks(kernel), (seed, size)
 
 
 def _census_by_sweep(kernel, classes, ends=(), sizes=()):
-    counts = [0] * (max(classes, default=0) + 1)
+    # class c's set bits at place prod(n_d + 1 for the classes d < c)
+    counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
+    place = [prod(n + 1 for n in counts[:c]) for c in range(len(counts))]
     out = Counter()
-    for block in util.sweep(kernel, ends, sizes):
-        for mask, cycles, *joins in block:
-            ones = counts[:]
-            for j, c in enumerate(classes):
-                ones[c] += mask >> j & 1
-            out[(tuple(ones), cycles, *joins)] += 1
+    for mask, _, cycles, *joins, count in util.sweep(kernel, ends, sizes):
+        index = sum(place[c] for j, c in enumerate(classes) if mask >> j & 1)
+        out[(index, mask.bit_count(), cycles, *joins)] += count
     return out
 
 
@@ -219,7 +228,7 @@ def test_census_matches_a_counter_over_sweep():
         for k in range(1, 4):
             classes = [(key[0] + j * j) % k for j in range(m)]
             expected = _census_by_sweep(kernel, classes, ends, sizes)
-            assert util.census(kernel, classes, ends, sizes) == expected, (key, k)
+            assert _counted(util.census(kernel, classes, ends, sizes)) == expected, (key, k)
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):

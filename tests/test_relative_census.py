@@ -1,12 +1,13 @@
 """The relative Tutte polynomial read off one frontier census.
 
-When the regular edges carry few distinct weight pairs, ``relative_tutte``
+When the regular edges carry few distinct weight pairs, ``util.tally``
 counts the subsets in one ``util.census`` pass over ``relative_kernel``,
 by set bits per pair, side cycles, and the joins of ``relative_joins``'
 two partitions (the vertices and the components of H), the same kernel
-and partitions that its ``util.sweep`` path enumerates, so both paths
-share one term formula.  Here the census path is forced (``_census_pays``
-patched to True) and compared with the enumerating body kept as
+and partitions that ``util.sweep`` enumerates otherwise, and
+``relative_tutte`` reads both engines' records with one term formula.
+Here the census is forced (``util._census_pays`` patched to True) and
+compared with the enumerating body kept as
 ``helpers.relative_tutte_by_states`` and with the contraction oracle, also
 on per-edge symbolic weights, where ``poly.class_sum`` gets one class per
 edge.  The default dispatch is pinned separately: per-edge symbolic weights
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from rgpoly import planemap, util
+from rgpoly import util
 from rgpoly.cli import main
 from rgpoly.convert import link_to_tait
 from rgpoly.errors import GenusError, SizeLimit
@@ -31,14 +32,14 @@ from helpers import relative_tutte_by_contraction, relative_tutte_by_states
 
 @pytest.fixture
 def census_always(monkeypatch):
-    monkeypatch.setattr(planemap, "_census_pays", lambda weights: True)
+    monkeypatch.setattr(util, "_census_pays", lambda weights: True)
 
 
 @pytest.fixture
 def census_refused(monkeypatch):
     def refuse(*args):
         raise AssertionError("the census ran")
-    monkeypatch.setattr(planemap, "census", refuse)
+    monkeypatch.setattr(util, "census", refuse)
 
 
 def _reweighted(G, rng, pairs):
@@ -92,12 +93,12 @@ def test_small_two_class_graph_stays_on_enumeration(census_refused):
 
 def test_census_runs_on_a_large_few_class_graph(monkeypatch):
     calls = []
-    census = planemap.census
+    census = util.census
 
     def counted(*args):
         calls.append(args)
         return census(*args)
-    monkeypatch.setattr(planemap, "census", counted)
+    monkeypatch.setattr(util, "census", counted)
     G = link_to_tait(generate("link", 3, 10))
     assert relative_tutte(G) == relative_tutte_by_states(G)
     assert len(calls) == 1
@@ -134,8 +135,8 @@ def test_non_plane_graph_fails_the_genus_check_by_default():
     # 8 unit-weight edges: the cost rule would pick the census, but the map
     # is refused first, as the side cycles give psi(H_F) only on genus 0
     weights = _refused(_torus(6))
-    assert planemap._census_pays(list(weights.values()))
-    assert not planemap._census_pays(list(_refused(_torus(0)).values()))
+    assert util._census_pays(list(weights.values()))
+    assert not util._census_pays(list(_refused(_torus(0)).values()))
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch, tmp_path, capsys):

@@ -1,16 +1,18 @@
 """``util.sweep`` against per-mask cycles and the ``Merges`` oracle.
 
 The sweep walks the include/exclude tree of a kernel's elements depth
-first and gives every state's cycles and joins; ``bollobas_riordan``, the
-enumerating ``relative_tutte`` and ``verify.check_subset_identities`` read
-their states off it.  These tests compare it with ``CycleKernel.cycles`` and
-``helpers.Merges`` on every mask, pin its blocks and its memory, check that
-the two state sums refuse too many edges before compiling anything, and
-compare ``poly._Fields``' grouped decode with the per-field one.
+first and gives every state's record (mask, set bits, cycles, joins...,
+1); ``util.tally`` hands its records to the three state sums when the
+census does not pay, and ``verify.check_subset_identities`` reads them
+directly.  These tests compare it with ``CycleKernel.cycles`` and
+``helpers.Merges`` on every mask, pin its records and its memory, check
+that the two state sums refuse too many edges before compiling anything,
+and compare ``poly._Fields``' grouped decode with the per-field one.
 """
 
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -27,11 +29,12 @@ from helpers import Merges, decode_by_fields, relative_merges
 
 
 def _swept(kernel, ends=(), sizes=()):
-    blocks = list(util.sweep(kernel, ends, sizes))
-    assert all(1 <= len(block) <= 1 << util._BLOCK for block in blocks)
+    records = list(util.sweep(kernel, ends, sizes))
+    # every mask once, ascending, with its set bits and a count of 1
     m = len(kernel.arc) // 4
-    assert len(blocks) == 1 << max(0, m - util._BLOCK)
-    return [state for block in blocks for state in block]
+    assert [(r[0], r[1], r[-1]) for r in records] == [
+        (mask, mask.bit_count(), 1) for mask in range(1 << m)]
+    return [(mask, cycles, *joins) for mask, _, cycles, *joins, _ in records]
 
 
 def _vertex_ends(R):
@@ -88,8 +91,8 @@ def test_sweep_matches_merges_on_relative_kernels_with_h_classes():
 def test_sweep_of_no_elements_is_one_state():
     R = RibbonGraph([(), ()], [])
     kernel = side_kernel(R, {}, ())
-    assert list(util.sweep(kernel, [[]], [2])) == [[(0, 2, 0)]]
-    assert list(util.sweep(kernel)) == [[(0, 2)]]
+    assert list(util.sweep(kernel, [[]], [2])) == [(0, 0, 2, 0, 1)]
+    assert list(util.sweep(kernel)) == [(0, 0, 2, 1)]
 
 
 def test_state_sums_check_their_caps_before_compiling(monkeypatch):
@@ -101,10 +104,9 @@ def test_state_sums_check_their_caps_before_compiling(monkeypatch):
     m = len(G.regular_indices())
     # per-edge symbolic weights enumerate; unit weights take the census
     unit = planemap.RelPlaneGraph(G.map, G.zero, {i: (ONE, ONE) for i in G.regular_indices()})
-    for name in ("side_kernel", "sweep", "class_sum"):
-        monkeypatch.setattr(ribbon, name, boom)
-    for name in ("side_kernel", "sweep", "class_sum", "census"):
-        monkeypatch.setattr(planemap, name, boom)
+    for module in (ribbon, planemap):
+        for name in ("side_kernel", "tally", "class_sum"):
+            monkeypatch.setattr(module, name, boom)
     with pytest.raises(SizeLimit, match="^5 edges exceeds the enumeration cap 4$"):
         bollobas_riordan(R, cap=4)
     for graph in (G, unit):
@@ -114,17 +116,22 @@ def test_state_sums_check_their_caps_before_compiling(monkeypatch):
 
 def test_bollobas_riordan_streams_its_states():
     # unit weights leave few output terms, so a list of the 2^16 states
-    # (over 4 MB of tuples) would be most of the peak
+    # (over 4 MB of tuples) would be most of the peak; they take the
+    # census, so the sweep over the same kernel is consumed on its own too
     R = generate("ribbon", 5, 16)
     R = RibbonGraph(R.vertices, [make_edge(*e.ends, sign=e.sign, label=e.label, x=ONE, y=ONE)
                                  for e in R.edges])
-    tracemalloc.start()
-    try:
-        bollobas_riordan(R)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    kernel = side_kernel(R, twist_links(R), range(R.num_edges))
+    ends = [_vertex_ends(R)]
+    for run in (lambda: bollobas_riordan(R),
+                lambda: deque(util.sweep(kernel, ends, [R.num_vertices]), maxlen=0)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def test_grouped_decode_matches_per_field_decode():
