@@ -6,15 +6,15 @@ substitution target, or a negative verify count or size; 141 (128 +
 SIGPIPE) when the reader closes standard output early, as ``head`` does.
 The cap (24 edges for br/rtutte, 20 classical crossings for bracket/jones)
 may be overridden with the RGPOLY_CAP environment variable or the --cap
-flag; either must be a nonnegative integer.  br, rtutte, bracket and
-jones add up their 2^m states by one rule (``util.tally``): with m >= 7 and few
-distinct (x, y) weight pairs, as unit weights, a Tait graph or a bracket
-have, one frontier pass counts them, and the cap is then a size cap only,
-the cost set by the frontier width, not 2^m; --cap=30 on a 30-crossing
-link runs in about a second.  Otherwise (per-edge symbolic x_e, y_e, or
-m < 7) one depth-first sweep enumerates them, whose memory stays O(m^2)
-beyond the output, so the cap bounds time.  Each command checks its cap
-before compiling.
+flag; either must be a nonnegative integer.  rtutte, bracket and jones
+add up their 2^m states by one rule (``util.tally``): with m >= 7 and few
+distinct (x, y) weight pairs, as a Tait graph or a bracket has, one
+frontier pass counts them, and the cap is then a size cap only, the cost
+set by the frontier width, not 2^m; --cap=30 on a 30-crossing link runs
+in about a second.  Otherwise (per-edge symbolic x_e, y_e, or m < 7), and
+for br always, one depth-first sweep enumerates them, whose memory stays
+O(m^2) beyond the output, so the cap bounds time.  Each command checks its
+cap before compiling.
 """
 
 from __future__ import annotations

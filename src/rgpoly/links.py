@@ -153,6 +153,7 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
     kernel = bracket_kernel(L)
+    # (A, B) only feeds tally's rule (one class); A and B stay term variables
     _, records = tally(kernel, [("A", "B")] * n)
     # a state has 0 to closed + 2n circles
     return class_sum([], ("A", "B", "d"), kernel.closed + 2 * n + 1,

@@ -22,7 +22,7 @@ The states come from ``util.tally`` on that kernel and on two partitions
 of F's ends, the vertices and the components of H, whose joins give k(F)
 and k(F union H) (``relative_joins``); it picks the frontier census for
 few distinct (x, y) pairs (a Tait graph carries two) and m >= 7, and the
-depth-first sweep otherwise, as for the other two sums.  One term formula
+depth-first sweep otherwise, as for the bracket.  One term formula
 reads every record into ``poly.class_sum``.  ``RelPlaneGraph`` admits
 genus-0 maps only, so the genus is not checked per state; the reference
 path ``psi(contract_all(G, F))`` builds H_F.

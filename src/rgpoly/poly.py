@@ -22,11 +22,11 @@ compares the exponent vectors.
 it weights states grouped into weight classes, and no state builds a
 ``Polynomial``.  A term is (index, exponents, count): the index gives the
 number of chosen elements per class, mixed-radix, and the count how many
-states share it.  The three state sums feed it the records of
-``util.tally``: every subset as ``util.sweep`` streams it, one element
-per class, so a mask is its own index, or the frontier census's counts by
-set bits per (x, y) class.  The Kauffman bracket keeps A and B as term
-variables and passes no class at all.  Inside it
+states share it.  B_R feeds it ``util.sweep``'s records, one element per
+class, so a mask is its own index; the other two sums feed it those or,
+where ``util.tally`` picks it, ``util.census``'s counts by set bits per
+(x, y) class.  The Kauffman bracket keeps A and B as term variables and
+passes no class at all.  Inside it
 a monomial is one int: each variable of the weights and of the term owns
 a bit field of its exponent vector, holding exp4 plus a bias, so negative exponents pack too
 (Kronecker substitution).  A field's bias is the largest |exp4| the

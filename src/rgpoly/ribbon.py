@@ -27,9 +27,9 @@ a ribbon graph back off such slots (the gem encoding).
 
 On top of the core the module computes nullity and boundary components of
 spanning subgraphs, the doubly weighted Bollobas-Riordan polynomial (all
-edges live, nothing to collapse, the subgraphs and their vertex joins
-taken from ``util.tally`` as the other two sums take theirs), and converts
-to and from arrow presentations.
+edges live, nothing to collapse, every subgraph visited by one depth-first
+``util.sweep`` that also counts its vertex joins), and converts to and
+from arrow presentations.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedPresentation, SizeLimit
 from .poly import Polynomial, class_sum, var
-from .util import CycleKernel, cycles, roots, tally
+from .util import CycleKernel, cycles, roots, sweep
 
 DEFAULT_EDGE_CAP = 24
 
@@ -243,12 +243,13 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     Sums over all 2^|E| spanning subgraphs F the term
     (prod_{e in F} x_e)(prod_{e not in F} y_e)
     X^(k(F)-k(R)) Y^(n(F)) Z^(k(F)-bc(F)+n(F)),
-    on one kernel whose 4|E| slots are all live.  ``util.tally`` gives each
-    subgraph's boundary components, its edge count and the joins of its
-    edges on the vertices, so k(F) = v - joins: counted by set bits per
-    (x, y) pair when few pairs occur (unit weights), visited one by one
-    otherwise (per-edge symbolic weights).  More than ``cap`` edges raise
-    SizeLimit before anything is compiled.
+    on one kernel whose 4|E| slots are all live.  ``util.sweep`` walks the
+    subgraphs depth first and gives each one's boundary components, its
+    edge count and the joins of its edges on the vertices, so k(F) = v -
+    joins; every edge is a weight class of its own, so a mask is its own
+    ``class_sum`` index, whatever the weights (no workload runs B_R on the
+    census yet).  More than ``cap`` edges raise SizeLimit before anything
+    is compiled.
     """
     m = R.num_edges
     if m > cap:
@@ -257,17 +258,16 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     kR = R.components()
     kernel = side_kernel(R, twist_links(R), range(m))
     ends = [(R.vertex_of(h1), R.vertex_of(h2)) for h1, h2 in (e.ends for e in R.edges)]
-    classes, records = tally(kernel, [(e.x, e.y) for e in R.edges], [ends], [nv])
 
     def terms():
-        for index, ones, bc, joins, count in records:
+        for mask, ones, bc, joins, _ in sweep(kernel, [ends], [nv]):
             k = nv - joins
             n = ones - joins
-            yield index, (k - kR, n, k - bc + n), count
+            yield mask, (k - kR, n, k - bc + n), 1
 
     # 0 <= k, kR <= nv, 0 <= n <= m and 0 <= bc <= closed + 2m
     bound = nv + m + kernel.closed + 2 * m
-    return class_sum(classes, ("X", "Y", "Z"), bound, terms())
+    return class_sum([(e.x, e.y, 1) for e in R.edges], ("X", "Y", "Z"), bound, terms())
 
 
 # -- arrow presentations ---------------------------------------------

@@ -18,13 +18,13 @@ induces on the live nodes, plus the number of cycles that never meet a live
 node.  A state then fills 4m links (``links``) and calls ``count_cycles``
 once, so it costs O(m) however large the drawn map is.
 
-``tally`` is the one entry point of the three state sums: it picks, by
-``_census_pays``, one of two engines that yield the same records (index,
-ones, cycles, joins..., count).  ``sweep`` visits the 2^m states depth
-first, each element a weight class of its own, in O(m^2) memory;
-``census`` counts them in one frontier pass by set bits per class of equal
-(x, y) weight pairs, as Sekine, Imai and Tani's transfer-matrix pass does
-(ISAAC 1995), in memory that ``CENSUS_ENTRIES`` bounds.
+Two engines yield the same records (index, ones, cycles, joins...,
+count).  ``sweep`` visits the 2^m states depth first, each element a
+weight class of its own, in O(m^2) memory; ``census`` counts them in one
+frontier pass by set bits per class of equal (x, y) weight pairs, as
+Sekine, Imai and Tani's transfer-matrix pass does (ISAAC 1995), in memory
+that ``CENSUS_ENTRIES`` bounds.  B_R always sweeps; ``tally`` picks the
+engine for the relative Tutte polynomial and the bracket.
 """
 
 from __future__ import annotations
@@ -400,17 +400,18 @@ def tally(kernel: CycleKernel, weights: Sequence[tuple],
     ``_census_pays``, and ``sweep`` one class (x, y, 1) per element
     otherwise.
     """
-    if _census_pays(weights):
-        pairs = Counter(weights)
-        index = dict(zip(pairs, range(len(pairs))))
-        return ([(x, y, n) for (x, y), n in pairs.items()],
-                census(kernel, [index[w] for w in weights], ends, sizes))
-    return [(x, y, 1) for x, y in weights], sweep(kernel, ends, sizes)
+    pairs = _census_pays(weights)
+    if pairs is None:
+        return [(x, y, 1) for x, y in weights], sweep(kernel, ends, sizes)
+    index = dict(zip(pairs, range(len(pairs))))
+    return ([(x, y, n) for (x, y), n in pairs.items()],
+            census(kernel, [index[w] for w in weights], ends, sizes))
 
 
-def _census_pays(weights: Sequence[tuple]) -> bool:
-    """Whether the census beats visiting the 2^m states of m elements with
-    these weight pairs, n_c of them equal to pair c.
+def _census_pays(weights: Sequence[tuple]) -> Counter | None:
+    """The weight pairs counted, n_c of them equal to pair c, when the
+    census beats visiting the 2^m states of m elements with these pairs;
+    None when it does not.
 
     Full calls of the three sums with each engine forced (12 seeded
     instances per family and m, median of 15 alternating rounds, on
@@ -423,4 +424,5 @@ def _census_pays(weights: Sequence[tuple]) -> bool:
     7 elements no pair is hashed.
     """
     m = len(weights)
-    return m >= 7 and 4 * prod(n + 1 for n in Counter(weights).values()) <= 1 << m
+    pairs = Counter(weights) if m >= 7 else None
+    return pairs if pairs and 4 * prod(n + 1 for n in pairs.values()) <= 1 << m else None

@@ -17,7 +17,8 @@ counter and enumerating accumulator: ``Merges.count`` runs one union-find
 over a state's edge ends, ``count_both`` also over coarser classes of the
 ends, and ``state_sum`` feeds ``poly.class_sum`` every subset of its
 elements, one ``term(mask)`` call each.  The library now reads every
-state's cycles and joins off the records of ``util.tally``;
+state's cycles and joins off the records of ``util.sweep`` or
+``util.census``;
 ``relative_merges`` keeps the earlier ``planemap.relative_joins`` on
 ``Merges``.  ``decode_by_fields`` keeps the earlier per-field decode of
 ``poly._Fields``, which now reads its fields in groups.

@@ -6,7 +6,8 @@ by set bits per pair, side cycles, and the joins of ``relative_joins``'
 two partitions (the vertices and the components of H), the same kernel
 and partitions that ``util.sweep`` enumerates otherwise, and
 ``relative_tutte`` reads both engines' records with one term formula.
-Here the census is forced (``util._census_pays`` patched to True) and
+Here the census is forced (``util._census_pays`` patched to count every
+pair) and
 compared with the enumerating body kept as
 ``helpers.relative_tutte_by_states`` and with the contraction oracle, also
 on per-edge symbolic weights, where ``poly.class_sum`` gets one class per
@@ -15,6 +16,7 @@ and small instances enumerate.  A map of higher genus is refused.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +34,7 @@ from helpers import relative_tutte_by_contraction, relative_tutte_by_states
 
 @pytest.fixture
 def census_always(monkeypatch):
-    monkeypatch.setattr(util, "_census_pays", lambda weights: True)
+    monkeypatch.setattr(util, "_census_pays", Counter)
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 The sweep walks the include/exclude tree of a kernel's elements depth
 first and gives every state's record (mask, set bits, cycles, joins...,
-1); ``util.tally`` hands its records to the three state sums when the
-census does not pay, and ``verify.check_subset_identities`` reads them
-directly.  These tests compare it with ``CycleKernel.cycles`` and
+1); ``bollobas_riordan`` and ``verify.check_subset_identities`` read them
+directly, and ``util.tally`` hands them to the other two state sums when
+the census does not pay.  These tests compare it with ``CycleKernel.cycles`` and
 ``helpers.Merges`` on every mask, pin its records and its memory, check
 that the two state sums refuse too many edges before compiling anything,
 and compare ``poly._Fields``' grouped decode with the per-field one.
@@ -12,7 +12,6 @@ and compare ``poly._Fields``' grouped decode with the per-field one.
 
 import random
 import tracemalloc
-from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -104,9 +103,10 @@ def test_state_sums_check_their_caps_before_compiling(monkeypatch):
     m = len(G.regular_indices())
     # per-edge symbolic weights enumerate; unit weights take the census
     unit = planemap.RelPlaneGraph(G.map, G.zero, {i: (ONE, ONE) for i in G.regular_indices()})
-    for module in (ribbon, planemap):
-        for name in ("side_kernel", "tally", "class_sum"):
-            monkeypatch.setattr(module, name, boom)
+    for name in ("side_kernel", "sweep", "class_sum"):
+        monkeypatch.setattr(ribbon, name, boom)
+    for name in ("side_kernel", "tally", "class_sum"):
+        monkeypatch.setattr(planemap, name, boom)
     with pytest.raises(SizeLimit, match="^5 edges exceeds the enumeration cap 4$"):
         bollobas_riordan(R, cap=4)
     for graph in (G, unit):
@@ -116,22 +116,17 @@ def test_state_sums_check_their_caps_before_compiling(monkeypatch):
 
 def test_bollobas_riordan_streams_its_states():
     # unit weights leave few output terms, so a list of the 2^16 states
-    # (over 4 MB of tuples) would be most of the peak; they take the
-    # census, so the sweep over the same kernel is consumed on its own too
+    # (over 4 MB of tuples) would be most of the peak
     R = generate("ribbon", 5, 16)
     R = RibbonGraph(R.vertices, [make_edge(*e.ends, sign=e.sign, label=e.label, x=ONE, y=ONE)
                                  for e in R.edges])
-    kernel = side_kernel(R, twist_links(R), range(R.num_edges))
-    ends = [_vertex_ends(R)]
-    for run in (lambda: bollobas_riordan(R),
-                lambda: deque(util.sweep(kernel, ends, [R.num_vertices]), maxlen=0)):
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak
+    tracemalloc.start()
+    try:
+        bollobas_riordan(R)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_grouped_decode_matches_per_field_decode():

@@ -1,17 +1,20 @@
-"""``util.tally``: the one engine choice of the three state sums.
+"""``util.tally``: the one engine choice of the state sums.
 
-``bollobas_riordan``, ``relative_tutte`` and ``kauffman_bracket`` each take
-their weight classes and state records from ``util.tally``, which runs the
-frontier census when ``util._census_pays`` and the depth-first sweep
+``relative_tutte`` and ``kauffman_bracket`` take their weight classes and
+state records from ``util.tally``, which runs the frontier census when
+``util._census_pays`` counts the weight pairs and the depth-first sweep
 otherwise.  Forcing each engine in turn must give the same polynomial text
-on every sum; the default choice is pinned on both sides of the rule.
+on both sums; the default choice is pinned on both sides of the rule, and
+``bollobas_riordan`` always sweeps.  ``tests/test_kernel.py`` compares the
+two engines' records on B_R side kernels.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from rgpoly import util
+from rgpoly import ribbon, util
 from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.links import kauffman_bracket
 from rgpoly.planemap import RelPlaneGraph, relative_tutte
@@ -29,17 +32,12 @@ def _reweighted(R, pairs, rng):
 
 
 def _sums():
-    # (key, state sum) with at most 10 enumerated elements: B_R with
-    # symbolic, unit and two-class weights, with and without bare vertices;
-    # relative_tutte of generated, routed and Tait graphs; brackets
+    # (key, state sum) with at most 10 enumerated elements: relative_tutte
+    # of generated, two-class, routed and Tait graphs; brackets
     for seed in range(8):
         rng = random.Random(seed)
         for size in range(11):
             R = generate("ribbon", seed, size)
-            bare = RibbonGraph(R.vertices + [(), ()], R.edges)
-            for name, graph in (("symbolic", bare), ("unit", _reweighted(R, TWO[:1], rng)),
-                                ("two", _reweighted(bare, TWO, rng))):
-                yield (seed, size, "br", name), lambda g=graph: bollobas_riordan(g)
             G = generate("rpg", seed, size)
             graphs = [G, RelPlaneGraph(G.map, G.zero, {i: rng.choice(TWO)
                                                        for i in G.regular_indices()})]
@@ -57,7 +55,7 @@ def test_both_engines_give_the_same_text(monkeypatch):
     for key, run in _sums():
         texts = []
         for pays in (True, False):
-            monkeypatch.setattr(util, "_census_pays", lambda weights, pays=pays: pays)
+            monkeypatch.setattr(util, "_census_pays", Counter if pays else lambda weights: None)
             texts.append(run().canonical())
         assert texts[0] == texts[1], key
 
@@ -76,9 +74,21 @@ def engines(monkeypatch):
     return ran
 
 
-def test_unit_weight_bollobas_riordan_takes_the_census(engines):
-    R = _reweighted(generate("ribbon", 5, 16), TWO[:1], random.Random(0))
-    bollobas_riordan(R)
+def test_bollobas_riordan_always_sweeps(engines, monkeypatch):
+    # symbolic, unit and two-class weights alike
+    monkeypatch.setattr(ribbon, "sweep", util.sweep)
+    rng = random.Random(0)
+    for size in (7, 16):
+        R = generate("ribbon", 5, size)
+        for graph in (R, _reweighted(R, TWO[:1], rng), _reweighted(R, TWO, rng)):
+            bollobas_riordan(graph)
+    assert engines == ["sweep"] * 6
+
+
+def test_unit_weight_relative_tutte_takes_the_census(engines):
+    G = generate("rpg", 5, 16)
+    assert len(G.regular_indices()) >= 7
+    relative_tutte(RelPlaneGraph(G.map, G.zero, {i: TWO[0] for i in G.regular_indices()}))
     assert engines == ["census"]
 
 
@@ -93,7 +103,6 @@ def test_small_brackets_take_the_sweep(engines):
 
 def test_per_edge_symbolic_weights_never_take_the_census(engines):
     for size in (7, 10, 12):
-        bollobas_riordan(generate("ribbon", 3, size))
         G = generate("rpg", 3, size + 8)
         assert len(G.regular_indices()) >= 7
         relative_tutte(G)
