@@ -85,13 +85,6 @@ def test_bollobas_riordan_always_sweeps(engines, monkeypatch):
     assert engines == ["sweep"] * 6
 
 
-def test_unit_weight_relative_tutte_takes_the_census(engines):
-    G = generate("rpg", 5, 16)
-    assert len(G.regular_indices()) >= 7
-    relative_tutte(RelPlaneGraph(G.map, G.zero, {i: TWO[0] for i in G.regular_indices()}))
-    assert engines == ["census"]
-
-
 def test_small_brackets_take_the_sweep(engines):
     for seed in range(20):
         for size in range(7):
