@@ -105,12 +105,14 @@ def _vertex_lines(M) -> list[str]:
 
 
 def _weight_options(label: str, x: poly.Polynomial, y: poly.Polynomial) -> str:
-    """The x=/y= options of the weights that differ from the default x_label, y_label."""
+    """The x=/y= options of the weights that differ from the default x_label,
+    y_label, compared as canonical text (which ``poly.parse`` inverts), so no
+    name is registered."""
     out = ""
-    if x != poly.var(f"x_{label}"):
-        out += f" x={x.canonical().replace(' ', '')}"
-    if y != poly.var(f"y_{label}"):
-        out += f" y={y.canonical().replace(' ', '')}"
+    for name, w in ("x", x), ("y", y):
+        text = w.canonical()
+        if text != f"{name}_{label}":
+            out += f" {name}={text.replace(' ', '')}"
     return out
 
 

@@ -11,14 +11,13 @@ A or B splitting at every classical crossing; ``split`` counts its circles
 with ``util.count_cycles`` in O(n).
 
 The bracket's states come from ``util.tally``, every crossing carrying
-the one weight pair (A, B).  From 7 crossings on that is the frontier
-(transfer-matrix) pass ``util.census``, the one that counts the Tait
-graph's relative Tutte polynomial, as Sekine, Imai and Tani do for the
-Tutte polynomial (ISAAC 1995) and Bar-Natan for Khovanov homology (JKTR
-2007): its cost is n times the pairings reached times the histogram size,
-set by the frontier width, not by 2^n.  Below 7 the depth-first
-``util.sweep`` visits the states.  The strands are the cycles of the arcs
-and the opposite darts, listed by ``util.cycles``.
+the one weight pair (A, B): either the frontier (transfer-matrix) pass
+``util.census``, the one that counts the Tait graph's relative Tutte
+polynomial, as Sekine, Imai and Tani do for the Tutte polynomial (ISAAC
+1995) and Bar-Natan for Khovanov homology (JKTR 2007), whose cost is n
+times the pairings reached times the histogram size, set by the frontier
+width, not by 2^n; or the depth-first ``util.sweep``.  The strands are
+the cycles of the arcs and the opposite darts, listed by ``util.cycles``.
 """
 
 from __future__ import annotations
@@ -141,9 +140,8 @@ def split(L: VirtualLinkDiagram, state) -> int:
 def kauffman_bracket(L: VirtualLinkDiagram,
                      cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states, read off the
-    records of ``util.tally`` on ``bracket_kernel``: every crossing carries
-    the one pair (A, B), so from 7 crossings on the frontier census counts
-    the states by (alpha, delta), and below that the sweep visits them.
+    records of ``util.tally`` on ``bracket_kernel``, every crossing
+    carrying the one pair (A, B), so that a record's ones is alpha.
     Each record's count is its coefficient, summed by ``poly.class_sum``
     with A and B as term variables, not weight classes.  ``cap`` bounds
     the classical crossings n; the census's cost is set by the frontier

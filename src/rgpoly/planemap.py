@@ -20,12 +20,11 @@ reads its ribbon graph off the same kernel.
 
 The states come from ``util.tally`` on that kernel and on two partitions
 of F's ends, the vertices and the components of H, whose joins give k(F)
-and k(F union H) (``relative_joins``); it picks the frontier census for
-few distinct (x, y) pairs (a Tait graph carries two) and m >= 7, and the
-depth-first sweep otherwise, as for the bracket.  One term formula
-reads every record into ``poly.class_sum``.  ``RelPlaneGraph`` admits
-genus-0 maps only, so the genus is not checked per state; the reference
-path ``psi(contract_all(G, F))`` builds H_F.
+and k(F union H) (``relative_joins``); it picks the frontier census or
+the depth-first sweep, as for the bracket.  One term formula reads every
+record into ``poly.class_sum``.  ``RelPlaneGraph`` admits genus-0 maps
+only, so the genus is not checked per state; the reference path
+``psi(contract_all(G, F))`` builds H_F.
 
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
@@ -250,9 +249,8 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
 
     The side cycles come from ``relative_kernel`` and k(F), k(F union H)
     from the joins of ``relative_joins``, both read off the records of
-    ``util.tally``, which counts the subsets by set bits per (x, y) pair
-    when few pairs occur and visits them otherwise.  ``cap`` bounds m and
-    is checked before anything is compiled.
+    ``util.tally``.  ``cap`` bounds m and is checked before anything is
+    compiled.
     """
     regular = G.regular_indices()
     m = len(regular)
@@ -261,8 +259,8 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     M = G.map
     nv, kG = M.num_vertices, M.components()
     kernel = relative_kernel(G)
-    ends, sizes, kH = relative_joins(G)
-    classes, records = tally(kernel, [G.weights[ei] for ei in regular], ends, sizes)
+    ends, kH = relative_joins(G)
+    classes, records = tally(kernel, [G.weights[ei] for ei in regular], ends)
 
     def terms():
         for index, f, cycles, j, jh, count in records:
@@ -286,23 +284,15 @@ def relative_kernel(G: RelPlaneGraph) -> CycleKernel:
     return side_kernel(G.map, present, regular)
 
 
-def relative_joins(G: RelPlaneGraph) -> tuple[list, list, int]:
-    """The ends of the regular edges for ``util.tally``, the label counts,
-    and k(H).  The ends come in two partitions: the vertices, and the
-    components of H, each numbered from 0 in order of first appearance.
-    With a state's joins j and jh in them, k(F) = v - j and
+def relative_joins(G: RelPlaneGraph) -> tuple[list, int]:
+    """The ends of the regular edges for ``util.tally``, and k(H).  The ends
+    come in two partitions: each edge's pair of vertices, and their roots
+    in H.  With a state's joins j and jh in them, k(F) = v - j and
     k(F u H) = k(H) - jh."""
     M = G.map
     root = M.roots(G.zero)
-    vertex: dict = {}
-    component: dict = {}
-    vertex_ends, component_ends = [], []
-    for ei in G.regular_indices():
-        u, v = (M.vertex_of(h) for h in M.edges[ei].ends)
-        vertex_ends.append((vertex.setdefault(u, len(vertex)), vertex.setdefault(v, len(vertex))))
-        component_ends.append((component.setdefault(root[u], len(component)),
-                               component.setdefault(root[v], len(component))))
-    return [vertex_ends, component_ends], [len(vertex), len(component)], len(set(root))
+    vertices = M.vertex_pairs(G.regular_indices())
+    return [vertices, [(root[u], root[v]) for u, v in vertices]], len(set(root))
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:

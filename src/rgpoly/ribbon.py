@@ -99,6 +99,12 @@ class RibbonGraph:
     def vertex_of(self, h) -> int:
         return self._home[h]
 
+    def vertex_pairs(self, subset: Iterable[int] | None = None) -> list[tuple[int, int]]:
+        """The two end vertices of each edge in ``subset`` (default: all edges)."""
+        home = self._home
+        edges = self.edges if subset is None else map(self.edges.__getitem__, subset)
+        return [(home[a], home[b]) for a, b in (e.ends for e in edges)]
+
     @cached_property
     def partner(self) -> dict:
         """The other end of every half-edge's edge."""
@@ -114,10 +120,7 @@ class RibbonGraph:
 
     def roots(self, subset: Iterable[int] | None = None) -> list[int]:
         """``util.roots`` of the vertices joined along ``subset`` (default: all edges)."""
-        home = self._home
-        edges = self.edges if subset is None else [self.edges[ei] for ei in subset]
-        return roots(len(self.vertices),
-                     [(home[a], home[b]) for a, b in (e.ends for e in edges)])
+        return roots(len(self.vertices), self.vertex_pairs(subset))
 
     def components(self, subset: Iterable[int] | None = None) -> int:
         """Connected components of the spanning subgraph on ``subset``
@@ -257,10 +260,10 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     nv = R.num_vertices
     kR = R.components()
     kernel = side_kernel(R, twist_links(R), range(m))
-    ends = [(R.vertex_of(h1), R.vertex_of(h2)) for h1, h2 in (e.ends for e in R.edges)]
+    ends = R.vertex_pairs()
 
     def terms():
-        for mask, ones, bc, joins, _ in sweep(kernel, [ends], [nv]):
+        for mask, ones, bc, joins, _ in sweep(kernel, [ends]):
             k = nv - joins
             n = ones - joins
             yield mask, (k - kR, n, k - bc + n), 1

@@ -5,7 +5,7 @@ order; every connection runs up from its first stub to a private height,
 across, and back down.  Strand intersections are computed exactly from
 the layer/abscissa structure and materialize as explicit 4-valent
 transversal vertices, so the output is a genuine plane map: rotation
-systems at terminals are preserved and the Euler relation is asserted.
+systems at terminals are preserved.
 
 The vertices come in a fixed order that consumers rely on: the terminals
 in input order; then the crossings sorted by (abscissa, height), each with
@@ -94,7 +94,5 @@ def route(terminals, connections, marks=None) -> RoutedDiagram:
             segs.append((da, db))
         path_segments.append(segs)
 
-    skeleton = PlaneMap(rotations, segments)
-    skeleton.require_plane()
-    return RoutedDiagram(skeleton, range(base, base + len(crossing)),
+    return RoutedDiagram(PlaneMap(rotations, segments), range(base, base + len(crossing)),
                          mark_vertices, path_segments)

@@ -169,17 +169,17 @@ class CycleKernel:
 _BLOCK = 8
 
 
-def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
-          sizes: Sequence[int] = ()) -> Iterator[tuple]:
+def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator[tuple]:
     """Every state of ``kernel`` as a record (mask, ones, cycles, joins...,
     1) in ascending mask order: ones is the mask's set bits, cycles
     ``kernel.cycles(mask)``, and the mask is its own ``poly.class_sum``
     index when each element is a weight class of its own.
 
-    ``ends[p][j]`` is the pair of labels in range(``sizes[p]``) that element
-    j joins in partition p when its bit is set, and the state's p-th join
+    ``ends[p][j]`` is the pair of labels, any hashables, that element j
+    joins in partition p when its bit is set, and the state's p-th join
     count is the number of set elements that join two different classes of
-    partition p, as ``roots`` would find them.
+    partition p, as ``roots`` would find them.  Each partition's labels
+    are numbered by first appearance, as the relabelling lists need ints.
 
     A depth-first walk over the elements from the last to the first, bit
     clear before bit set.  At element j the arc matching on the slots of
@@ -204,9 +204,12 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
             u = s + 1 if t != s + 1 else s + 2
             row.append((s, t, u, link[u - s]))
         pairs.append(row)
-    ends = list(zip(*ends)) or [()] * m      # per element, one pair per partition
-    labels = tuple(list(range(n)) for n in sizes)
-    joins = (0,) * len(sizes)
+    numbers: list = [{} for _ in ends]
+    # per element, one pair per partition, each label its partition's number
+    ends = [[(n.setdefault(u, len(n)), n.setdefault(v, len(n))) for n, (u, v) in zip(numbers, row)]
+            for row in zip(*ends)] or [()] * m
+    labels = tuple(list(range(len(n))) for n in numbers)
+    joins = (0,) * len(numbers)
     if not m:
         return iter([(0, 0, kernel.closed, *joins, 1)])
     last0, last1 = pairs[0][0][1], pairs[0][1][1]
@@ -265,13 +268,13 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple[int, int]]] = (),
 
 
 def census(kernel: CycleKernel, classes: Sequence[int] = (),
-           ends: Sequence[Sequence[tuple[int, int]]] = (),
-           sizes: Sequence[int] = ()) -> list[tuple]:
+           ends: Sequence[Sequence[tuple]] = ()) -> list[tuple]:
     """The states of ``kernel`` counted in one frontier pass, as a list of
     ``sweep``'s records (index, ones, cycles, joins..., count) but with the
     index the set bits per class, mixed-radix as ``poly.class_sum`` reads
-    it.  ``classes[j]`` is element j's class (default: all in class 0), and
-    ``ends`` and ``sizes`` give the partitions as in ``sweep``.
+    it, and ones the sum of its digits.  ``classes[j]`` is element j's class
+    (default: all in class 0), and ``ends`` gives the partitions as in
+    ``sweep``.
 
     The elements are taken in greedy order: next, the one whose slots close
     the most of its arcs to processed slots, ties to the lowest index.  The
@@ -281,9 +284,9 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
     position in it) and, per partition, the classes of the labels that a
     processed element has an end on and an unprocessed one still has (the
     open labels), numbered by first occurrence, so equal states merge.  It
-    maps to a histogram of the partial masks by cycles, joins per partition,
-    set bits, and set bits per class, packed mixed-radix into one int in
-    that order, so the index is the key over the first class digit's place.
+    maps to a histogram of the partial masks by cycles, joins per partition
+    and set bits per class, packed mixed-radix into one int in that order,
+    so the index is the key over the first class digit's place.
     A step closes the element's arcs on a list of partner positions, the
     frontier's and then its own slots'; the classes change only at its
     ends, so they are worked out once per distinct tuple of them.  After k
@@ -297,17 +300,17 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
     counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
     arc = kernel.arc
     # the key's digits: cycles (a cycle holds two live slots or more), the
-    # joins of each partition, the set bits, then the set bits of each class
-    radices = [2 * m + 1] + [m + 1] * (len(sizes) + 1) + [n + 1 for n in counts]
+    # joins of each partition, then the set bits of each class
+    radices = [2 * m + 1] + [m + 1] * len(ends) + [n + 1 for n in counts]
     place = list(accumulate(radices, mul, initial=1))
-    top = 2 + len(sizes)            # the first class digit
+    top = 1 + len(ends)             # the first class digit
     left = [Counter(chain.from_iterable(pairs)) for pairs in ends]     # unprocessed ends
-    opened: list = [[] for _ in sizes]
+    opened: list = [[] for _ in ends]
     pending = [0] * m               # arcs from each element to processed slots
     todo = list(range(m))
     processed = bytearray(4 * m)
     frontier: list = []
-    states = {((), ((),) * len(sizes)): {0: 1}}
+    states = {((), ((),) * len(ends)): {0: 1}}
     while todo:
         j = max(todo, key=pending.__getitem__)      # todo ascends: ties to the lowest
         todo.remove(j)
@@ -326,7 +329,7 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
         renumber = dict(zip(keep, range(len(keep))))
         base = len(frontier) - start
         choices = [(shift, tuple([base + t for t in link])) for shift, link
-                   in zip((0, place[top - 1] + place[top + classes[j]]), kernel._links[j])]
+                   in zip((0, place[top + classes[j]]), kernel._links[j])]
         # per partition: fresh classes for the element's ends that open now,
         # the positions of its ends, which labels stay open, a join's unit
         parts = []
@@ -366,10 +369,13 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
         frontier = list(map(slots.__getitem__, keep))
     (histogram,) = states.values()
     digits = list(zip(place, radices[:top]))
+    bits = [(p // place[top], r) for p, r in zip(place[top:], radices[top:])]
     out = []
     for key, count in histogram.items():
-        cycles, *joins, ones = (key // p % r for p, r in digits)
-        out.append((key // place[top], ones, kernel.closed + cycles, *joins, count))
+        cycles, *joins = (key // p % r for p, r in digits)
+        index = key // place[top]
+        out.append((index, sum(index // p % r for p, r in bits),
+                    kernel.closed + cycles, *joins, count))
     return out
 
 
@@ -391,10 +397,9 @@ def _relabel(tracked: tuple, parts: list) -> tuple:
 
 
 def tally(kernel: CycleKernel, weights: Sequence[tuple],
-          ends: Sequence[Sequence[tuple[int, int]]] = (),
-          sizes: Sequence[int] = ()) -> tuple[list, Iterable[tuple]]:
+          ends: Sequence[Sequence[tuple]] = ()) -> tuple[list, Iterable[tuple]]:
     """The ``poly.class_sum`` weight classes and the records of ``kernel``'s
-    states, with ``ends`` and ``sizes`` as in ``sweep``.  ``weights[j]`` is
+    states, with ``ends`` as in ``sweep``.  ``weights[j]`` is
     element j's (x, y) pair, compared by equality only: ``census`` makes one
     class (x, y, n) per distinct pair carried by n elements when
     ``_census_pays``, and ``sweep`` one class (x, y, 1) per element
@@ -402,10 +407,10 @@ def tally(kernel: CycleKernel, weights: Sequence[tuple],
     """
     pairs = _census_pays(weights)
     if pairs is None:
-        return [(x, y, 1) for x, y in weights], sweep(kernel, ends, sizes)
+        return [(x, y, 1) for x, y in weights], sweep(kernel, ends)
     index = dict(zip(pairs, range(len(pairs))))
     return ([(x, y, n) for (x, y), n in pairs.items()],
-            census(kernel, [index[w] for w in weights], ends, sizes))
+            census(kernel, [index[w] for w in weights], ends))
 
 
 def _census_pays(weights: Sequence[tuple]) -> Counter | None:

@@ -221,9 +221,9 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
                         f"check's cap {REFERENCE_CAP}")
     bc = side_kernel(R, twist_links(R), [cert.g_to_r[ei] for ei in regular])
     nv = G.map.num_vertices
-    ends, sizes, kH = relative_joins(G)
+    ends, kH = relative_joins(G)
     detail = ""
-    for mask, _, bcFr, j, jh, _ in sweep(bc, ends, sizes):
+    for mask, _, bcFr, j, jh, _ in sweep(bc, ends):
         F = [regular[i] for i in range(len(regular)) if mask >> i & 1]
         Fr = [cert.g_to_r[ei] for ei in F]
         hf = contract_all(G, F)

@@ -28,8 +28,7 @@ single-term powers into one exponent dict per term.
 
 ``kauffman_bracket_by_states`` keeps the earlier bracket, which runs
 ``state_sum`` over all 2^n states of the compiled kernel; the bracket
-now takes them from ``util.tally``, counted in one frontier pass from 7
-crossings on.
+now takes them from ``util.tally``.
 
 ``relative_tutte_by_states`` keeps the enumerating ``planemap.relative_tutte``
 of per-mask ``state_sum`` calls, ``relative_kernel(G).cycles`` and

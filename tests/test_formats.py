@@ -19,9 +19,10 @@ from rgpoly.links import (
     realize_gauss_code,
     writhe,
 )
-from rgpoly.planemap import MapEdge, PlaneMap, relative_tutte
-from rgpoly.poly import parse
-from rgpoly.ribbon import bollobas_riordan
+from rgpoly import poly
+from rgpoly.planemap import MapEdge, PlaneMap, RelPlaneGraph, relative_tutte
+from rgpoly.poly import ONE, parse
+from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
 from rgpoly.verify import generate
 
 
@@ -135,6 +136,23 @@ def test_rg_text_round_trips(seed, size):
 def test_rpg_text_round_trips(seed, size):
     text = serialize_rpg(generate("rpg", seed, size))
     assert serialize_rpg(parse_rpg(text)) == text
+
+
+def test_serializing_registers_no_variable_name():
+    # the default weights x_<label>, y_<label> are told apart by their text,
+    # so labels no polynomial has named stay unregistered and later output
+    # does not depend on which files were written before
+    R = RibbonGraph([("a", "b", "c", "d")],
+                    [make_edge("a", "c", label="fresh_rg_p", x=ONE, y=ONE + ONE),
+                     make_edge("b", "d", sign=-1, label="fresh_rg_q", x=ONE, y=ONE)])
+    M = PlaneMap([("a", "b"), ("c", "d")],
+                 [MapEdge(("a", "c"), "fresh_rpg_p"), MapEdge(("b", "d"), "fresh_rpg_q")])
+    G = RelPlaneGraph(M, [1], {0: (ONE, ONE + ONE)})
+    names = len(poly._names)
+    rg, rpg = serialize_ribbon(R), serialize_rpg(G)
+    assert len(poly._names) == names
+    assert "edge fresh_rg_p: a c sign=+ x=1 y=2" in rg
+    assert "x=1 y=2" in rpg
 
 
 def _darts_named_by_crossing(L: VirtualLinkDiagram) -> VirtualLinkDiagram:

@@ -104,9 +104,9 @@ def test_one_join_pass_counts_components_of_f_and_f_union_h():
     for G in _relative_plane_graphs():
         M, H, regular = G.map, sorted(G.zero), G.regular_indices()
         joins, kH = relative_merges(G)
-        ends, sizes, kH_sweep = relative_joins(G)
+        ends, kH_sweep = relative_joins(G)
         assert kH_sweep == kH, G
-        swept = list(util.sweep(relative_kernel(G), ends, sizes))
+        swept = list(util.sweep(relative_kernel(G), ends))
         assert [state[0] for state in swept] == list(range(1 << len(regular))), G
         for mask, _, _, j_sweep, jh_sweep, _ in swept:
             F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
@@ -184,25 +184,25 @@ def test_census_counts_every_mask_of_bollobas_riordan_kernels():
                     assert _counted(util.census(kernel)) == _census_by_masks(kernel), (seed, size)
 
 
-def _census_by_sweep(kernel, classes, ends=(), sizes=()):
+def _census_by_sweep(kernel, classes, ends=()):
     # class c's set bits at place prod(n_d + 1 for the classes d < c)
     counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
     place = [prod(n + 1 for n in counts[:c]) for c in range(len(counts))]
     out = Counter()
-    for mask, _, cycles, *joins, count in util.sweep(kernel, ends, sizes):
+    for mask, _, cycles, *joins, count in util.sweep(kernel, ends):
         index = sum(place[c] for j, c in enumerate(classes) if mask >> j & 1)
         out[(index, mask.bit_count(), cycles, *joins)] += count
     return out
 
 
 def _census_cases():
-    # (key, kernel, ends, sizes) on every caller's kernels with at most 12
+    # (key, kernel, ends) on every caller's kernels with at most 12
     # elements: bracket kernels, B_R side kernels with the vertex partition
     # (with and without bare vertices, all edges or every other edge live),
     # and relative kernels with both relative_joins partitions
     for seed in range(12):
         for size in range(13):
-            yield (seed, size, "link"), bracket_kernel(generate("link", seed, size)), (), ()
+            yield (seed, size, "link"), bracket_kernel(generate("link", seed, size)), ()
         for size in range(11):
             R = generate("ribbon", seed, size)
             for G in (R, RibbonGraph(R.vertices + [(), ()], R.edges)):
@@ -210,7 +210,7 @@ def _census_cases():
                     ends = [(G.vertex_of(h1), G.vertex_of(h2))
                             for h1, h2 in (G.edges[e].ends for e in state)]
                     yield ((seed, size, "ribbon", G.num_vertices, len(state)),
-                           side_kernel(G, twist_links(G), state), [ends], [G.num_vertices])
+                           side_kernel(G, twist_links(G), state), [ends])
         for size in range(13):
             graphs = [("tait", link_to_tait(generate("link", seed, size))),
                       ("rpg", generate("rpg", seed, size))]
@@ -218,17 +218,34 @@ def _census_cases():
                 graphs.append(("plane", ribbon_to_plane(generate("ribbon", seed, size))[0]))
             for name, G in graphs:
                 if len(G.regular_indices()) <= 12:
-                    ends, sizes, _ = relative_joins(G)
-                    yield (seed, size, name), relative_kernel(G), ends, sizes
+                    ends, _ = relative_joins(G)
+                    yield (seed, size, name), relative_kernel(G), ends
 
 
 def test_census_matches_a_counter_over_sweep():
-    for key, kernel, ends, sizes in _census_cases():
+    for key, kernel, ends in _census_cases():
         m = len(kernel.arc) // 4
         for k in range(1, 4):
             classes = [(key[0] + j * j) % k for j in range(m)]
-            expected = _census_by_sweep(kernel, classes, ends, sizes)
-            assert _counted(util.census(kernel, classes, ends, sizes)) == expected, (key, k)
+            expected = _census_by_sweep(kernel, classes, ends)
+            assert _counted(util.census(kernel, classes, ends)) == expected, (key, k)
+
+
+def test_sweep_and_census_read_labels_by_equality_only():
+    # each partition's labels renamed injectively, to strings (which the two
+    # partitions share) or to sparse ints, or each partition its own way
+    renames = [lambda u: f"v{u}", lambda u: 7919 * u - 10 ** 12]
+    for key, kernel, ends in _census_cases():
+        if key[0] >= 4 or not ends:
+            continue
+        m = len(kernel.arc) // 4
+        classes = [j % 2 for j in range(m)]
+        swept = list(util.sweep(kernel, ends))
+        counted = util.census(kernel, classes, ends)
+        for per_part in [[f] * len(ends) for f in renames] + [renames[:len(ends)]]:
+            renamed = [[(f(u), f(v)) for u, v in part] for f, part in zip(per_part, ends)]
+            assert list(util.sweep(kernel, renamed)) == swept, key
+            assert util.census(kernel, classes, renamed) == counted, key
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):

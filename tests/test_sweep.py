@@ -2,9 +2,12 @@
 
 The sweep walks the include/exclude tree of a kernel's elements depth
 first and gives every state's record (mask, set bits, cycles, joins...,
-1); ``bollobas_riordan`` and ``verify.check_subset_identities`` read them
-directly, and ``util.tally`` hands them to the other two state sums when
-the census does not pay.  These tests compare it with ``CycleKernel.cycles`` and
+1), the joins counted on partitions given as label pairs alone: the
+vertex pairs of the edges, or ``relative_joins``' vertex pairs and their
+roots in H, unnumbered.  ``bollobas_riordan`` and
+``verify.check_subset_identities`` read the records directly, and
+``util.tally`` hands them to the other two state sums when the census
+does not pay.  These tests compare it with ``CycleKernel.cycles`` and
 ``helpers.Merges`` on every mask, pin its records and its memory, check
 that the two state sums refuse too many edges before compiling anything,
 and compare ``poly._Fields``' grouped decode with the per-field one.
@@ -27,8 +30,8 @@ from rgpoly.verify import generate
 from helpers import Merges, decode_by_fields, relative_merges
 
 
-def _swept(kernel, ends=(), sizes=()):
-    records = list(util.sweep(kernel, ends, sizes))
+def _swept(kernel, ends=()):
+    records = list(util.sweep(kernel, ends))
     # every mask once, ascending, with its set bits and a count of 1
     m = len(kernel.arc) // 4
     assert [(r[0], r[1], r[-1]) for r in records] == [
@@ -44,7 +47,7 @@ def _compare_on_ribbon(R, state):
     kernel = side_kernel(R, twist_links(R), state)
     ends = [_vertex_ends(R)[e] for e in state]
     joins = Merges(ends)
-    swept = _swept(kernel, [ends], [R.num_vertices])
+    swept = _swept(kernel, [ends])
     # every mask exactly once, in ascending order
     assert [s[0] for s in swept] == list(range(1 << len(state)))
     for mask, cycles, j in swept:
@@ -78,10 +81,10 @@ def _relative_graphs():
 def test_sweep_matches_merges_on_relative_kernels_with_h_classes():
     for G in _relative_graphs():
         kernel = relative_kernel(G)
-        ends, sizes, kH = relative_joins(G)
+        ends, kH = relative_joins(G)
         joins, kH_oracle = relative_merges(G)
         assert kH == kH_oracle
-        swept = _swept(kernel, ends, sizes)
+        swept = _swept(kernel, ends)
         assert [s[0] for s in swept] == list(range(1 << len(G.regular_indices())))
         for mask, cycles, j, jh in swept:
             assert (cycles, j, jh) == (kernel.cycles(mask), *joins.count_both(mask)), (G, mask)
@@ -90,7 +93,7 @@ def test_sweep_matches_merges_on_relative_kernels_with_h_classes():
 def test_sweep_of_no_elements_is_one_state():
     R = RibbonGraph([(), ()], [])
     kernel = side_kernel(R, {}, ())
-    assert list(util.sweep(kernel, [[]], [2])) == [(0, 0, 2, 0, 1)]
+    assert list(util.sweep(kernel, [[]])) == [(0, 0, 2, 0, 1)]
     assert list(util.sweep(kernel)) == [(0, 0, 2, 1)]
 
 
