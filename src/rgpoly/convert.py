@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_where, faces,
+from .planemap import (MapEdge, PlaneMap, RelPlaneGraph, contract_where, dart_walks,
                        relative_kernel)
 from .poly import ONE, var
 from .ribbon import RibbonGraph, from_slots
@@ -102,7 +102,7 @@ def link_to_tait(L) -> RelPlaneGraph:
     """
     M = L.map
     partner = M.partner
-    walks = faces(M)
+    walks = dart_walks(M)      # every vertex is a crossing, so every face holds a dart
     face_of = {d: fi for fi, walk in enumerate(walks) for d in walk}
     black = {}
     for fi in sorted(range(len(walks)), key=lambda i: min(map(str, walks[i]))):

@@ -264,10 +264,11 @@ def parse_vld(text: str) -> VirtualLinkDiagram:
         if forward.setdefault(si, (runs, name))[0] != runs:
             raise ParseError(f"orient {name!r} contradicts orient "
                              f"{forward[si][1]!r} on the same strand")
-    orientations = {d: (i % 2 == 0) == forward[si][0]
-                    for si, comp in enumerate(comps) if si in forward
-                    for i, d in enumerate(comp)}
-    return VirtualLinkDiagram(L.map, kinds, over, orientations, 0)
+    # the orientations are not validated, so the diagram is built only once
+    L.orientations = {d: (i % 2 == 0) == forward[si][0]
+                      for si, comp in enumerate(comps) if si in forward
+                      for i, d in enumerate(comp)}
+    return L
 
 
 def serialize_vld(L: VirtualLinkDiagram) -> str:

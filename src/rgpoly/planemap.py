@@ -26,6 +26,9 @@ record into ``poly.class_sum``.  ``RelPlaneGraph`` admits genus-0 maps
 only, so the genus is not checked per state; the reference path
 ``psi(contract_all(G, F))`` builds H_F.
 
+``dart_walks`` is the one face walker; only ``faces`` adds the marker
+walks ("iso", i) of isolated vertices, last.
+
 ``contract_where`` is the one splice of rotations, behind ``contract``,
 ``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
 """
@@ -85,12 +88,11 @@ def _next_darts(M: PlaneMap) -> dict:
     return after
 
 
-def faces(M: PlaneMap) -> list[list]:
-    """Face walks: cycles of the next-dart map d -> rotation-next of partner(d),
-    each from its first dart in rotation order.
-
-    Isolated vertices contribute singleton walks ("iso", vertex index).
-    """
+def dart_walks(M: PlaneMap) -> list[list]:
+    """The face walks that hold darts, in rotation order: cycles of the
+    next-dart map d -> rotation-next of partner(d), each from its first
+    dart.  The faces of isolated vertices come after them, in vertex order,
+    and are left to the callers; only ``faces`` writes a marker for them."""
     after = _next_darts(M)
     walks = []
     for cycle in M.vertices:
@@ -102,10 +104,14 @@ def faces(M: PlaneMap) -> list[list]:
                     walk.append(h)
                     h = after.pop(h)
                 walks.append(walk)
-    for i, cycle in enumerate(M.vertices):
-        if not cycle:
-            walks.append([("iso", i)])
     return walks
+
+
+def faces(M: PlaneMap) -> list[list]:
+    """Every face walk: the ``dart_walks`` in rotation order, then the
+    isolated vertices last, each as the singleton walk ("iso", index).
+    Only this function writes that marker; no other package code reads it."""
+    return dart_walks(M) + [[("iso", i)] for i, cycle in enumerate(M.vertices) if not cycle]
 
 
 def delete(M: PlaneMap, ei: int) -> PlaneMap:
@@ -296,19 +302,15 @@ def relative_joins(G: RelPlaneGraph) -> tuple[list, int]:
 
 
 def dual(G: RelPlaneGraph) -> RelPlaneGraph:
-    """The planar dual: faces become vertices, each edge is crossed once.
+    """The planar dual: faces become vertices, in the order of ``faces``,
+    each edge is crossed once.
 
     The dual edge of a 0-edge is a 0-edge; the weight pair of a regular
     edge is swapped.
     """
     M = G.map
-    walks = faces(M)
-    vertices = []
-    for walk in walks:
-        if len(walk) == 1 and isinstance(walk[0], tuple) and walk[0][0] == "iso":
-            vertices.append(())
-        else:
-            vertices.append(tuple(walk))
+    vertices = [tuple(walk) for walk in dart_walks(M)]
+    vertices += [() for cycle in M.vertices if not cycle]
     dm = PlaneMap(vertices, list(M.edges))
     weights = {i: (y, x) for i, (x, y) in G.weights.items()}
     return RelPlaneGraph(dm, G.zero, weights)

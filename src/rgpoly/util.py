@@ -11,12 +11,13 @@ and a ``link`` matching that partly depends on the state (an edge absent
 from a state self-links its slots instead of leaving the rotation, so the
 arcs never change).  ``CycleKernel`` compiles this once.  The live nodes,
 whose link changes from state to state, come first, four per enumerated
-element.  Every other node has a fixed link, so the walk from a live node
-through arc, fixed link, arc, ... up to the next live node is the same in
-every state: ``collapse`` walks it once and keeps only the matching it
-induces on the live nodes, plus the number of cycles that never meet a live
-node.  A state then fills 4m links (``links``) and calls ``count_cycles``
-once, so it costs O(m) however large the drawn map is.
+element, whose one record is its xor choice pair (``CycleKernel``).  Every
+other node has a fixed link, so the walk from a live node through arc,
+fixed link, arc, ... up to the next live node is the same in every state:
+``collapse`` walks it once and keeps only the matching it induces on the
+live nodes, plus the number of cycles that never meet a live node.  A state
+then fills 4m links (``links``) and calls ``count_cycles`` once, so it
+costs O(m) however large the drawn map is.
 
 Two engines yield the same records (index, ones, cycles, joins...,
 count).  ``sweep`` visits the 2^m states depth first, each element a
@@ -140,25 +141,25 @@ class CycleKernel:
     """Cycle counts of a family of states, compiled once.
 
     Node 4j + i (i < 4) is the i-th live node of enumerated element j;
-    ``choices[j]`` gives, for bit j of a state's mask clear and set, the
-    xor that takes each of the four nodes to its link partner.  Nodes from
-    4 * len(choices) on are fixed, linked by ``fixed``.  ``extra`` adds
-    cycles that involve no node at all (bare vertices, free loops).
+    ``choices[j]``, the kernel's one record of element j, gives for bit j
+    of a state's mask clear and set the xor in {1, 2, 3} that takes each of
+    the four nodes to its link partner.  Nodes from 4 * len(choices) on are
+    fixed, linked by ``fixed``.  ``extra`` adds cycles that involve no node
+    at all (bare vertices, free loops).
     """
 
     def __init__(self, arc: Sequence[int], fixed: Sequence[int],
                  choices: Sequence[tuple[int, int]], extra: int = 0):
         self.arc, closed = collapse(arc, fixed, 4 * len(choices))
         self.closed = closed + extra
-        self._links = [tuple(tuple(s ^ x for s in range(4 * j, 4 * j + 4))
-                             for x in pair)
-                       for j, pair in enumerate(choices)]
+        self.choices = list(choices)
 
     def links(self, mask: int) -> list:
         """The link partner of every live slot in the state ``mask``."""
         link: list = []
-        for j, pair in enumerate(self._links):
-            link += pair[mask >> j & 1]
+        for j, pair in enumerate(self.choices):
+            x, s = pair[mask >> j & 1], 4 * j
+            link += (s ^ x, (s + 1) ^ x, (s + 2) ^ x, (s + 3) ^ x)
         return link
 
     def cycles(self, mask: int) -> int:
@@ -182,28 +183,26 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
     are numbered by first appearance, as the relabelling lists need ints.
 
     A depth-first walk over the elements from the last to the first, bit
-    clear before bit set.  At element j the arc matching on the slots of
-    elements 0..j is what the paths through the elements above j leave:
-    linking j's four slots joins the arc partners of each linked pair, at
-    most four entries, and a pair that are each other's arc partners closes
-    a cycle.  Element 0 is then alone, and its arc matching is either its
-    link (two cycles) or not (one).  Each level holds one copy of the arcs
-    and, per partition, the class of every label, relabelled on a join, so
-    the walk holds O(m) lists, each of the 4m arcs or of one partition's
-    labels, and recurses at most m deep; the states below the last
-    ``_BLOCK`` levels are listed at once, at most 2^_BLOCK of them.
+    clear before bit set.  Element j's links under the xor x that its bit
+    picks from its choice pair are (s, s ^ x) and (u, u ^ x), where s = 4j
+    and u is the lowest of its slots other than s and s ^ x.  At element j
+    the arc matching on the slots of elements 0..j is what the paths
+    through the elements above j leave: linking j's four slots joins the arc
+    partners of each linked pair, at most four entries, and a pair that are
+    each other's arc partners closes a cycle.  Element 0 is then alone, and
+    its arc matching is either its link (two cycles) or not (one).  Each
+    level holds one copy of the arcs and, per partition, the class of every
+    label, relabelled on a join, so the walk holds O(m) lists, each of the
+    4m arcs or of one partition's labels, and recurses at most m deep; the
+    states below the last ``_BLOCK`` levels are listed at once, at most
+    2^_BLOCK of them.
     """
-    m = len(kernel._links)
-    # per element, for bit clear and set: its two link pairs (s, t, u, v)
+    m = len(kernel.choices)
+    # per element, for bit clear and set: its two link pairs (s, s^x, u, u^x)
     pairs = []
-    for j, choice in enumerate(kernel._links):
-        s = 4 * j
-        row = []
-        for link in choice:
-            t = link[0]
-            u = s + 1 if t != s + 1 else s + 2
-            row.append((s, t, u, link[u - s]))
-        pairs.append(row)
+    for s, (x, y) in zip(range(0, 4 * m, 4), kernel.choices):
+        u, v = s + 1 + (x == 1), s + 1 + (y == 1)
+        pairs.append(((s, s ^ x, u, u ^ x), (s, s ^ y, v, v ^ y)))
     numbers: list = [{} for _ in ends]
     # per element, one pair per partition, each label its partition's number
     ends = [[(n.setdefault(u, len(n)), n.setdefault(v, len(n))) for n, (u, v) in zip(numbers, row)]
@@ -288,14 +287,16 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
     and set bits per class, packed mixed-radix into one int in that order,
     so the index is the key over the first class digit's place.
     A step closes the element's arcs on a list of partner positions, the
-    frontier's and then its own slots'; the classes change only at its
-    ends, so they are worked out once per distinct tuple of them.  After k
-    elements there are at most 2^k states.  A step that ends with more than
-    ``CENSUS_ENTRIES`` histogram entries raises ``SizeLimit`` (at the call,
-    as the records are listed); as a step at most doubles them, the pass
-    never holds more than three times that many.
+    frontier's and then its own slots', each own slot s linked to s ^ x
+    for the xor x of the element's choice pair that its bit picks; the
+    classes change only at its ends, so they are worked out once per
+    distinct tuple of them.  After k elements there are at most 2^k states.
+    A step that ends with more than ``CENSUS_ENTRIES`` histogram entries
+    raises ``SizeLimit`` (at the call, as the records are listed); as a
+    step at most doubles them, the pass never holds more than three times
+    that many.
     """
-    m = len(kernel._links)
+    m = len(kernel.choices)
     classes = list(classes) or [0] * m
     counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
     arc = kernel.arc
@@ -328,8 +329,8 @@ def census(kernel: CycleKernel, classes: Sequence[int] = (),
         keep = [i for i, s in enumerate(slots) if not processed[arc[s]]]
         renumber = dict(zip(keep, range(len(keep))))
         base = len(frontier) - start
-        choices = [(shift, tuple([base + t for t in link])) for shift, link
-                   in zip((0, place[top + classes[j]]), kernel._links[j])]
+        choices = [(shift, tuple([base + (s ^ x) for s in own])) for shift, x
+                   in zip((0, place[top + classes[j]]), kernel.choices[j])]
         # per partition: fresh classes for the element's ends that open now,
         # the positions of its ends, which labels stay open, a join's unit
         parts = []

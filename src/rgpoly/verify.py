@@ -18,8 +18,8 @@ from .planemap import (
     PlaneMap,
     RelPlaneGraph,
     contract_all,
+    dart_walks,
     dual,
-    faces,
     medial_circles,
     relative_joins,
     relative_tutte,
@@ -124,13 +124,9 @@ def grow_plane_map(rng: random.Random, n_edges: int) -> PlaneMap:
     edges: list[MapEdge] = []
 
     def insert_after(corner, h):
-        # corner is either ("iso", v) or ("dart", v, anchor)
-        if corner[0] == "iso":
-            rotations[corner[1]].append(h)
-        else:
-            _, v, anchor = corner
-            rot = rotations[v]
-            rot.insert(rot.index(anchor) + 1, h)
+        v, anchor = corner          # no anchor: an isolated vertex's corner
+        rot = rotations[v]
+        rot.insert(len(rot) if anchor is None else rot.index(anchor) + 1, h)
 
     for i in range(n_edges):
         if rng.random() < 0.1:
@@ -138,16 +134,12 @@ def grow_plane_map(rng: random.Random, n_edges: int) -> PlaneMap:
         M = PlaneMap(rotations, edges)
         partner = M.partner
         comp_of = M.roots().__getitem__
-        corner_lists = []
-        for walk in faces(M):
-            if len(walk) == 1 and isinstance(walk[0], tuple) and walk[0][0] == "iso":
-                corners = [("iso", walk[0][1])]
-                comp = comp_of(walk[0][1])
-            else:
-                corners = [("dart", M.vertex_of(partner[d]), partner[d])
-                           for d in walk]
-                comp = comp_of(M.vertex_of(walk[0]))
-            corner_lists.append((comp, corners))
+        # per face, in the order of ``faces``: its component and its corners
+        corner_lists = [(comp_of(M.vertex_of(walk[0])),
+                         [(M.vertex_of(partner[d]), partner[d]) for d in walk])
+                        for walk in dart_walks(M)]
+        corner_lists += [(comp_of(v), [(v, None)])
+                         for v, cycle in enumerate(M.vertices) if not cycle]
         fi = rng.randrange(len(corner_lists))
         comp1, corners1 = corner_lists[fi]
         c1 = rng.choice(corners1)

@@ -109,6 +109,17 @@ def test_round_trips_on_random_instances():
         assert writhe(L2) == writhe(L)
 
 
+def test_explicit_vld_with_orient_lines_is_validated_once(monkeypatch):
+    text = serialize_vld(generate("link", 3, 6))
+    assert "\norient " in text
+    calls = []
+    check = PlaneMap.require_plane
+    monkeypatch.setattr(PlaneMap, "require_plane", lambda M: calls.append(M) or check(M))
+    L = parse_vld(text)
+    assert len(calls) == 1
+    assert L.orientations and serialize_vld(L) == text
+
+
 def test_serialize_vld_rejects_free_loops_with_a_library_error():
     L = realize_gauss_code("O1+U1+ | ")
     assert L.free_loops == 1

@@ -7,10 +7,13 @@ earlier dict-keyed bodies kept in ``helpers`` and pin the slot count.
 ``util.census`` counts the masks by (class index, set bits, cycles,
 joins) in one frontier pass; it is compared with ``cycles`` on every mask,
 and with a count over ``util.sweep``'s records in the partitions of every
-caller.
+caller.  Random kernels, whose elements take any of the nine ordered
+pairs of xors from {1, 2, 3}, check both engines against a walk of the
+uncollapsed matchings that reads only the kernel's inputs.
 ``ribbon.from_slots`` reads a kernel's slots back into a ribbon graph.
 """
 
+import random
 from collections import Counter
 from math import prod
 
@@ -246,6 +249,79 @@ def test_sweep_and_census_read_labels_by_equality_only():
             renamed = [[(f(u), f(v)) for u, v in part] for f, part in zip(per_part, ends)]
             assert list(util.sweep(kernel, renamed)) == swept, key
             assert util.census(kernel, classes, renamed) == counted, key
+
+
+def _random_kernel(rng, m):
+    # 4m live slots, then 2f fixed ones; any xor pair from {1, 2, 3}
+    n = 4 * m + 2 * rng.randrange(5)
+    arc, fixed = [0] * n, [s ^ 1 for s in range(n)]
+    for matching, nodes in (arc, list(range(n))), (fixed, list(range(4 * m, n))):
+        rng.shuffle(nodes)
+        for u, v in zip(nodes[::2], nodes[1::2]):
+            matching[u], matching[v] = v, u
+    choices = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(m)]
+    extra = rng.randrange(3)
+    labels = (0, 1, 2, "a", "b")
+    ends = [[(rng.choice(labels), rng.choice(labels)) for _ in range(m)]
+            for _ in range(rng.randrange(3))]
+    return (arc, fixed, choices, extra), ends
+
+
+def _records_by_walking(arc, fixed, choices, extra, ends):
+    # the sweep's records off the uncollapsed matchings: live slot s is
+    # linked to s ^ choices[s >> 2][its bit], a fixed one by ``fixed``
+    m = len(choices)
+    for mask in range(1 << m):
+        link = [s ^ choices[s >> 2][mask >> (s >> 2) & 1] for s in range(4 * m)]
+        link += fixed[4 * m:]
+        seen, cycles = set(), extra
+        for start in range(len(arc)):
+            cycles += start not in seen
+            node = start
+            while node not in seen:
+                seen.add(node)
+                node = arc[node]
+                seen.add(node)
+                node = link[node]
+        joins = []
+        for part in ends:
+            parent: dict = {}
+
+            def find(u):
+                while parent.get(u, u) != u:
+                    u = parent[u]
+                return u
+
+            joined = 0
+            for j, (u, v) in enumerate(part):
+                u, v = find(u), find(v)
+                if mask >> j & 1 and u != v:
+                    parent[u] = v
+                    joined += 1
+            joins.append(joined)
+        yield (mask, mask.bit_count(), cycles, *joins, 1)
+
+
+def test_random_kernels_match_a_walk_of_their_xor_choices():
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        for m in range(9):
+            args, ends = _random_kernel(rng, m)
+            seen.update(args[2])
+            kernel = util.CycleKernel(*args)
+            expected = list(_records_by_walking(*args, ends))
+            assert list(util.sweep(kernel, ends)) == expected, (seed, m)
+            for k in range(1, 4):
+                classes = [rng.randrange(k) for _ in range(m)]
+                counts = [classes.count(c) for c in range(k)]
+                place = [prod(n + 1 for n in counts[:c]) for c in range(k)]
+                histogram = Counter()
+                for mask, ones, cycles, *joins, _ in expected:
+                    index = sum(place[c] for j, c in enumerate(classes) if mask >> j & 1)
+                    histogram[(index, ones, cycles, *joins)] += 1
+                assert _counted(util.census(kernel, classes, ends)) == histogram, (seed, m, k)
+    assert seen == {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):

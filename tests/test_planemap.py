@@ -47,6 +47,17 @@ def test_isolated_vertex_is_a_face():
     M.require_plane()
 
 
+def test_dual_reads_no_marker_off_half_edge_names():
+    # a half-edge may carry any hashable name, even the marker walk that
+    # faces lists for an isolated vertex
+    M = PlaneMap([("p", ("iso", 0))], [MapEdge(("p", ("iso", 0)), "e")])
+    G = RelPlaneGraph(M)
+    assert faces(M) == [["p"], [("iso", 0)]]
+    D = dual(G)
+    assert D.map.vertices == [("p",), (("iso", 0),)]
+    assert relative_tutte(D) == relative_tutte_by_contraction(D)
+
+
 def test_interleaved_loops_are_not_plane():
     M = PlaneMap([("a0", "b0", "a1", "b1")],
                  [MapEdge(("a0", "a1"), "a"), MapEdge(("b0", "b1"), "b")])
