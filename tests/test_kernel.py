@@ -187,12 +187,13 @@ def test_census_counts_every_mask_of_bollobas_riordan_kernels():
                     assert _counted(util.census(kernel)) == _census_by_masks(kernel), (seed, size)
 
 
-def _census_by_sweep(kernel, classes, ends=()):
-    # class c's set bits at place prod(n_d + 1 for the classes d < c)
+def _census_of(records, classes):
+    # the census of sweep records: class c's set bits at place
+    # prod(n_d + 1 for the classes d < c)
     counts = [classes.count(c) for c in range(max(classes, default=0) + 1)]
     place = [prod(n + 1 for n in counts[:c]) for c in range(len(counts))]
     out = Counter()
-    for mask, _, cycles, *joins, count in util.sweep(kernel, ends):
+    for mask, _, cycles, *joins, count in records:
         index = sum(place[c] for j, c in enumerate(classes) if mask >> j & 1)
         out[(index, mask.bit_count(), cycles, *joins)] += count
     return out
@@ -230,7 +231,7 @@ def test_census_matches_a_counter_over_sweep():
         m = len(kernel.arc) // 4
         for k in range(1, 4):
             classes = [(key[0] + j * j) % k for j in range(m)]
-            expected = _census_by_sweep(kernel, classes, ends)
+            expected = _census_of(util.sweep(kernel, ends), classes)
             assert _counted(util.census(kernel, classes, ends)) == expected, (key, k)
 
 
@@ -314,13 +315,8 @@ def test_random_kernels_match_a_walk_of_their_xor_choices():
             assert list(util.sweep(kernel, ends)) == expected, (seed, m)
             for k in range(1, 4):
                 classes = [rng.randrange(k) for _ in range(m)]
-                counts = [classes.count(c) for c in range(k)]
-                place = [prod(n + 1 for n in counts[:c]) for c in range(k)]
-                histogram = Counter()
-                for mask, ones, cycles, *joins, _ in expected:
-                    index = sum(place[c] for j, c in enumerate(classes) if mask >> j & 1)
-                    histogram[(index, ones, cycles, *joins)] += 1
-                assert _counted(util.census(kernel, classes, ends)) == histogram, (seed, m, k)
+                assert _counted(util.census(kernel, classes, ends)) == \
+                    _census_of(expected, classes), (seed, m, k)
     assert seen == {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
 
 
