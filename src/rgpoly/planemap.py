@@ -29,20 +29,27 @@ only, so the genus is not checked per state; the reference path
 ``dart_walks`` is the one face walker; only ``faces`` adds the marker
 walks ("iso", i) of isolated vertices, last.
 
-``contract_where`` is the one splice of rotations, behind ``contract``,
-``contract_all`` and ``convert.ribbon_to_plane``; it builds one map per call.
+``contract_where`` is the one splice of rotations that builds a map, behind
+``contract``, ``contract_all`` and ``convert.ribbon_to_plane``; it builds
+one map per call.  ``remainders`` splices in place instead: one
+depth-first walk contracts and deletes the regular edges on a mutable arc
+matching, undoing each step on the way back, and reads k, v and delta of
+every H_F off it without building a map.  It is kept apart from
+``contract_where``, which would cost a map per subset, and from the
+kernels, because ``verify.check_subset_identities`` checks the kernels
+against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import GenusError, SizeLimit
 from .poly import Polynomial, class_sum, monomial, var
 from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph, side_cycles,
                      side_kernel)
-from .util import CycleKernel, tally
+from .util import CycleKernel, count_cycles, tally
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,141 @@ def contract_where(m: PlaneMap, contract: Container[int],
         for h in cv:
             home[h] = u
     return PlaneMap([c for c in rotations if c is not None], edges), loops
+
+
+def remainders(G: RelPlaneGraph) -> Iterator[tuple[int, int, int]]:
+    """(k, v, delta) of H_F, F contracted inside F union H, for every
+    subset F of G's regular edges in ascending mask order (bit i for the
+    i-th regular edge): what ``contract_all`` and ``medial_circles`` give,
+    read off one mutable map instead of one map per subset.
+
+    The rotations are the arc matching of the side slots, laid out as in
+    ``side_kernel`` with H's edges first: arc joins side (h, 1) to side
+    (g, 0) of the next half-edge g.  Regular edge j is one level of a
+    depth-first walk from the last edge to the first, bit clear before bit
+    set, the order of ``util.sweep``: from mask - 1 to mask, the levels up
+    to mask's lowest set bit t are undone, t is set and the levels below
+    it are cleared again.  A clear bit unlinks both half-edges of its edge
+    from their rotations.  A set bit splices the rotations of a non-loop
+    edge (h1, h2) into one, prev(h1) to next(h2) and prev(h2) to next(h1),
+    or unlinks the other end when one end is alone at its vertex; a loop,
+    found by a union-find over G's vertices, is unlinked, as
+    ``contract_where`` deletes it.  A step changes at most four arcs, and
+    an unlinked half-edge keeps its own arcs, so it is undone by relinking
+    its half-edges in reverse order (Knuth's "dancing links").  A second
+    union-find, seeded with H's edges, counts k.  Both are by size without
+    path compression, and a level takes back the root it hung.
+
+    At a leaf every regular half-edge is unlinked, so H's slots carry the
+    rotations of H_F: delta is the cycles of their arcs and the twisted
+    links s ^ 2, plus the vertices left without a half-edge.  A leaf costs
+    O(|H|) and a step O(log v); the walk holds O(|G| + m).
+    """
+    M = G.map
+    regular = G.regular_indices()
+    zero = sorted(G.zero)
+    m, nv = len(regular), M.num_vertices
+    slot = {}
+    for b, ei in enumerate(zero + regular):
+        h1, h2 = M.edges[ei].ends
+        slot[h1], slot[h2] = 4 * b, 4 * b + 2
+    arc = [0] * (2 * len(slot))
+    empty = 0
+    for cycle in M.vertices:
+        if not cycle:
+            empty += 1
+            continue
+        prev = slot[cycle[-1]] + 1
+        for h in cycle:
+            s = slot[h]
+            arc[prev], arc[s] = s, prev
+            prev = s + 1
+    live = 4 * len(zero)
+    twisted = [s ^ 2 for s in range(live)]
+    unseen = bytearray(live) + b"\1" * (4 * m)
+    ends = M.vertex_pairs(regular)
+    # union-finds with undo: merged vertices by F, and components by F u H
+    byF, byFH = (list(range(nv)), [1] * nv), (list(range(nv)), [1] * nv)
+
+    def union(forest, u, v):
+        """Join the classes of u and v; the root hung under the other, or -1."""
+        up, size = forest
+        while up[u] != u:
+            u = up[u]
+        while up[v] != v:
+            v = up[v]
+        if u == v:
+            return -1
+        if size[u] > size[v]:
+            u, v = v, u
+        up[u] = v
+        size[v] += size[u]
+        return u
+
+    def split(forest, u):
+        up, size = forest
+        size[up[u]] -= size[u]
+        up[u] = u
+
+    def unlink(s):
+        """Take half-edge s out of its rotation; 1 if it was alone there."""
+        p, n = arc[s], arc[s + 1]
+        arc[p], arc[n] = n, p
+        return p == s + 1
+
+    k = nv - sum(union(byFH, u, v) >= 0 for u, v in M.vertex_pairs(zero))
+    merged = 0
+    undo: list = [None] * m
+
+    def step(j, bit):
+        nonlocal empty, merged, k
+        s1 = live + 4 * j
+        s2 = s1 + 2
+        a = c = -1
+        if bit:
+            u, v = ends[j]
+            a = union(byF, u, v)
+            if a >= 0:
+                c = union(byFH, u, v)
+        undo[j] = empty, merged, k, a, c
+        if a < 0:
+            empty += unlink(s1)
+            empty += unlink(s2)
+            return
+        merged += 1
+        k -= c >= 0
+        if arc[s1] == s1 + 1:
+            empty += unlink(s2)
+        elif arc[s2] == s2 + 1:
+            unlink(s1)
+        else:
+            p1, n1, p2, n2 = arc[s1], arc[s1 + 1], arc[s2], arc[s2 + 1]
+            arc[p1], arc[n2] = n2, p1
+            arc[p2], arc[n1] = n1, p2
+
+    def back(j):
+        nonlocal empty, merged, k
+        for s in (live + 4 * j + 2, live + 4 * j):
+            arc[arc[s]] = s
+            arc[arc[s + 1]] = s + 1
+        empty, merged, k, a, c = undo[j]
+        if a >= 0:
+            split(byF, a)
+        if c >= 0:
+            split(byFH, c)
+
+    for j in reversed(range(m)):
+        step(j, 0)
+    yield k, nv - merged, empty + count_cycles(arc, twisted, bytearray(unseen))
+    for mask in range(1, 1 << m):
+        # the bits below the lowest set bit t were set and are now clear
+        t = (mask & -mask).bit_length() - 1
+        for j in range(t + 1):
+            back(j)
+        step(t, 1)
+        for j in reversed(range(t)):
+            step(j, 0)
+        yield k, nv - merged, empty + count_cycles(arc, twisted, bytearray(unseen))
 
 
 def medial_circles(M: PlaneMap) -> int:

@@ -5,12 +5,18 @@ rotation lists and builds one map; ``strand_components`` and
 ``RibbonGraph.roots`` run on ints.  These tests compare them with the
 earlier bodies kept in ``helpers`` (one validated map per contraction, the
 dict strand walk, a dict union-find) and pin the number of maps built.
+``planemap.remainders`` contracts every subset on one mutable map; its
+k, v and delta are compared with ``contract_all``'s map of each subset.
 """
 
+from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 from rgpoly.convert import link_to_tait, ribbon_to_plane
-from rgpoly.planemap import contract, contract_all, delete
+from rgpoly.planemap import (PlaneMap, RelPlaneGraph, contract, contract_all, delete,
+                             medial_circles, remainders)
 from rgpoly.ribbon import RibbonGraph
 from rgpoly.verify import check_subset_identities, generate
 
@@ -100,18 +106,25 @@ def test_components_and_classes_match_dict_union_find():
                         assert (root[u] == root[v]) == same, (R, F, u, v)
 
 
-def test_one_map_per_contraction(monkeypatch):
-    # one map per contracted edge would be 92 maps in ribbon_to_plane here
-    # and 11 in contract_all
-    R = generate("ribbon", 45, 10)
-    built = [0]
+@pytest.fixture
+def built(monkeypatch):
+    """A one-item list that counts the maps built from here on."""
+    count = [0]
     init = RibbonGraph.__init__
 
     def counting_init(self, *args, **kwargs):
-        built[0] += 1
+        count[0] += 1
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RibbonGraph, "__init__", counting_init)
+    return count
+
+
+def test_one_map_per_contraction(built):
+    # one map per contracted edge would be 92 maps in ribbon_to_plane here
+    # and 11 in contract_all
+    R = generate("ribbon", 45, 10)
+    built[0] = 0
     G, _ = ribbon_to_plane(R)
     assert built[0] <= 3
     built[0] = 0
@@ -119,21 +132,56 @@ def test_one_map_per_contraction(monkeypatch):
     assert built[0] <= 2
 
 
-def test_contract_all_builds_one_map(monkeypatch):
+def test_contract_all_builds_one_map(built):
     # contract_where drops the edges outside F u H itself, so no submap of
     # F u H is built and validated first
-    graphs = list(_relative_plane_graphs())
-    built = [0]
-    init = RibbonGraph.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RibbonGraph, "__init__", counting_init)
-    for G in graphs:
+    for G in list(_relative_plane_graphs()):
         regular = G.regular_indices()
         for F in ([], regular, regular[::2]):
             built[0] = 0
             contract_all(G, F)
             assert built[0] == 1, (G, F)
+
+
+def _remainder_graphs():
+    yield from _relative_plane_graphs()
+    for seed in range(40):
+        for size in range(10):
+            yield generate("rpg", seed, size)
+    for seed in SEEDS:
+        for G in (generate("rpg", seed, 6), ribbon_to_plane(generate("ribbon", seed, 4))[0]):
+            M = G.map
+            yield RelPlaneGraph(PlaneMap(M.vertices[:1] + [()] + M.vertices[1:] + [()],
+                                         M.edges), G.zero, G.weights)
+
+
+def test_remainders_match_contract_all():
+    seen = Counter()
+    for G in _remainder_graphs():
+        regular = G.regular_indices()
+        M = G.map
+        # regular edges with an end alone at its vertex
+        lone = {ei for ei in regular
+                if any(len(M.vertices[M.vertex_of(h)]) == 1 for h in M.edges[ei].ends)}
+        walked = list(remainders(G))
+        assert len(walked) == 1 << len(regular), G
+        for mask, got in enumerate(walked):
+            F = [ei for i, ei in enumerate(regular) if mask >> i & 1]
+            hf = contract_all(G, F)
+            want = (hf.map.components(), hf.map.num_vertices, medial_circles(hf.map))
+            assert got == want, (G, F)
+            seen["loops"] += hf.deleted_loops > 0
+            seen["lone ends"] += bool(lone.intersection(F))
+            seen["components"] += want[0] > 1
+            seen["empty vertices"] += () in hf.map.vertices
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+def test_subset_identities_build_no_map_per_subset(built):
+    # one contract_all per subset built 1024 maps here
+    R = generate("ribbon", 45, 10)
+    G, cert = ribbon_to_plane(R)
+    assert len(G.regular_indices()) == 10
+    built[0] = 0
+    assert check_subset_identities(R, G, cert).passed
+    assert built[0] <= 2

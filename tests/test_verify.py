@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+from rgpoly import verify
 from rgpoly.convert import plane_to_ribbon, ribbon_to_plane
 from rgpoly.poly import Polynomial, parse
 from rgpoly.ribbon import RibbonGraph, make_edge
@@ -77,6 +78,33 @@ def test_subset_identities_small():
                      make_edge("b", "d", label="e1")])
     G, cert = ribbon_to_plane(R)
     assert check_subset_identities(R, G, cert).passed
+
+
+def test_subset_identities_fail_on_a_perturbed_sweep_record(monkeypatch):
+    # one more cycle breaks bc(F') = n(F) + delta(H_F); one more join on the
+    # vertices lowers k(F), which n(F) reads too; one more join on H's
+    # classes lowers k(F u H).  F = [4, 6] is both regular edges of G.
+    R = RibbonGraph([("a", "b", "c", "d")],
+                    [make_edge("a", "c", sign=-1, label="e0"),
+                     make_edge("b", "d", label="e1")])
+    G, cert = ribbon_to_plane(R)
+    assert G.regular_indices() == [4, 6]
+    sweep = verify.sweep
+    for field, detail in (
+            (2, "F=[4, 6]: bc(F')=n(F)+delta(H_F)"),
+            (3, "F=[4, 6]: bc(F')=n(F)+delta(H_F), v(H_F)=k(F)"),
+            (4, "F=[4, 6]: k(H_F)=k(FuH)")):
+
+        def perturbed(kernel, ends=(), field=field):
+            for record in sweep(kernel, ends):
+                if record[0] == 3:
+                    record = (*record[:field], record[field] + 1, *record[field + 1:])
+                yield record
+
+        monkeypatch.setattr(verify, "sweep", perturbed)
+        rep = check_subset_identities(R, G, cert)
+        assert not rep.passed and rep.left == detail, field
+        assert rep.line() == "FAIL subset_identities"
 
 
 def test_report_line_format():
