@@ -256,19 +256,19 @@ def remainders(G: RelPlaneGraph) -> Iterator[tuple[int, int, int]]:
         nonlocal empty, merged, k
         s1 = live + 4 * j
         s2 = s1 + 2
-        a = c = -1
+        hF = hFH = -1
         if bit:
             u, v = ends[j]
-            a = union(byF, u, v)
-            if a >= 0:
-                c = union(byFH, u, v)
-        undo[j] = empty, merged, k, a, c
-        if a < 0:
+            hF = union(byF, u, v)
+            if hF >= 0:
+                hFH = union(byFH, u, v)
+        undo[j] = empty, merged, k, hF, hFH
+        if hF < 0:
             empty += unlink(s1)
             empty += unlink(s2)
             return
         merged += 1
-        k -= c >= 0
+        k -= hFH >= 0
         if arc[s1] == s1 + 1:
             empty += unlink(s2)
         elif arc[s2] == s2 + 1:
@@ -283,11 +283,11 @@ def remainders(G: RelPlaneGraph) -> Iterator[tuple[int, int, int]]:
         for s in (live + 4 * j + 2, live + 4 * j):
             arc[arc[s]] = s
             arc[arc[s + 1]] = s + 1
-        empty, merged, k, a, c = undo[j]
-        if a >= 0:
-            split(byF, a)
-        if c >= 0:
-            split(byFH, c)
+        empty, merged, k, hF, hFH = undo[j]
+        if hF >= 0:
+            split(byF, hF)
+        if hFH >= 0:
+            split(byFH, hFH)
 
     for j in reversed(range(m)):
         step(j, 0)
