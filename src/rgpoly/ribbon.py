@@ -252,7 +252,8 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     joins; every edge is a weight class of its own, so a mask is its own
     ``class_sum`` index, whatever the weights (no workload runs B_R on the
     census yet).  More than ``cap`` edges raise SizeLimit before anything
-    is compiled.
+    is compiled, and edges whose ends touch more than 256 vertices (the
+    sweep's label limit) before any weight is tabulated.
     """
     m = R.num_edges
     if m > cap:
@@ -260,10 +261,11 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     nv = R.num_vertices
     kR = R.components()
     kernel = side_kernel(R, twist_links(R), range(m))
-    ends = R.vertex_pairs()
+    # called before class_sum builds its tables, so too many labels raise first
+    records = sweep(kernel, [R.vertex_pairs()])
 
     def terms():
-        for mask, ones, bc, joins, _ in sweep(kernel, [ends]):
+        for mask, ones, bc, joins, _ in records:
             k = nv - joins
             n = ones - joins
             yield mask, (k - kR, n, k - bc + n), 1

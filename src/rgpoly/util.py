@@ -21,7 +21,12 @@ costs O(m) however large the drawn map is.
 
 Two engines yield the same records (index, ones, cycles, joins...,
 count).  ``sweep`` visits the 2^m states depth first, each element a
-weight class of its own, in O(m^2) memory; ``census`` counts them in one
+weight class of its own, in O(m^2) memory; past a few elements it lists
+the states of its last elements from per-call tables of columns, one per
+boundary state (the arc matching on their slots, the classes of their
+ends' labels) and bounded in number, since many states above share one, as
+Haggard, Pearce and Royle's isomorphism cache shares subgraphs ("Computing
+Tutte polynomials", ACM TOMS 2010).  ``census`` counts them in one
 frontier pass by set bits per class of equal (x, y) weight pairs, as
 Sekine, Imai and Tani's transfer-matrix pass does (ISAAC 1995), in memory
 that ``CENSUS_ENTRIES`` bounds.  B_R always sweeps; ``tally`` picks the
@@ -166,8 +171,18 @@ class CycleKernel:
         return self.closed + count_cycles(self.arc, self.links(mask))
 
 
-# the states of the last _BLOCK elements of a sweep are listed at once
-_BLOCK = 8
+# A sweep of more than _BLOCK + 1 elements lists the records of its last
+# _BLOCK elements, 2^_BLOCK at a time, from columns that the call keeps in
+# tables; a shorter one is walked whole, as below four states of the
+# elements above the block the tables did not pay for themselves (seeded
+# B_R and relative Tutte kernels at m = 7-14, block sizes 4-8).  A table
+# holds at most _TABLE_ENTRIES columns of 2^_BLOCK bytes, keyed by at most
+# 4 * _BLOCK bytes, and is cleared when full, so the tables stay under about
+# 100 KB each whatever m is.
+_BLOCK = 6
+_TABLE_ENTRIES = 512
+# labels are bytes, one per label of a partition
+_LABELS = 256
 
 
 def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator[tuple]:
@@ -180,7 +195,8 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
     joins in partition p when its bit is set, and the state's p-th join
     count is the number of set elements that join two different classes of
     partition p, as ``roots`` would find them.  Each partition's labels
-    are numbered by first appearance, as the relabelling lists need ints.
+    are numbered by first appearance, one byte each, so a partition with
+    more than ``_LABELS`` of them raises ``SizeLimit`` at the call.
 
     A depth-first walk over the elements from the last to the first, bit
     clear before bit set.  Element j's links under the xor x that its bit
@@ -190,12 +206,25 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
     through the elements above j leave: linking j's four slots joins the arc
     partners of each linked pair, at most four entries, and a pair that are
     each other's arc partners closes a cycle.  Element 0 is then alone, and
-    its arc matching is either its link (two cycles) or not (one).  Each
-    level holds one copy of the arcs and, per partition, the class of every
-    label, relabelled on a join, so the walk holds O(m) lists, each of the
-    4m arcs or of one partition's labels, and recurses at most m deep; the
-    states below the last ``_BLOCK`` levels are listed at once, at most
-    2^_BLOCK of them.
+    its arc matching is either its link (two cycles) or not (one); elements
+    1 and 0 are walked in one frame.  Each level holds its copy of the arcs
+    on the slots of elements 0..j and, per partition, the class of every
+    label as a bytes string, relabelled on a join, so the walk holds O(m)
+    lists and strings of at most 4m entries and recurses at most m deep.
+
+    Past ``_BLOCK + 1`` elements the walk stops above the last ``_BLOCK``
+    (the block), and the records below one of its states depend on two
+    things only: the arc matching on the block's 4 * _BLOCK slots, and, per
+    partition, which of the labels that the block's ends carry share a
+    class.  So the call keeps a table of cycle columns, keyed by the bytes
+    of that arc matching, and per partition a table of join columns, keyed
+    by the classes of the block's end labels renumbered by first
+    appearance; column entry s is what the block's sub-mask s adds.  A state
+    whose columns are all known emits its 2^_BLOCK records from them in one
+    comprehension; any other is walked, and its records give the missing
+    columns.  A table is cleared when it holds ``_TABLE_ENTRIES`` columns,
+    so the tables' memory does not grow with m.  The records and their
+    order are the walk's in either case.
     """
     m = len(kernel.choices)
     # per element, for bit clear and set: its two link pairs (s, s^x, u, u^x)
@@ -207,63 +236,135 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
     # per element, one pair per partition, each label its partition's number
     ends = [[(n.setdefault(u, len(n)), n.setdefault(v, len(n))) for n, (u, v) in zip(numbers, row)]
             for row in zip(*ends)] or [()] * m
-    labels = tuple(list(range(len(n))) for n in numbers)
+    for n in numbers:
+        if len(n) > _LABELS:
+            raise SizeLimit(f"{len(n)} labels in one partition exceeds the "
+                            f"sweep's limit {_LABELS}")
+    labels = tuple(bytes(range(len(n))) for n in numbers)
     joins = (0,) * len(numbers)
+    arc = list(kernel.arc)
     if not m:
         return iter([(0, 0, kernel.closed, *joins, 1)])
     last0, last1 = pairs[0][0][1], pairs[0][1][1]
 
+    def set0(labels, joins):
+        """The joins of a state once element 0's bit is set."""
+        return [j + (label[u] != label[v]) for j, label, (u, v) in zip(joins, labels, ends[0])]
+
+    if m == 1:
+        return iter([(0, 0, kernel.closed + (arc[0] == last0) + 1, *joins, 1),
+                      (1, 1, kernel.closed + (arc[0] == last1) + 1, *set0(labels, joins), 1)])
+
     def join(j, labels, joins):
         for p, (u, v) in enumerate(ends[j]):
             label = labels[p]
-            a, b = label[u], label[v]
-            if a != b:
-                labels = (*labels[:p], [a if x == b else x for x in label], *labels[p + 1:])
+            if label[u] != label[v]:
+                labels = (*labels[:p], label.replace(label[v:v + 1], label[u:u + 1]),
+                          *labels[p + 1:])
                 joins = (*joins[:p], joins[p] + 1, *joins[p + 1:])
         return labels, joins
 
-    def walk(j, arc, closed, mask, ones, labels, joins, out, stop):
-        """Append to ``out`` the states that elements j, j-1, ... leave,
-        down to the state before element ``stop``, or every record."""
-        if j == stop:
-            out.append((arc, closed, mask, ones, labels, joins))
-        elif j:
-            for bit, (s, t, u, v) in enumerate(pairs[j]):
-                a = arc if bit else arc[:]      # bit set takes the parent's list
-                c = closed
-                p, q = a[s], a[t]
-                if p == t:
-                    c += 1
-                else:
-                    a[p], a[q] = q, p
-                p, q = a[u], a[v]
-                if p == v:
-                    c += 1
-                else:
-                    a[p], a[q] = q, p
-                if bit:
-                    walk(j - 1, a, c, mask | 1 << j, ones + 1, *join(j, labels, joins),
-                         out, stop)
-                else:
-                    walk(j - 1, a, c, mask, ones, labels, joins, out, stop)
-        else:
-            a = arc[0]
-            out.append((mask, ones, closed + (a == last0) + 1, *joins, 1))
-            out.append((mask | 1, ones + 1, closed + (a == last1) + 1,
-                        *join(0, labels, joins)[1], 1))
+    def walk(j, arc, closed, mask, ones, labels, joins, out):
+        """Append to ``out`` the records of the states that elements j, j-1,
+        ..., 0 leave (j >= 1)."""
+        for bit, (s, t, u, v) in enumerate(pairs[j]):
+            a = arc if bit else arc[:4 * j + 4]     # bit set takes the parent's list
+            c = closed
+            p, q = a[s], a[t]
+            if p == t:
+                c += 1
+            else:
+                a[p], a[q] = q, p
+            p, q = a[u], a[v]
+            if p == v:
+                c += 1
+            else:
+                a[p], a[q] = q, p
+            if bit:
+                mask1, ones1 = mask | 1 << j, ones + 1
+                labels1, joins1 = join(j, labels, joins)
+            else:
+                mask1, ones1, labels1, joins1 = mask, ones, labels, joins
+            if j > 1:
+                walk(j - 1, a, c, mask1, ones1, labels1, joins1, out)
+            else:
+                x = a[0]
+                out.append((mask1, ones1, c + (x == last0) + 1, *joins1, 1))
+                out.append((mask1 | 1, ones1 + 1, c + (x == last1) + 1,
+                            *set0(labels1, joins1), 1))
 
-    def blocks(j, state):
+    if m <= _BLOCK + 1:
         out: list = []
-        if j < _BLOCK:
-            walk(j, *state, out, -1)
-            yield out
-        else:
-            walk(j, *state, out, j - 1)
-            for child in out:
-                yield from blocks(j - 1, child)
+        walk(m - 1, arc, kernel.closed, 0, 0, labels, joins, out)
+        return iter(out)
 
-    return chain.from_iterable(blocks(m - 1, (list(kernel.arc), kernel.closed, 0, 0,
-                                              labels, joins)))
+    width = 4 * _BLOCK
+    sub = range(1 << _BLOCK)
+    pop = bytes([s.bit_count() for s in sub])
+    # per partition, the labels of the block's ends, element by element
+    block_ends = [list(chain.from_iterable(row[p] for row in ends[:_BLOCK]))
+                  for p in range(len(numbers))]
+    cycle_columns: dict = {}
+    join_columns: list = [{} for _ in numbers]
+
+    def block(arc, closed, mask, ones, labels, joins):
+        key = bytes(arc[:width])
+        cycles = cycle_columns.get(key)
+        keys, columns = [], []
+        for flat, label, table in zip(block_ends, labels, join_columns):
+            seen: dict = {}
+            keys.append(bytes([seen.setdefault(label[x], len(seen)) for x in flat]))
+            columns.append(table.get(keys[-1]))
+        if cycles is None or None in columns:
+            out: list = []
+            walk(_BLOCK - 1, arc, closed, mask, ones, labels, joins, out)
+            if cycles is None:
+                _store(cycle_columns, key, bytes([r[2] - closed for r in out]))
+            for p, column in enumerate(columns):
+                if column is None:
+                    _store(join_columns[p], keys[p],
+                           bytes([r[3 + p] - joins[p] for r in out]))
+            return out
+        if not columns:
+            return [(mask + s, ones + o, closed + c, 1)
+                    for s, o, c in zip(sub, pop, cycles)]
+        if len(columns) == 1:
+            (j0,), (d0,) = joins, columns
+            return [(mask + s, ones + o, closed + c, j0 + a, 1)
+                    for s, o, c, a in zip(sub, pop, cycles, d0)]
+        if len(columns) == 2:
+            (j0, j1), (d0, d1) = joins, columns
+            return [(mask + s, ones + o, closed + c, j0 + a, j1 + b, 1)
+                    for s, o, c, a, b in zip(sub, pop, cycles, d0, d1)]
+        return [(mask + s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
+                for s, o, c, *ds in zip(sub, pop, cycles, *columns)]
+
+    def blocks(j, arc, closed, mask, ones, labels, joins):
+        if j < _BLOCK:
+            yield block(arc, closed, mask, ones, labels, joins)
+            return
+        for bit, (s, t, u, v) in enumerate(pairs[j]):
+            a = arc if bit else arc[:4 * j + 4]
+            c = closed
+            for x, y in (s, t), (u, v):
+                p, q = a[x], a[y]
+                if p == y:
+                    c += 1
+                else:
+                    a[p], a[q] = q, p
+            if bit:
+                yield from blocks(j - 1, a, c, mask | 1 << j, ones + 1,
+                                  *join(j, labels, joins))
+            else:
+                yield from blocks(j - 1, a, c, mask, ones, labels, joins)
+
+    return chain.from_iterable(blocks(m - 1, arc, kernel.closed, 0, 0, labels, joins))
+
+
+def _store(table: dict, key: bytes, column: bytes) -> None:
+    if len(table) >= _TABLE_ENTRIES:
+        table.clear()
+    table[key] = column
 
 
 def census(kernel: CycleKernel, classes: Sequence[int] = (),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import SizeLimit
 from .planemap import (
@@ -206,7 +207,8 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     k(F u H) from one ``util.sweep`` over a kernel of R, its edges in the
     order of their regular edges in G, with the joins of F's ends on G's
     vertices and on H's classes.  Both stream their subsets in ascending
-    mask order, one at a time.  More regular edges than the enumeration
+    mask order, one at a time; a stream that ends before the other fails
+    the check.  More regular edges than the enumeration
     cap of ``relative_tutte``, or than ``REFERENCE_CAP``, raise SizeLimit."""
     regular = G.regular_indices()
     if len(regular) > DEFAULT_EDGE_CAP:
@@ -218,8 +220,12 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
     nv = G.map.num_vertices
     ends, kH = relative_joins(G)
     detail = ""
-    for (mask, ones, bcFr, j, jh, _), (kHF, vHF, delta) in zip(sweep(bc, ends),
-                                                               remainders(G)):
+    for n, (record, remainder) in enumerate(zip_longest(sweep(bc, ends), remainders(G))):
+        if record is None or remainder is None:
+            short = "sweep" if record is None else "reference walk"
+            detail = f"the {short} ends after {n} of {1 << len(regular)} subsets"
+            break
+        (mask, ones, bcFr, j, jh, _), (kHF, vHF, delta) = record, remainder
         f = mask.bit_count()
         kFH = kH - jh
         kF = nv - j

@@ -44,6 +44,16 @@ def test_br(files, capsys):
     assert out.strip() == "x_e*Y + y_e"
 
 
+def test_br_refuses_edges_on_more_vertices_than_the_sweep_labels(tmp_path, capsys):
+    # 129 disjoint edges touch 258 vertices: exit 2 at once under any cap
+    path = tmp_path / "wide.rg"
+    path.write_text("".join(f"vertex u{i}: a{i}\nvertex v{i}: b{i}\n" for i in range(129))
+                    + "".join(f"edge e{i}: a{i} b{i} sign=+\n" for i in range(129)))
+    code, err = run_err(capsys, "br", "--cap=200", str(path))
+    assert code == 2
+    assert err == "error: 258 labels in one partition exceeds the sweep's limit 256\n"
+
+
 def test_rtutte_with_glob_substitution(files, capsys):
     code, out = run(capsys, "rtutte", files["tri.rpg"],
                     "--substitute", "x_*=1,y_*=1")

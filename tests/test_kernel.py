@@ -264,7 +264,7 @@ def _random_kernel(rng, m):
     extra = rng.randrange(3)
     labels = (0, 1, 2, "a", "b")
     ends = [[(rng.choice(labels), rng.choice(labels)) for _ in range(m)]
-            for _ in range(rng.randrange(3))]
+            for _ in range(rng.randrange(4))]
     return (arc, fixed, choices, extra), ends
 
 
@@ -304,12 +304,15 @@ def _records_by_walking(arc, fixed, choices, extra, ends):
 
 
 def test_random_kernels_match_a_walk_of_their_xor_choices():
-    seen = set()
+    # the first seeds go past the sweep's block, where its records come
+    # from per-call tables, with 0-3 partitions
+    seen, partitions = set(), set()
     for seed in range(40):
         rng = random.Random(seed)
-        for m in range(9):
+        for m in range(14 if seed < 6 else 9):
             args, ends = _random_kernel(rng, m)
             seen.update(args[2])
+            partitions.add((m > util._BLOCK + 1, len(ends)))
             kernel = util.CycleKernel(*args)
             expected = list(_records_by_walking(*args, ends))
             assert list(util.sweep(kernel, ends)) == expected, (seed, m)
@@ -318,6 +321,70 @@ def test_random_kernels_match_a_walk_of_their_xor_choices():
                 assert _counted(util.census(kernel, classes, ends)) == \
                     _census_of(expected, classes), (seed, m, k)
     assert seen == {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
+    assert partitions == {(past, p) for past in (False, True) for p in range(4)}
+
+
+def _boundary_kernel(shared):
+    # _BLOCK + 3 elements on 4 slots each, no fixed ones.  The top three
+    # elements' slots have arc partners in the block, so their xor choices
+    # (1 or 2) leave eight different arc matchings on the block's slots, or
+    # they are arcs among themselves, and the block's matching never changes.
+    # Likewise the top elements join labels that the block's ends carry, or
+    # labels of their own.
+    b = util._BLOCK
+    m, n = b + 3, 4 * b
+    top = list(range(n, 4 * m))
+    arc = [0] * (4 * m)
+    if shared:
+        pairs = list(zip(top[:6], top[6:])) + list(zip(range(0, n, 2), range(1, n, 2)))
+    else:
+        pairs = list(zip(top, range(12))) + list(zip(range(12, n, 2), range(13, n, 2)))
+    for s, t in pairs:
+        arc[s], arc[t] = t, s
+    choices = [(1, 2)] * m
+    block_ends = [(j, (j + 1) % 6) for j in range(b)]
+    top_ends = [("a", "b"), ("c", "d"), ("e", "f")] if shared else [(0, 1), (2, 3), (4, 5)]
+    return (arc, list(range(4 * m)), choices, 0), [block_ends + top_ends]
+
+
+def _columns_built(monkeypatch):
+    # the cycle and join columns the tables store, by kind, and the most
+    # columns a table held
+    built = Counter()
+    store = util._store
+
+    def counted(table, key, column):
+        built["cycles" if len(key) == 4 * util._BLOCK else "joins"] += 1
+        store(table, key, column)
+        built["held"] = max(built["held"], len(table))
+
+    monkeypatch.setattr(util, "_store", counted)
+    return built
+
+
+@pytest.mark.parametrize("shared, built", [(False, 8), (True, 1)])
+def test_sweep_tables_on_all_distinct_and_all_shared_boundary_states(monkeypatch, shared, built):
+    # eight states above the block: eight cycle and join columns, or one each
+    columns = _columns_built(monkeypatch)
+    args, ends = _boundary_kernel(shared)
+    records = list(util.sweep(util.CycleKernel(*args), ends))
+    assert records == list(_records_by_walking(*args, ends))
+    assert columns == {"cycles": built, "joins": built, "held": built}
+
+
+def test_sweep_tables_cleared_when_full_keep_the_records(monkeypatch):
+    monkeypatch.setattr(util, "_TABLE_ENTRIES", 2)
+    columns = _columns_built(monkeypatch)
+    args, ends = _boundary_kernel(False)
+    assert list(util.sweep(util.CycleKernel(*args), ends)) == \
+        list(_records_by_walking(*args, ends))
+    for seed in range(6):
+        rng = random.Random(seed)
+        for m in range(util._BLOCK + 2, 13):
+            args, ends = _random_kernel(rng, m)
+            assert list(util.sweep(util.CycleKernel(*args), ends)) == \
+                list(_records_by_walking(*args, ends)), (seed, m)
+    assert columns["cycles"] > 2 * 8 and columns["joins"] > 2 * 8 and columns["held"] == 2
 
 
 def test_census_past_its_entry_bound_raises_size_limit(monkeypatch):

@@ -97,6 +97,19 @@ def test_sweep_of_no_elements_is_one_state():
     assert list(util.sweep(kernel)) == [(0, 0, 2, 1)]
 
 
+def test_sweep_refuses_more_labels_than_a_byte_holds_at_the_call():
+    # 128 elements on 256 labels sweep; a 129th element with a 257th label
+    # raises before any state is walked
+    m = 129
+    kernel = util.CycleKernel([s ^ 1 for s in range(4 * m)], [], [(1, 2)] * m)
+    ends = [(2 * j, 2 * j + 1) for j in range(m - 1)] + [(256, 0)]
+    first = next(util.sweep(util.CycleKernel(kernel.arc[:-4], [], [(1, 2)] * (m - 1)),
+                            [ends[:-1]]))
+    assert first == (0, 0, 2 * (m - 1), 0, 1)
+    with pytest.raises(SizeLimit, match="^257 labels in one partition exceeds the sweep's limit 256$"):
+        util.sweep(kernel, [ends])
+
+
 def test_state_sums_check_their_caps_before_compiling(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("nothing may be compiled past the cap")

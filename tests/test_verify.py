@@ -107,6 +107,24 @@ def test_subset_identities_fail_on_a_perturbed_sweep_record(monkeypatch):
         assert rep.line() == "FAIL subset_identities"
 
 
+def test_subset_identities_fail_when_one_stream_ends_early(monkeypatch):
+    # a sweep that drops its last record, or adds one past the last mask,
+    # must not pass on the subsets the two streams share
+    R = RibbonGraph([("a", "b", "c", "d")],
+                    [make_edge("a", "c", sign=-1, label="e0"),
+                     make_edge("b", "d", label="e1")])
+    G, cert = ribbon_to_plane(R)
+    sweep = verify.sweep
+    for changed, detail in (
+            (lambda records: records[:-1], "the sweep ends after 3 of 4 subsets"),
+            (lambda records: records + records[-1:], "the reference walk ends after 4 of 4 subsets")):
+        monkeypatch.setattr(verify, "sweep",
+                            lambda kernel, ends=(), changed=changed: iter(changed(list(sweep(kernel, ends)))))
+        rep = check_subset_identities(R, G, cert)
+        assert not rep.passed and rep.left == detail
+        assert rep.line() == "FAIL subset_identities"
+
+
 def test_report_line_format():
     rep = CheckReport("main_theorem", "inst", True, seed=12)
     assert rep.line(5) == "PASS main_theorem seed=12 size=5"
