@@ -11,8 +11,8 @@ add up their 2^m states through ``util.tally``.  Where its rule picks the
 frontier pass, as on a Tait graph or a large bracket, the cap is a size
 cap only, the cost set by the frontier width, not 2^m; --cap=30 on a
 30-crossing link runs in about a second.  Otherwise, and for br always,
-one depth-first sweep enumerates them, whose memory stays O(m^2) beyond
-the output, so the cap bounds time.  Each command checks its cap before
+one depth-first sweep enumerates them, whose memory stays O(m^2) plus
+bounded tables beyond the output, so the cap bounds time.  Each command checks its cap before
 compiling.
 """
 

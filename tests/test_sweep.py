@@ -106,7 +106,8 @@ def test_sweep_refuses_more_labels_than_a_byte_holds_at_the_call():
     first = next(util.sweep(util.CycleKernel(kernel.arc[:-4], [], [(1, 2)] * (m - 1)),
                             [ends[:-1]]))
     assert first == (0, 0, 2 * (m - 1), 0, 1)
-    with pytest.raises(SizeLimit, match="^257 labels in one partition exceeds the sweep's limit 256$"):
+    with pytest.raises(SizeLimit,
+                       match="^257 labels in one partition exceeds the sweep's limit 256$"):
         util.sweep(kernel, [ends])
 
 

@@ -117,9 +117,13 @@ def test_subset_identities_fail_when_one_stream_ends_early(monkeypatch):
     sweep = verify.sweep
     for changed, detail in (
             (lambda records: records[:-1], "the sweep ends after 3 of 4 subsets"),
-            (lambda records: records + records[-1:], "the reference walk ends after 4 of 4 subsets")):
-        monkeypatch.setattr(verify, "sweep",
-                            lambda kernel, ends=(), changed=changed: iter(changed(list(sweep(kernel, ends)))))
+            (lambda records: records + records[-1:],
+             "the reference walk ends after 4 of 4 subsets")):
+
+        def short(kernel, ends=(), changed=changed):
+            return iter(changed(list(sweep(kernel, ends))))
+
+        monkeypatch.setattr(verify, "sweep", short)
         rep = check_subset_identities(R, G, cert)
         assert not rep.passed and rep.left == detail
         assert rep.line() == "FAIL subset_identities"
