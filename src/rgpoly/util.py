@@ -264,9 +264,11 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
                 joins = (*joins[:p], joins[p] + 1, *joins[p + 1:])
         return labels, joins
 
-    def walk(j, arc, closed, mask, ones, labels, joins, out):
+    def walk(j, arc, closed, mask, ones, labels, joins, out, stop=1):
         """Append to ``out`` the records of the states that elements j, j-1,
-        ..., 0 leave (j >= 1)."""
+        ..., 0 leave (j >= 1), or, from a ``stop`` above 1, the states
+        (arc, closed, mask, ones, labels, joins) that elements j, ..., stop
+        leave."""
         for bit, (s, t, u, v) in enumerate(pairs[j]):
             a = arc if bit else arc[:4 * j + 4]     # bit set takes the parent's list
             c = closed
@@ -285,8 +287,10 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
                 labels1, joins1 = join(j, labels, joins)
             else:
                 mask1, ones1, labels1, joins1 = mask, ones, labels, joins
-            if j > 1:
-                walk(j - 1, a, c, mask1, ones1, labels1, joins1, out)
+            if j > stop:
+                walk(j - 1, a, c, mask1, ones1, labels1, joins1, out, stop)
+            elif j > 1:
+                out.append((a, c, mask1, ones1, labels1, joins1))
             else:
                 x = a[0]
                 out.append((mask1, ones1, c + (x == last0) + 1, *joins1, 1))
@@ -325,9 +329,6 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
                     _store(join_columns[p], keys[p],
                            bytes([r[3 + p] - joins[p] for r in out]))
             return out
-        if not columns:
-            return [(mask + s, ones + o, closed + c, 1)
-                    for s, o, c in zip(sub, pop, cycles)]
         if len(columns) == 1:
             (j0,), (d0,) = joins, columns
             return [(mask + s, ones + o, closed + c, j0 + a, 1)
@@ -339,26 +340,16 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
         return [(mask + s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
                 for s, o, c, *ds in zip(sub, pop, cycles, *columns)]
 
-    def blocks(j, arc, closed, mask, ones, labels, joins):
+    def blocks(j, state):
         if j < _BLOCK:
-            yield block(arc, closed, mask, ones, labels, joins)
+            yield block(*state)
             return
-        for bit, (s, t, u, v) in enumerate(pairs[j]):
-            a = arc if bit else arc[:4 * j + 4]
-            c = closed
-            for x, y in (s, t), (u, v):
-                p, q = a[x], a[y]
-                if p == y:
-                    c += 1
-                else:
-                    a[p], a[q] = q, p
-            if bit:
-                yield from blocks(j - 1, a, c, mask | 1 << j, ones + 1,
-                                  *join(j, labels, joins))
-            else:
-                yield from blocks(j - 1, a, c, mask, ones, labels, joins)
+        children: list = []
+        walk(j, *state, children, j)
+        for child in children:
+            yield from blocks(j - 1, child)
 
-    return chain.from_iterable(blocks(m - 1, arc, kernel.closed, 0, 0, labels, joins))
+    return chain.from_iterable(blocks(m - 1, (arc, kernel.closed, 0, 0, labels, joins)))
 
 
 def _store(table: dict, key: bytes, column: bytes) -> None:
