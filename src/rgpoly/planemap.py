@@ -47,8 +47,8 @@ from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import GenusError, SizeLimit
 from .poly import Polynomial, class_sum, monomial, var
-from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph, side_cycles,
-                     side_kernel)
+from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph, side_arcs,
+                     side_cycles, side_kernel)
 from .util import CycleKernel, count_cycles, tally
 
 
@@ -174,8 +174,8 @@ def remainders(G: RelPlaneGraph) -> Iterator[tuple[int, int, int]]:
     i-th regular edge): what ``contract_all`` and ``medial_circles`` give,
     read off one mutable map instead of one map per subset.
 
-    The rotations are the arc matching of the side slots, laid out as in
-    ``side_kernel`` with H's edges first: arc joins side (h, 1) to side
+    The rotations are the arc matching of the side slots, laid out by
+    ``side_arcs`` with H's edges first: arc joins side (h, 1) to side
     (g, 0) of the next half-edge g.  Regular edge j is one level of a
     depth-first walk from the last edge to the first, bit clear before bit
     set, the order of ``util.sweep``: from mask - 1 to mask, the levels up
@@ -200,21 +200,7 @@ def remainders(G: RelPlaneGraph) -> Iterator[tuple[int, int, int]]:
     regular = G.regular_indices()
     zero = sorted(G.zero)
     m, nv = len(regular), M.num_vertices
-    slot = {}
-    for b, ei in enumerate(zero + regular):
-        h1, h2 = M.edges[ei].ends
-        slot[h1], slot[h2] = 4 * b, 4 * b + 2
-    arc = [0] * (2 * len(slot))
-    empty = 0
-    for cycle in M.vertices:
-        if not cycle:
-            empty += 1
-            continue
-        prev = slot[cycle[-1]] + 1
-        for h in cycle:
-            s = slot[h]
-            arc[prev], arc[s] = s, prev
-            prev = s + 1
+    arc, empty = side_arcs(M, zero + regular)
     live = 4 * len(zero)
     twisted = [s ^ 2 for s in range(live)]
     unseen = bytearray(live) + b"\1" * (4 * m)

@@ -36,31 +36,34 @@ so adding packed ints multiplies monomials and no sum carries into the
 next field.  The weight products of the low and high halves of the classes
 are tabulated once as lists of (packed int, coefficient), a multi-term
 weight being a longer list on the same path; a term adds its exponents to
-one entry of each and accumulates one int key in place.
+one entry of each and accumulates one int key in place.  A table past
+``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any entry is built.
 
 The sum keeps its packed keys.  The lowest id owns the highest bits
 (``_layout``) and every field is nonnegative, so the keys in descending
 order are the terms in canonical order: ``canonical()`` sorts the ints and
 writes each term from memos of its field groups' text, the registered
-names' groups apart from the builtins'.  The sorted (vid, exp4) keys that
-every other ``Polynomial`` holds are decoded only when something first
-reads them (equality, hashing, arithmetic, ``subs``), through memos of the
-groups' pairs.  A group is up to eight fields read at once, so a B_R with
-one x_e and y_e field per edge looks up a few groups per key instead of
-every field.
+names' groups apart from the builtins'.  Its sorted (vid, exp4) keys are
+decoded only when something first reads them (equality, hashing,
+arithmetic, ``subs``), through memos of the groups' pairs.  A group is up
+to eight fields read at once, so a B_R with one x_e and y_e field per edge
+looks up a few groups per key instead of every field.  Every other
+``Polynomial`` holds (vid, exp4) keys, and ``canonical()`` packs them into
+fields of their own only to write them, by the same path: one renderer
+decides the text of every polynomial.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
+from math import prod
 from operator import and_, itemgetter, mul, rshift
 from typing import Iterable, Mapping, Union
 
-from .errors import NonMonomialNegativePower, ParseError, RenderError
+from .errors import NonMonomialNegativePower, ParseError, RenderError, SizeLimit
 
 _BUILTINS = ("X", "Y", "Z", "A", "B", "d", "w", "t")
 
@@ -270,39 +273,21 @@ class Polynomial:
         the registered names come before the builtins, each group in
         registry-id order, after the coefficient unless it is 1 or -1.
 
-        The order is one int per term, its bit fields laid out by
-        ``_layout``, so comparing these ints compares the exponent vectors.
-        A packed polynomial (``class_sum``'s) sorts its own keys and writes
-        each term from the memoized text of its field groups, without
-        decoding them.  Any other polynomial has no fields to read, and
-        laying them out and filling group memos for it would cost more than
-        it saves on the few terms of a substituted or multiplied value: its
-        variables present each own a field as wide as the range
-        [min(0, lo), max(0, hi)] of their exp4, a term is the sum of
-        exp4 << offset over its factors, and each distinct (vid, exp4) pair
-        is weighed and rendered once.
+        Every polynomial is written by ``_Fields.texts`` from packed keys.
+        A packed polynomial (``class_sum``'s) has its own.  Any other gets a
+        ``_Fields`` whose biases are each variable's largest |exp4| among
+        its distinct (vid, exp4) pairs, and a term's key is base plus the
+        sum of its pairs' exp4 << offset, one int per distinct pair.  The
+        packing is not kept.
         """
         if self._packed is not None:
             fields, acc = self._packed
-            return _join_terms(fields.texts(acc))
-        pairs = set(chain.from_iterable(self._terms))
-        lo: dict = {}
-        hi: dict = {}
-        for vid, e4 in pairs:
-            lo[vid] = min(lo.get(vid, 0), e4)
-            hi[vid] = max(hi.get(vid, 0), e4)
-        offset, pos = {}, 0
-        for vid in _layout(lo):
-            offset[vid] = pos
-            pos += (hi[vid] - lo[vid]).bit_length()
-        weight = {pair: pair[1] << offset[pair[0]] for pair in pairs}.__getitem__
-        text = {pair: _render_factor(*pair) for pair in pairs}.__getitem__
-        terms = []
-        for key, c in sorted(self._terms.items(), reverse=True,
-                             key=lambda kc: sum(map(weight, kc[0]))):
-            cut = bisect_left(key, (_NUM_BUILTINS,))
-            terms.append(("*".join(map(text, key[cut:] + key[:cut])), c))
-        return _join_terms(terms)
+        else:
+            pairs = set(chain.from_iterable(self._terms))
+            fields = _Fields(_bias(pairs))
+            packed = {pair: pair[1] << fields.offset[pair[0]] for pair in pairs}.__getitem__
+            acc = {fields.base + sum(map(packed, key)): c for key, c in self._terms.items()}
+        return _join_terms(fields.texts(acc))
 
     def __str__(self) -> str:
         return self.canonical()
@@ -412,11 +397,15 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
     field units to one entry of each table and accumulates the sums in
     place.  The result keeps the packed ints and their fields: ``canonical``
     writes its text from them, and its (vid, exp4) keys are decoded only
-    when first read.
+    when first read.  A table of more than ``_WEIGHT_TABLE_ENTRIES`` entries
+    raises SizeLimit before any table is built.
     """
-    fields = _Fields(classes, names, bound)
-    units = [4 << fields.offset[register(name)] for name in names]
     half = len(classes) // 2
+    for part in classes[:half], classes[half:]:
+        if (entries := prod(n + 1 for _, _, n in part)) > _WEIGHT_TABLE_ENTRIES:
+            raise SizeLimit(f"a weight table of {entries} entries exceeds {_WEIGHT_TABLE_ENTRIES}")
+    fields = _Fields(_span(classes, names, bound))
+    units = [4 << fields.offset[register(name)] for name in names]
     low = [[(k + fields.base, c) for k, c in t] for t in _table(fields, classes[:half])]
     high = _table(fields, classes[half:])
     size = len(low)
@@ -431,6 +420,30 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
     out = Polynomial.__new__(Polynomial)
     out._packed = fields, {key: c for key, c in acc.items() if c}
     return out
+
+
+# The most entries of one half's weight table.  B_R under the default cap of
+# 24 edges, one class per edge, needs 2^12; 2^16 lets a raised cap reach 32
+# edges, 2^32 states, past any enumeration that finishes, in a few MB.
+_WEIGHT_TABLE_ENTRIES = 1 << 16
+
+
+def _span(classes: list, names: tuple, bound: int) -> dict:
+    """Each variable's bias in ``class_sum``: 4 * bound if it is among the
+    term's names, plus, per element, its largest |exp4| in either weight."""
+    span = dict.fromkeys((register(name) for name in names), 4 * bound)
+    for x, y, n in classes:
+        for vid, e4 in _bias(chain(*x._terms, *y._terms)).items():
+            span[vid] = span.get(vid, 0) + n * e4
+    return span
+
+
+def _bias(pairs: Iterable) -> dict:
+    """The largest |exp4| of each variable among the (vid, exp4) ``pairs``."""
+    top: dict = {}
+    for vid, e4 in pairs:
+        top[vid] = max(top.get(vid, 0), abs(e4))
+    return top
 
 
 def _table(fields: "_Fields", classes: list) -> list:
@@ -461,33 +474,24 @@ def _layout(vids: Iterable[int]) -> list:
 
 
 class _Fields:
-    """The bit fields of ``class_sum``'s packed exponent vectors.
+    """The bit fields of packed exponent vectors.
 
-    Every variable of a weight or of the term gets a field, laid out by
-    ``_layout``.  A field holds exp4 plus a bias, the largest |exp4| the
-    variable can reach in a state: 4 * bound if it is among the term's
-    names, plus, per element, its largest |exp4| in either weight;
-    ``classes`` lists the weights as (x, y, the number of elements that
-    weigh (x, y)).  A field is wide enough for twice its bias, so every
-    reachable exponent packs into [0, 2 * bias] and a sum of packed vectors
-    never carries from one field into the next.  The bias sum is ``base``:
-    a state's key is base + its packed vectors, so the keys in descending
-    order are the terms in canonical order.
+    Every variable of ``span``, a map from vid to bias, gets a field, laid
+    out by ``_layout``.  A field holds exp4 plus the bias, the largest
+    |exp4| the variable can reach: in ``class_sum`` over the states
+    (``_span``), in ``canonical()`` over the terms present.  A field is
+    wide enough for twice its bias, so every reachable exponent packs into
+    [0, 2 * bias] and a sum of packed vectors never carries from one field
+    into the next.  The bias sum is ``base``: a term's key is base + its
+    packed vectors, so the keys in descending order are the terms in
+    canonical order.
 
     ``decode`` and ``texts`` read the fields in groups of at most _GROUP,
     each group's bits through a memo (``_Memo``) of its (vid, exp4) pairs
     or of its factor text; the memos are made on first use.
     """
 
-    def __init__(self, classes: list, names: tuple, bound: int):
-        span = dict.fromkeys((register(name) for name in names), 4 * bound)
-        for x, y, n in classes:
-            top: dict = {}
-            for key in (*x._terms, *y._terms):
-                for vid, e4 in key:
-                    top[vid] = max(top.get(vid, 0), abs(e4))
-            for vid, e4 in top.items():
-                span[vid] = span.get(vid, 0) + n * e4
+    def __init__(self, span: Mapping[int, int]):
         self.offset = {}
         self.fields = []        # (offset, mask, vid, bias), lowest bits first
         self.base = pos = 0

@@ -171,14 +171,22 @@ def side_kernel(R: RibbonGraph, present: Mapping[int, int],
     """
     live = set(state)
     order = list(state) + [e for e in range(len(R.edges)) if e not in live]
+    arc, bare = side_arcs(R, order)
+    links = [present.get(e, CLOSED) for e in order]
+    link = [s ^ links[s >> 2] for s in range(len(arc))]
+    return CycleKernel(arc, link, [(CLOSED, present[e]) for e in state], bare)
+
+
+def side_arcs(R: RibbonGraph, order: Sequence[int]) -> tuple[list, int]:
+    """The arc matching of R's side slots and the number of vertices
+    without a half-edge.  Edge ``order[b]`` owns the slots 4b..4b+3, (h1,
+    0), (h1, 1), (h2, 0), (h2, 1), and ``order`` lists every edge once;
+    arcs join (h, 1) to (g, 0) for g the successor of h in the rotation."""
     slot = {}
-    link: list = []
     for b, e in enumerate(order):
         h1, h2 = R.edges[e].ends
         slot[h1], slot[h2] = 4 * b, 4 * b + 2
-        x = present.get(e, CLOSED)
-        link += (4 * b ^ x, (4 * b + 1) ^ x, (4 * b + 2) ^ x, (4 * b + 3) ^ x)
-    arc = [0] * len(link)
+    arc = [0] * (2 * len(slot))
     bare = 0
     for cycle in R.vertices:
         if not cycle:
@@ -189,7 +197,7 @@ def side_kernel(R: RibbonGraph, present: Mapping[int, int],
             s = slot[h]
             arc[prev], arc[s] = s, prev
             prev = s + 1
-    return CycleKernel(arc, link, [(CLOSED, present[e]) for e in state], bare)
+    return arc, bare
 
 
 def from_slots(arc: Sequence[int], close: Sequence[int], link: Sequence[int],

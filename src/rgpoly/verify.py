@@ -276,8 +276,6 @@ def check_bracket(L, seed=None) -> CheckReport:
         "X": monomial(1, {"A": -1, "B": 1, "d": 1}),
         "Y": monomial(1, {"A": 1, "B": -1, "d": 1}),
         "w": monomial(1, {"A": -1, "B": 1}),
-        "x_plus": 1,
-        "y_plus": 1,
         "x_minus": monomial(1, {"A": -1, "B": 1}),
         "y_minus": monomial(1, {"A": 1, "B": -1}),
     })

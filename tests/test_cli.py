@@ -1,8 +1,10 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
+from rgpoly import poly
 from rgpoly.cli import main
 from rgpoly.formats import serialize_ribbon
 from rgpoly.verify import generate
@@ -52,6 +54,21 @@ def test_br_refuses_edges_on_more_vertices_than_the_sweep_labels(tmp_path, capsy
     code, err = run_err(capsys, "br", "--cap=200", str(path))
     assert code == 2
     assert err == "error: 258 labels in one partition exceeds the sweep's limit 256\n"
+
+
+def test_br_refuses_weight_tables_past_their_limit_before_building_them(tmp_path, capsys):
+    # 50 disjoint weighted edges under --cap=64 would tabulate 2^25 weight
+    # products per half before the first state.  The limit is read first,
+    # so code that has none fails here instead of building them.
+    limit = poly._WEIGHT_TABLE_ENTRIES
+    path = tmp_path / "weighted.rg"
+    path.write_text("".join(f"vertex u{i}: a{i}\nvertex v{i}: b{i}\n" for i in range(50))
+                    + "".join(f"edge e{i}: a{i} b{i} sign=+\n" for i in range(50)))
+    start = time.perf_counter()
+    code, err = run_err(capsys, "br", "--cap=64", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err == f"error: a weight table of {1 << 25} entries exceeds {limit}\n"
 
 
 def test_rtutte_with_glob_substitution(files, capsys):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import prod
 
 import pytest
 from fractions import Fraction
@@ -17,8 +18,8 @@ from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
 from rgpoly.links import jones, kauffman_bracket
 from rgpoly.planemap import relative_tutte
 from rgpoly.poly import ONE, ZERO, Polynomial, class_sum, monomial, parse, swap_vars, var
-from rgpoly.ribbon import bollobas_riordan
-from rgpoly.verify import generate
+from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
+from rgpoly.verify import INV_SQRT_XY, SQRT_XY, generate
 
 X, Y, Z, A, B, d, w, t = (var(n) for n in "XYZABdwt")
 
@@ -353,6 +354,33 @@ def test_class_sum_matches_products_oracle():
             assert got == want and got.canonical() == want.canonical(), (seed, shape)
 
 
+def test_class_sum_bounds_its_weight_tables_before_building_any(monkeypatch):
+    # with the limit at 8, seven one-element classes split 3 | 4 need 8 and
+    # 16 entries, one class of 8 elements needs 9; B_R on 7 disjoint edges
+    # has the first shape
+    monkeypatch.setattr(poly, "_WEIGHT_TABLE_ENTRIES", 8)
+    built = []
+    table = poly._table
+    monkeypatch.setattr(poly, "_table", lambda *args: built.append(args) or table(*args))
+
+    def terms():
+        raise AssertionError("no term may be read past the limit")
+        yield
+
+    weights = [(var(f"x_tb{i}"), var(f"y_tb{i}"), 1) for i in range(7)]
+    R = RibbonGraph([(f"a{i}",) for i in range(7)] + [(f"b{i}",) for i in range(7)],
+                    [make_edge(f"a{i}", f"b{i}") for i in range(7)])
+    for run, entries in [(lambda: class_sum(weights, ("X",), 1, terms()), 16),
+                         (lambda: class_sum([(X, Y, 8)], ("X",), 1, terms()), 9),
+                         (lambda: bollobas_riordan(R), 16)]:
+        with pytest.raises(SizeLimit, match=f"^a weight table of {entries} entries exceeds 8$"):
+            run()
+        assert built == []
+    assert class_sum(weights[:6], ("X",), 0, [(63, (0,), 1)]) == prod(x for x, _, _ in weights[:6])
+    assert class_sum([(X, Y, 7)], (), 0, [(7, (), 1)]) == X ** 7
+    assert len(built) == 4
+
+
 def test_state_sum_cap_is_checked_before_any_table():
     def term(mask):
         raise AssertionError("no state may run past the cap")
@@ -368,13 +396,26 @@ def test_state_sum_cap_is_checked_before_any_table():
 
 
 def test_canonical_matches_dense_key_oracle_on_seeded_sums():
-    for seed in range(40):
-        for size in range(8):
-            R = generate("ribbon", seed, size)
-            L = generate("link", seed, size)
-            for p in (bollobas_riordan(R), relative_tutte(ribbon_to_plane(R)[0]),
-                      kauffman_bracket(L), jones(L)):
-                assert p.canonical() == canonical_by_dense_keys(p), (seed, size)
+    # the packed sums and, through the same renderer, decoded values: each
+    # sum's decoded copy, Jones, the main theorem's two sides after their
+    # substitutions, a product, the weights, 0, a constant, and negative and
+    # quarter exponents in a term that mixes a registered name with builtins
+    cube = var("x_e0") ** 3 + 7
+    mixed = monomial(-2, {"x_mix": Fraction(-3, 4), "X": Fraction(1, 2), "t": -1}) + d
+    cases = [(seed, size) for seed in range(40) for size in range(8)]
+    cases += [(seed, size) for seed in range(2) for size in range(8, 13)]
+    for seed, size in cases:
+        R = generate("ribbon", seed, size)
+        L = generate("link", seed, size)
+        br, rt = bollobas_riordan(R), relative_tutte(ribbon_to_plane(R)[0])
+        right = br.subs(INV_SQRT_XY)
+        decoded = [jones(L), rt.subs(SQRT_XY), right, right * cube, ZERO,
+                   Polynomial.const(seed - 20), mixed, *(w for e in R.edges for w in (e.x, e.y))]
+        for p in (br, rt, kauffman_bracket(L), *decoded):
+            text = p.canonical()
+            assert Polynomial(dict(p._terms)).canonical() == text, (seed, size)
+            assert text == canonical_by_dense_keys(p), (seed, size)
+        assert all(p._packed is None for p in decoded), (seed, size)
 
 
 _BIG = 10 ** 30
@@ -402,6 +443,7 @@ def test_canonical_matches_dense_key_oracle(order, monomials):
     for coeff, powers in monomials:
         p = p + monomial(coeff, {names[i]: Fraction(e4, 4) for i, e4 in powers})
     assert p.canonical() == canonical_by_dense_keys(p)
+    assert p._packed is None
 
 
 # -- packed polynomials: text from the packed keys, decode on first use ----

@@ -23,7 +23,7 @@ from rgpoly import planemap, ribbon, util
 from rgpoly.convert import ribbon_to_plane
 from rgpoly.errors import SizeLimit
 from rgpoly.planemap import relative_joins, relative_kernel, relative_tutte
-from rgpoly.poly import ONE, _Fields, monomial, var
+from rgpoly.poly import ONE, _Fields, _span, monomial, var
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge, side_kernel, twist_links
 from rgpoly.verify import generate
 
@@ -159,7 +159,8 @@ def test_grouped_decode_matches_per_field_decode():
                              "t": rng.choice([Fraction(1, 4), -big, big + i])})
             y = var(f"y_g{i}") if rng.random() < 0.5 else monomial(-2, {f"y_g{i}": -3})
             classes.append((x, y, rng.randint(1, 3)))
-        fields = _Fields(classes, ("X", "Y", "d", "w")[:rng.randint(0, 4)], rng.randint(0, 7))
+        fields = _Fields(_span(classes, ("X", "Y", "d", "w")[:rng.randint(0, 4)],
+                               rng.randint(0, 7)))
         assert sum(len(group.fields) for _, _, group in fields.groups) > 8
         for _ in range(200):
             key = 0

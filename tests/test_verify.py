@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 
 from rgpoly import verify
@@ -150,6 +152,19 @@ def test_report_renders_its_sides_when_read(monkeypatch):
     assert rep.passed and not rendered
     assert rep.left == rep.right and len(rendered) == 2
     assert rep.left.startswith("y_e0*") and len(rendered) == 2
+
+
+def test_bracket_check_registers_no_name_that_never_occurs():
+    # link_to_tait weighs positive crossings (1, 1), so substituting x_plus
+    # and y_plus would only register two names; a fresh interpreter shows it
+    code = ("from rgpoly import poly, verify\n"
+            "for seed in range(12):\n"
+            "    assert verify.check_bracket(verify.generate('link', seed, seed % 7)).passed\n"
+            "print(sorted({'x_plus', 'y_plus'}.intersection(poly._names)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_run_suite_all_checks_pass():
