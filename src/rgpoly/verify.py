@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+from .convert import link_to_tait, ribbon_to_plane
 from .errors import SizeLimit
+from .links import kauffman_bracket, realize_gauss_code
 from .planemap import (
     _TOO_MANY_REGULAR,
     MapEdge,
@@ -24,7 +26,7 @@ from .planemap import (
     relative_tutte,
     remainders,
 )
-from .poly import Polynomial, monomial, swap_vars, var
+from .poly import Polynomial, monomial, swap_vars
 from .ribbon import (
     DEFAULT_EDGE_CAP,
     RibbonGraph,
@@ -95,14 +97,9 @@ class CheckReport:
 
 def generate(kind: str, seed: int, size: int):
     """Deterministic random instance of the given kind and size."""
-    rng = random.Random(seed * 1000003 + size)
-    if kind == "ribbon":
-        return generate_ribbon(rng, size)
-    if kind == "rpg":
-        return generate_rpg(rng, size)
-    if kind == "link":
-        return generate_link(rng, size)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return _GENERATORS[kind](random.Random(seed * 1000003 + size), size)
 
 
 def generate_ribbon(rng: random.Random, n_edges: int) -> RibbonGraph:
@@ -166,7 +163,6 @@ def generate_rpg(rng: random.Random, n_edges: int) -> RelPlaneGraph:
 
 
 def generate_link(rng: random.Random, n_classical: int):
-    from .links import realize_gauss_code
     if n_classical == 0:
         return realize_gauss_code("")
     tokens = []
@@ -185,12 +181,14 @@ def generate_link(rng: random.Random, n_classical: int):
     return realize_gauss_code(" | ".join(words))
 
 
+_GENERATORS = {"ribbon": generate_ribbon, "rpg": generate_rpg, "link": generate_link}
+
+
 # -- checks -----------------------------------------------------------
 
 
 def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
     """X^alpha Y^beta T_{G,H}(X,Y) = B_R(X,Y,1/sqrt(XY)) under w,d -> sqrt."""
-    from .convert import ribbon_to_plane
     G, _cert = ribbon_to_plane(R)
     beta = Fraction(-(R.num_vertices - G.map.num_vertices), 2)
     alpha = G.map.components() - R.components() - beta
@@ -265,13 +263,10 @@ def check_duality(G: RelPlaneGraph, seed=None) -> CheckReport:
 
 def check_bracket(L, seed=None) -> CheckReport:
     """[L](A,B,d) as the prefactored specialization of the Tait graph's T."""
-    from .convert import link_to_tait
-    from .links import kauffman_bracket
     G = link_to_tait(L)
     M = G.map
     v, k = M.num_vertices, M.components()
     e_reg = len(G.regular_indices())
-    A, B, d = var("A"), var("B"), var("d")
     specialized = relative_tutte(G).subs({
         "X": monomial(1, {"A": -1, "B": 1, "d": 1}),
         "Y": monomial(1, {"A": 1, "B": -1, "d": 1}),
@@ -288,27 +283,27 @@ def check_bracket(L, seed=None) -> CheckReport:
 
 
 def _check_identities(R: RibbonGraph, seed=None) -> CheckReport:
-    from .convert import ribbon_to_plane
     G, cert = ribbon_to_plane(R)
     return check_subset_identities(R, G, cert, seed=seed)
 
 
-CHECKS = {      # check name -> (instance generator, check)
-    "main": (generate_ribbon, check_main_theorem),
-    "identities": (generate_ribbon, _check_identities),
-    "duality": (generate_rpg, check_duality),
-    "bracket": (generate_link, check_bracket),
+CHECKS = {      # check name -> (instance kind, check)
+    "main": ("ribbon", check_main_theorem),
+    "identities": ("ribbon", _check_identities),
+    "duality": ("rpg", check_duality),
+    "bracket": ("link", check_bracket),
 }
 
 
 def run_suite(checks: list[str], count: int, seed: int, max_size: int):
-    """Yield (CheckReport, size) for ``count`` seeded instances per check."""
+    """Yield (CheckReport, size) for ``count`` seeded instances per check.
+    Instance ``i`` is ``generate(kind, s, size)`` for its check's kind,
+    where s = seed * 1009 + i and size is drawn from ``random.Random(s)``."""
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-        generator, check = CHECKS[name]
+        kind, check = CHECKS[name]
         for i in range(count):
             inst_seed = seed * 1009 + i
-            rng = random.Random(inst_seed)
-            size = rng.randint(0, max_size)
-            yield check(generator(rng, size), seed=inst_seed), size
+            size = random.Random(inst_seed).randint(0, max_size)
+            yield check(generate(kind, inst_seed, size), seed=inst_seed), size

@@ -31,6 +31,15 @@ def test_public_names_are_pinned():
     assert sorted(rgpoly.__all__) == PUBLIC_NAMES
 
 
+def test_import_loads_no_test_dependency():
+    # networkx and sympy serve the oracle tests only
+    code = "import sys, rgpoly; print(sorted({'networkx', 'sympy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -9,6 +9,8 @@ from rgpoly.poly import Polynomial, parse
 from rgpoly.ribbon import RibbonGraph, make_edge
 from rgpoly.verify import (
     CheckReport,
+    check_bracket,
+    check_duality,
     check_main_theorem,
     check_subset_identities,
     generate,
@@ -172,6 +174,23 @@ def test_run_suite_all_checks_pass():
                              count=6, seed=42, max_size=4))
     assert len(reports) == 24
     assert all(rep.passed for rep, _ in reports)
+
+
+def test_every_report_rebuilds_its_instance_from_seed_and_size():
+    # a report's (check, seed, size) names the instance generate builds:
+    # the public check on it gives the same instance text and both sides
+    public = {
+        "main": ("ribbon", check_main_theorem),
+        "identities": ("ribbon",
+                       lambda R: check_subset_identities(R, *ribbon_to_plane(R))),
+        "duality": ("rpg", check_duality),
+        "bracket": ("link", check_bracket),
+    }
+    for name, (kind, check) in public.items():
+        for rep, size in run_suite([name], 8, 3, 7):
+            again = check(generate(kind, rep.seed, size))
+            assert ((again.instance, again.passed, again.left, again.right)
+                    == (rep.instance, rep.passed, rep.left, rep.right)), (name, rep.seed, size)
 
 
 def test_failures_reproduce_from_seed():
