@@ -2,10 +2,13 @@
 
 Terminals sit on a baseline with their stubs fanning upward in rotation
 order; every connection runs up from its first stub to a private height,
-across, and back down.  Strand intersections are computed exactly from
-the layer/abscissa structure and materialize as explicit 4-valent
-transversal vertices, so the output is a genuine plane map: rotation
-systems at terminals are preserved.
+across, and back down.  Heights go by span length on the baseline, the
+shortest lowest and ties to input order, so two nested spans never cross
+and two interleaved ones cross once: the fewest crossings that any order
+of heights gives for that baseline.  Strand intersections are computed
+exactly from the layer/abscissa structure and materialize as explicit
+4-valent transversal vertices, so the output is a genuine plane map:
+rotation systems at terminals are preserved.
 
 The vertices come in a fixed order that consumers rely on: the terminals
 in input order; then the crossings sorted by (abscissa, height), each with
@@ -55,19 +58,23 @@ def route(terminals, connections, marks=None) -> RoutedDiagram:
             slot[s] = (ti, pos)
     spans = [sorted((xs[p], xs[q])) for p, q in connections]
 
-    # connection ci runs at height ci + 1; a stub's vertical meets every
-    # lower horizontal that spans its abscissa
+    # a connection's height is its rank by span length; a stub's vertical
+    # meets every lower horizontal that spans its abscissa
+    order = sorted(range(len(spans)), key=lambda ci: spans[ci][1] - spans[ci][0])
+    height = {ci: y for y, ci in enumerate(order, 1)}
+    lower = []                          # height - 1 -> span
     rise = {}                           # stub -> heights crossed, bottom up
-    across = [[] for _ in connections]  # connection -> abscissas crossed
-    for ci, ends in enumerate(connections):
-        for s in ends:
+    across = [[] for _ in connections]  # height - 1 -> abscissas crossed
+    for ci in order:
+        for s in connections[ci]:
             x = xs[s]
-            rise[s] = [cj + 1 for cj, (lo, hi) in enumerate(spans[:ci]) if lo < x < hi]
+            rise[s] = [y for y, (lo, hi) in enumerate(lower, 1) if lo < x < hi]
             for y in rise[s]:
                 across[y - 1].append(x)
+        lower.append(spans[ci])
     base = len(terminals)
     crossing = {xy: base + i for i, xy in enumerate(
-        sorted((x, ci + 1) for ci, row in enumerate(across) for x in row))}
+        sorted((x, y) for y, row in enumerate(across, 1) for x in row))}
     rotations = [[None] * len(rot) for rot in terminals] + [[None] * 4 for _ in crossing]
     mark_vertices = {}
     segments = []
@@ -81,8 +88,9 @@ def route(terminals, connections, marks=None) -> RoutedDiagram:
             stops.append((len(rotations), 0, 1))
             rotations.append([None, None])
         stops += [(crossing[xp, y], S, N) for y in rise[p]]
-        stops += [(crossing[x, ci + 1], *((W, E) if xq > xp else (E, W)))
-                  for x in sorted(across[ci], reverse=xq < xp)]
+        top = height[ci]
+        stops += [(crossing[x, top], *((W, E) if xq > xp else (E, W)))
+                  for x in sorted(across[top - 1], reverse=xq < xp)]
         stops += [(crossing[xq, y], N, S) for y in reversed(rise[q])]
         stops.append((slot[q][0], slot[q][1], None))
         segs = []

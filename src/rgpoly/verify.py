@@ -43,8 +43,8 @@ SQRT_XY = {"d": monomial(1, {"X": HALF, "Y": HALF}),
            "w": monomial(1, {"X": HALF, "Y": -HALF})}
 INV_SQRT_XY = {"Z": monomial(1, {"X": -HALF, "Y": -HALF})}
 
-# regular edges; the reference walk takes 45-100 us per subset at 10-16 of
-# them (routed maps of 145-360 edges), 6.1-6.7 s at 16, on a 2-core VM
+# regular edges; the reference walk takes 15-75 us per subset at 10-16 of
+# them (routed maps of 59-272 edges), 3.2-4.9 s at 16, on a 2-core VM
 REFERENCE_CAP = 16
 
 

@@ -52,7 +52,8 @@ The structural oracles keep the library's earlier step-by-step bodies:
 contraction that builds and validates one map per contracted edge, the
 strand walk over ``partner`` and the rotations, and a dict-keyed
 union-find of its own.  ``route_by_scans`` keeps the earlier router, which
-scans every crossing per connection and walks tagged nodes; it returns
+scans every crossing per connection and walks tagged nodes, with the
+router's heights (shorter spans lower, ties to input order); it returns
 the map, terminal vertices, crossing vertices, crossing rotations, mark
 vertices and path segments.
 
@@ -352,19 +353,21 @@ def route_by_scans(terminals, connections, marks=None) -> tuple:
             xs[s] = x
             stub_home[s] = ti
             x += 1
-    layer = {ci: ci + 1 for ci in range(len(connections))}
     span = {}
     for ci, (p, q) in enumerate(connections):
         span[ci] = (min(xs[p], xs[q]), max(xs[p], xs[q]))
+    # shorter spans run lower, ties to input order
+    ranked = sorted(range(len(connections)), key=lambda ci: (span[ci][1] - span[ci][0], ci))
+    layer = {ci: rank + 1 for rank, ci in enumerate(ranked)}
 
     # crossing key (x, y) -> {"v": (ci, "start"|"end"), "h": cj}
     crossings = {}
     for ci, (p, q) in enumerate(connections):
         for stub, kind in ((p, "start"), (q, "end")):
             x0 = xs[stub]
-            for cj in range(ci):
+            for cj in range(len(connections)):
                 lo, hi = span[cj]
-                if lo < x0 < hi:
+                if layer[cj] < layer[ci] and lo < x0 < hi:
                     crossings[(x0, layer[cj])] = {"v": (ci, kind), "h": cj}
 
     # node sequences per connection

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from rgpoly import convert, links
 from rgpoly.convert import link_to_tait, plane_to_ribbon, ribbon_to_plane
@@ -48,7 +49,7 @@ def test_gadget_accounting():
         assert sorted(cert.g_to_r.values()) == list(range(R.num_edges))
 
 
-def test_router_matches_scanning_router(monkeypatch):
+def _recorded_route_calls(monkeypatch, instances):
     # record the router inputs of ribbon_to_plane (reg and twist marks) and
     # of the Gauss-code realizer (terminals and connections only)
     calls = []
@@ -59,11 +60,16 @@ def test_router_matches_scanning_router(monkeypatch):
 
     monkeypatch.setattr(convert, "route", recording)
     monkeypatch.setattr(links, "route", recording)
-    for seed in range(30):
-        for size in range(9):
-            ribbon_to_plane(generate("ribbon", seed, size))
-            generate("link", seed, size)
-    assert len(calls) == 2 * 30 * 9
+    for seed, size in instances:
+        ribbon_to_plane(generate("ribbon", seed, size))
+        generate("link", seed, size)
+    assert len(calls) == 2 * len(instances)
+    return calls
+
+
+def test_router_matches_scanning_router(monkeypatch):
+    calls = _recorded_route_calls(
+        monkeypatch, [(seed, size) for seed in range(30) for size in range(9)])
     crossings = 0
     for args in calls:
         rd = route(*args)
@@ -76,6 +82,33 @@ def test_router_matches_scanning_router(monkeypatch):
         assert terminals == list(range(len(args[0]))), args
         assert [rd.map.vertices[xi] for xi in rd.crossing_vertices] == rotations, args
         crossings += len(xs)
+    assert crossings > 1000
+
+
+def test_router_crosses_each_interleaved_pair_once_and_nothing_else(monkeypatch):
+    # on the baseline, two spans are nested, disjoint or interleaved; only
+    # interleaved pairs must cross, and then exactly once
+    calls = _recorded_route_calls(
+        monkeypatch, [(seed, size) for seed in range(30) for size in range(9)]
+        + [(seed, size) for seed in range(3) for size in (14, 20)])
+    crossings = 0
+    for args in calls:
+        terminals, connections = args[0], args[1]
+        baseline = [s for rot in terminals for s in reversed(rot)]
+        spans = [sorted((baseline.index(p), baseline.index(q))) for p, q in connections]
+        interleaved = {(i, j) for i, (a, b) in enumerate(spans) for j, (c, d) in enumerate(spans)
+                       if i < j and (a < c < b < d or c < a < d < b)}
+        rd = route(*args)
+        owner = {dart: ci for ci, segs in enumerate(rd.path_segments)
+                 for seg in segs for dart in seg}
+        crossed = Counter()
+        for v in rd.crossing_vertices:
+            east, north, west, south = rd.map.vertices[v]
+            assert owner[east] == owner[west] and owner[north] == owner[south], args
+            crossed[tuple(sorted((owner[east], owner[north])))] += 1
+        assert len(rd.crossing_vertices) == len(interleaved), args
+        assert crossed == Counter(interleaved), args
+        crossings += len(interleaved)
     assert crossings > 1000
 
 

@@ -3,7 +3,9 @@ before ribbon graphs and plane maps shared one rotation-system core.  The
 two ``convert --to=ribbon`` digests were re-recorded when ``plane_to_ribbon``
 began to list its discs by lowest regular slot (``ribbon.from_slots``):
 the same signed rotation systems up to vertex order, rotation start and
-vertex flips.
+vertex flips.  The two ``convert --to=plane`` and two ``convert --to=tait``
+digests were re-recorded when the router began to give shorter spans lower
+heights, which draws fewer crossings; every other digest held.
 
 Every command runs in a fresh interpreter, because term order in
 ``canonical()`` follows the order in which the process first registered
@@ -44,11 +46,11 @@ GOLDEN = {
     "br ribbon:1:4":
         "007d61a253f3e4bcb46039a09859f1e7be025acfdcb4e175bcced677eadbf3df",
     "convert --to=plane ribbon:1:4":
-        "a4d31bf895ff20e511728af97e819abfb66852dbf6c695c16dec6a04a858b43d",
+        "072b35d402a1936c884c8fd0fa6ae346ee73ac717b2ce033e612c82af7ad64ec",
     "br ribbon:2:5":
         "6834425cc1d1695bc20d9ff23a97fe866ceb74956109f2cf9d81d51d614404f5",
     "convert --to=plane ribbon:2:5":
-        "2a76a9a338d45d95f64cac6037dd6d9ad93b1bc7c56722e3250705fe8709439a",
+        "e285f47da9d1294a6597c0b7f4ea4e52af8fb177bed63752e73f5669c4e0d767",
     "rtutte rpg:6:6":
         "783b015997eb607f5c0df8aa644411cb08b2fdaeb34f69ef9513be807a38715c",
     "dual rpg:6:6":
@@ -66,13 +68,13 @@ GOLDEN = {
     "jones link:3:3":
         "37ee889685c8b50591e05339e14005b01d23e02de29e647f321c962c2263454e",
     "convert --to=tait link:3:3":
-        "c6eeff25a563d262f38a75749ff9ecbec6f4f3e5dfa0b882aa90d67d825166a4",
+        "cc5c84e98a94abdfa6b15ebb74f8aec43ddfd5383d0aaef06017f0d92535ebf9",
     "bracket link:5:4":
         "13413ac7a18a29dfba51a9f967c3f2d89e49696e34f0658856d139b3d85d2e31",
     "jones link:5:4":
         "72ef2ac847e7e100048bc17cd0088024327caf8fdf364dd6e278fa2e02cf734d",
     "convert --to=tait link:5:4":
-        "023823ad3fdf396120ceedaa74cabb0979f14375490757451474ac0a2b520916",
+        "01975f53667241418e493ee06ad021649713095666aa6db64be0ad457775cfa9",
 }
 
 
@@ -100,11 +102,13 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
 # and one in-process pass can hash them.  Recorded at commit 674aa98,
 # before contraction spliced all edges into one map and the strand and
 # circle walks moved onto ``util.cycles``; re-recorded with the disc order
-# of ``ribbon.from_slots`` in ``plane_to_ribbon``.  Every other item hashes
-# as it did before that change.
+# of ``ribbon.from_slots`` in ``plane_to_ribbon``, and again with the
+# router's heights by span length.  That last change moved only the items
+# of drawn diagrams: the routed plane graphs, their faces and edge
+# certificates, the Tait graphs and the strands of realized links.
 
 STRUCTURAL_GOLDEN = \
-    "11abb94c426ee1e7ccaca4ed4da857239856a1dbb394544591624f286ef6e841"
+    "97ca1cb434f19ca9b905622f89b8ea46fe4a9d357758597630eb464a13a7ba55"
 
 
 def structural_digest() -> str:
@@ -147,10 +151,12 @@ def test_structural_outputs_match_recorded_digest():
 # its factors sorted (as ``perfbench/workloads.canonical_terms`` does): the
 # digest does not depend on which names the process registered first.
 # Recorded at commit 20449f8, before the state sums packed their exponent
-# vectors into ints.
+# vectors into ints; re-recorded with the router's heights by span length,
+# which moved only the relative Tutte polynomials of routed plane graphs and
+# Tait graphs (B_R, the bracket and Jones hash as before).
 
 POLYNOMIAL_GOLDEN = \
-    "f9774314f686e3e18541a55a9a5fd6a1f1a06611666c3718b2c4636fe9a8bb95"
+    "7379369b668b089294b75827283c9a7fd3a73b888eb4702fc30e82199d97514e"
 
 _SEPARATOR = re.compile(r" ([+-]) ")
 

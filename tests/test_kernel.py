@@ -150,7 +150,7 @@ def test_live_slots_are_four_per_enumerated_element():
     G, _ = ribbon_to_plane(generate("ribbon", 45, 10))
     kernel = relative_kernel(G)
     assert len(kernel.arc) == 4 * len(G.regular_indices()) == 40
-    assert G.map.num_edges > 100
+    assert G.map.num_edges > 6 * len(G.regular_indices())
 
     L = generate("link", 52, 10)    # realizes the Gauss code gauss_code(52, 10)
     assert len(bracket_kernel(L).arc) == 4 * len(L.classical) == 40
