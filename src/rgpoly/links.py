@@ -23,6 +23,8 @@ the cycles of the arcs and the opposite darts, listed by ``util.cycles``.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
+from typing import Mapping
 
 from .errors import MalformedCode, MalformedDiagram, MissingOrientation, SizeLimit
 from .planemap import PlaneMap
@@ -31,6 +33,13 @@ from .router import route
 from .util import CycleKernel, cycles, tally
 
 DEFAULT_CROSSING_CAP = 20
+
+# the bracket's variables at t, as ``jones`` reads them
+JONES_SUBS = {
+    "A": monomial(1, {"t": Fraction(-1, 4)}),
+    "B": monomial(1, {"t": Fraction(1, 4)}),
+    "d": -monomial(1, {"t": Fraction(1, 2)}) - monomial(1, {"t": Fraction(-1, 2)}),
+}
 
 
 class VirtualLinkDiagram:
@@ -137,8 +146,8 @@ def split(L: VirtualLinkDiagram, state) -> int:
     return bracket_kernel(L).cycles(mask)
 
 
-def kauffman_bracket(L: VirtualLinkDiagram,
-                     cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
+def kauffman_bracket(L: VirtualLinkDiagram, cap: int = DEFAULT_CROSSING_CAP,
+                     subs: Mapping | None = None) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states, read off the
     records of ``util.tally`` on ``bracket_kernel``, every crossing
     carrying the one pair (A, B), so that a record's ones is alpha.
@@ -146,7 +155,18 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     with A and B as term variables, not weight classes.  ``cap`` bounds
     the classical crossings n; the census's cost is set by the frontier
     width, not 2^n, and a 30-crossing link takes about a second.
+
+    With ``subs``, a map from variable names to images, the result is
+    ``kauffman_bracket(L, cap).subs(subs)``, the same text or the same
+    error, substituted while the terms are summed (see ``poly.class_sum``).
     """
+    return _bracket_sum(L, cap, [], subs)
+
+
+def _bracket_sum(L: VirtualLinkDiagram, cap: int, classes: list,
+                 subs: Mapping | None) -> Polynomial:
+    """The bracket's ``class_sum`` with ``classes`` and ``subs``: every
+    term has index 0, so a class (p, p, 1) multiplies the sum by p."""
     n = len(L.classical)
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
@@ -154,9 +174,9 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     # (A, B) only feeds tally's rule (one class); A and B stay term variables
     _, records = tally(kernel, [("A", "B")] * n)
     # a state has 0 to closed + 2n circles
-    return class_sum([], ("A", "B", "d"), kernel.closed + 2 * n + 1,
+    return class_sum(classes, ("A", "B", "d"), kernel.closed + 2 * n + 1,
                      ((0, (ones, n - ones, cycles - 1), count)
-                      for _, ones, cycles, count in records))
+                      for _, ones, cycles, count in records), subs)
 
 
 def writhe(L: VirtualLinkDiagram) -> int:
@@ -181,15 +201,12 @@ def writhe(L: VirtualLinkDiagram) -> int:
 
 
 def jones(L: VirtualLinkDiagram, cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
-    """(-1)^w t^(3w/4) times the bracket at A=t^(-1/4), B=t^(1/4)."""
-    from fractions import Fraction
+    """(-1)^w t^(3w/4) times the bracket at A=t^(-1/4), B=t^(1/4),
+    d=-t^(1/2)-t^(-1/2) (``JONES_SUBS``), substituted while the bracket's
+    terms are summed, the factor a weight class of its own."""
     w = writhe(L)
-    bracket = kauffman_bracket(L, cap).subs({
-        "A": monomial(1, {"t": Fraction(-1, 4)}),
-        "B": monomial(1, {"t": Fraction(1, 4)}),
-        "d": -monomial(1, {"t": Fraction(1, 2)}) - monomial(1, {"t": Fraction(-1, 2)}),
-    })
-    return monomial((-1) ** (w % 2), {"t": Fraction(3 * w, 4)}) * bracket
+    factor = monomial((-1) ** (w % 2), {"t": Fraction(3 * w, 4)})
+    return _bracket_sum(L, cap, [(factor, factor, 1)], JONES_SUBS)
 
 
 _TOKEN = re.compile(r"\s*([OU])(\d+)([+-])\s*")

@@ -371,7 +371,8 @@ def psi(H_F: ContractionResult | PlaneMap) -> Polynomial:
 _TOO_MANY_REGULAR = "{n} regular edges exceeds the enumeration cap {cap}"
 
 
-def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
+def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP,
+                   subs: Mapping | None = None) -> Polynomial:
     """The doubly weighted relative Tutte polynomial in X, Y, d, w.
 
     Sums over all subsets F of regular edges the term
@@ -385,6 +386,10 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     from the joins of ``relative_joins``, both read off the records of
     ``util.tally``.  ``cap`` bounds m and is checked before anything is
     compiled.
+
+    With ``subs``, a map from variable names to images, the result is
+    ``relative_tutte(G, cap).subs(subs)``, the same text or the same error,
+    substituted while the terms are summed (see ``poly.class_sum``).
     """
     regular = G.regular_indices()
     m = len(regular)
@@ -405,7 +410,7 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     # 0 <= k(F), k(F u H), k(G) <= nv, 0 <= n(F) <= m, and the side
     # cycles n(F) + delta lie in [0, closed + 2m]
     bound = nv + m + kernel.closed + 2 * m
-    return class_sum(classes, ("X", "Y", "d", "w"), bound, terms())
+    return class_sum(classes, ("X", "Y", "d", "w"), bound, terms(), subs)
 
 
 def relative_kernel(G: RelPlaneGraph) -> CycleKernel:

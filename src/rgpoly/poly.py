@@ -39,6 +39,16 @@ weight being a longer list on the same path; a term adds its exponents to
 one entry of each and accumulates one int key in place.  A table past
 ``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any entry is built.
 
+``class_sum`` also substitutes while it sums, as the specializations of the
+paper read the sums: B_R at Z = 1/sqrt(XY), T at d, w = sqrt(XY),
+sqrt(X/Y), the bracket at A, B, d in t.  A term variable whose image is a
+monomial with coefficient 1 gets the image's packed exponents as its unit,
+any other image a table of its packed powers, and a weight that holds a
+substituted variable is substituted before its table is built.  The result
+is the sum substituted after, byte for byte; where an image might not go
+into a power that a term or weight holds, the sum is taken plainly and
+``subs`` applied after, so that errors are those of ``subs``.
+
 The sum keeps its packed keys.  The lowest id owns the highest bits
 (``_layout``) and every field is nonnegative, so the keys in descending
 order are the terms in canonical order: ``canonical()`` sorts the ints and
@@ -232,7 +242,10 @@ class Polynomial:
         term folds the powers of its single-term replacements into one
         exponent dict and coefficient; only multi-term powers multiply.
         """
-        repl = {register(n): _coerce(p) for n, p in mapping.items()}
+        return self._subs(_images(mapping))
+
+    def _subs(self, repl: dict) -> "Polynomial":
+        """``subs`` with the replacements keyed by registry id."""
         order = sorted(repl)        # key order: the first bad power raises
         out: dict = {}
         cache: dict = {}
@@ -380,7 +393,14 @@ def _power_cached(q: Polynomial, e4: int, vid: int, cache: dict) -> Polynomial:
     return out
 
 
-def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polynomial:
+def _images(mapping: Mapping) -> dict:
+    """The replacements of ``mapping`` keyed by registry id, each name
+    registered in the mapping's order."""
+    return {register(n): _coerce(p) for n, p in mapping.items()}
+
+
+def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
+              subs: Mapping | None = None) -> Polynomial:
     """Sum over the triples (index, e, c) of ``terms`` of
     c * prod_i x_i^a_i * y_i^(n_i - a_i) * prod(v^e_v), where ``classes``
     lists one (x_i, y_i, n_i) per weight class, ``index`` is the a_i
@@ -399,13 +419,70 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
     writes its text from them, and its (vid, exp4) keys are decoded only
     when first read.  A table of more than ``_WEIGHT_TABLE_ENTRIES`` entries
     raises SizeLimit before any table is built.
+
+    ``subs`` maps names to images as ``Polynomial.subs`` takes it, and the
+    sum is then the one without it after ``.subs(subs)``, the same value
+    or the same error, with each name registered as ``subs`` registers
+    it.  The images go in while the terms are summed:
+    - a name of ``names`` whose image is a monomial with coefficient 1
+      has the image's packed exponents as its unit;
+    - any other image of a name of ``names`` (a multi-term one, a
+      coefficient other than 1, or 0) gets a table of its packed powers,
+      one per exponent that a term holds, built once per call, and the
+      terms are listed first to find those exponents;
+    - a weight that holds a substituted variable takes ``.subs`` before
+      the weight tables are built, which is exact because substitution is
+      a ring map.
+    Each image variable's bias grows by bound times its largest |exp4|.
+    A weight, or a power that a term holds, that the image cannot go into
+    (a multi-term image into a negative power, say) leaves the terms
+    unsummed, and the sum is then taken without ``subs`` and substituted
+    after, so that it raises exactly where ``subs`` does.
     """
     half = len(classes) // 2
     for part in classes[:half], classes[half:]:
         if (entries := prod(n + 1 for _, _, n in part)) > _WEIGHT_TABLE_ENTRIES:
             raise SizeLimit(f"a weight table of {entries} entries exceeds {_WEIGHT_TABLE_ENTRIES}")
+    if subs is not None:
+        return _class_sum_at(classes, names, bound, terms, subs)
     fields = _Fields(_span(classes, names, bound))
     units = [4 << fields.offset[register(name)] for name in names]
+    return _summed(fields, classes, units, terms)
+
+
+def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
+                  subs: Mapping) -> Polynomial:
+    """``class_sum`` with ``subs``: the images go into the weights, the
+    units and the power tables, or, where one might not go in, the plain
+    sum takes ``subs`` after."""
+    identities = [var(name) for name in names]     # the names register before the map's
+    repl = _images(subs)
+    images = [repl.get(register(name), q) for name, q in zip(names, identities)]
+    try:
+        weights = [(_subs_weight(x, repl), _subs_weight(y, repl), n) for x, y, n in classes]
+    except NonMonomialNegativePower:
+        return class_sum(classes, names, bound, terms).subs(subs)
+    span = _span(weights, (), bound)
+    for q in images:
+        for vid, e4 in _bias(chain(*q._terms)).items():
+            span[vid] = span.get(vid, 0) + bound * e4
+    fields = _Fields(span)
+    units = [fields.pack(q)[0][0] if _is_unit(q) else 0 for q in images]
+    if tabled := [i for i, q in enumerate(images) if not _is_unit(q)]:
+        terms = list(terms)
+        try:
+            tables = [(i, _powers(fields, images[i], {exps[i] for _, exps, _ in terms}))
+                      for i in tabled]
+        except NonMonomialNegativePower:
+            return class_sum(classes, names, bound, terms).subs(subs)
+        terms, units = _expand(terms, units, tables), [1]
+    return _summed(fields, weights, units, terms)
+
+
+def _summed(fields: "_Fields", classes: list, units: list, terms: Iterable) -> Polynomial:
+    """``class_sum``'s loop: the terms, their exponents packed by ``units``,
+    times the weight tables of ``classes``, accumulated as packed keys."""
+    half = len(classes) // 2
     low = [[(k + fields.base, c) for k, c in t] for t in _table(fields, classes[:half])]
     high = _table(fields, classes[half:])
     size = len(low)
@@ -420,6 +497,47 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable) -> Polyn
     out = Polynomial.__new__(Polynomial)
     out._packed = fields, {key: c for key, c in acc.items() if c}
     return out
+
+
+def _is_unit(q: Polynomial) -> bool:
+    """Whether ``q`` is a monomial with coefficient 1, which substitutes
+    into any int power by its exponents alone."""
+    return list(q._terms.values()) == [1]
+
+
+def _subs_weight(p: Polynomial, repl: dict) -> Polynomial:
+    """``p`` after the replacements ``repl``, or ``p`` itself if it holds
+    none of their variables."""
+    if any(vid in repl for key in p._terms for vid, _ in key):
+        return p._subs(repl)
+    return p
+
+
+def _powers(fields: "_Fields", q: Polynomial, exps: set):
+    """The packed powers q^e for e in the int exponents ``exps``, indexed
+    by e: a monomial's as ``subs`` raises it, a multi-term image's (or
+    0's) one product after another.  A power that ``subs`` cannot take
+    raises NonMonomialNegativePower, as ``subs`` does."""
+    if q.is_monomial():
+        return {e: fields.pack(_term_power(q, 4 * e)) for e in exps}
+    if (least := min(exps, default=0)) < 0:
+        raise NonMonomialNegativePower(f"cannot raise {q} to the negative power {least}")
+    packed, table = fields.pack(q), [[(0, 1)]]
+    while len(table) <= max(exps, default=0):
+        table.append(_times(table[-1], packed))
+    return table
+
+
+def _expand(terms: Iterable, units: list, tables: list) -> Iterable:
+    """``class_sum``'s terms with the tabled names' powers multiplied out:
+    (index, (packed exponents,), count) per term of the product, the
+    exponents of the other names packed by ``units``."""
+    for index, exps, count in terms:
+        parts = [(sum(map(mul, units, exps)), count)]
+        for i, table in tables:
+            parts = [(k + pk, c * pc) for k, c in parts for pk, pc in table[exps[i]]]
+        for k, c in parts:
+            yield index, (k,), c
 
 
 # The most entries of one half's weight table.  B_R under the default cap of

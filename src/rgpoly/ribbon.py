@@ -248,7 +248,8 @@ def boundary_components(R: RibbonGraph, subset: Iterable[int]) -> int:
     return side_kernel(R, {ei: links[ei] for ei in set(subset)}).cycles(0)
 
 
-def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
+def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP,
+                     subs: Mapping | None = None) -> Polynomial:
     """The doubly weighted Bollobas-Riordan polynomial in X, Y, Z.
 
     Sums over all 2^|E| spanning subgraphs F the term
@@ -262,6 +263,10 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
     census yet).  More than ``cap`` edges raise SizeLimit before anything
     is compiled, and edges whose ends touch more than 256 vertices (the
     sweep's label limit) before any weight is tabulated.
+
+    With ``subs``, a map from variable names to images, the result is
+    ``bollobas_riordan(R, cap).subs(subs)``, the same text or the same
+    error, substituted while the terms are summed (see ``poly.class_sum``).
     """
     m = R.num_edges
     if m > cap:
@@ -280,7 +285,7 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP) -> Polynomial:
 
     # 0 <= k, kR <= nv, 0 <= n <= m and 0 <= bc <= closed + 2m
     bound = nv + m + kernel.closed + 2 * m
-    return class_sum([(e.x, e.y, 1) for e in R.edges], ("X", "Y", "Z"), bound, terms())
+    return class_sum([(e.x, e.y, 1) for e in R.edges], ("X", "Y", "Z"), bound, terms(), subs)
 
 
 # -- arrow presentations ---------------------------------------------

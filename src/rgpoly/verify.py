@@ -26,7 +26,7 @@ from .planemap import (
     relative_tutte,
     remainders,
 )
-from .poly import Polynomial, monomial, swap_vars
+from .poly import Polynomial, monomial, swap_vars, var
 from .ribbon import (
     DEFAULT_EDGE_CAP,
     RibbonGraph,
@@ -42,6 +42,16 @@ HALF = Fraction(1, 2)
 SQRT_XY = {"d": monomial(1, {"X": HALF, "Y": HALF}),
            "w": monomial(1, {"X": HALF, "Y": -HALF})}
 INV_SQRT_XY = {"Z": monomial(1, {"X": -HALF, "Y": -HALF})}
+# SQRT_XY, then X and Y swapped, as one simultaneous map
+SWAPPED_SQRT_XY = {"X": var("Y"), "Y": var("X"),
+                   **{n: swap_vars(q, "X", "Y") for n, q in SQRT_XY.items()}}
+# the bracket theorem's specialization of T; link_to_tait weighs positive
+# crossings (1, 1), so x_plus and y_plus never occur
+BRACKET_SUBS = {"X": monomial(1, {"A": -1, "B": 1, "d": 1}),
+                "Y": monomial(1, {"A": 1, "B": -1, "d": 1}),
+                "w": monomial(1, {"A": -1, "B": 1}),
+                "x_minus": monomial(1, {"A": -1, "B": 1}),
+                "y_minus": monomial(1, {"A": 1, "B": -1})}
 
 # regular edges; the reference walk takes 15-75 us per subset at 10-16 of
 # them (routed maps of 59-272 edges), 3.2-4.9 s at 16, on a 2-core VM
@@ -192,8 +202,8 @@ def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
     G, _cert = ribbon_to_plane(R)
     beta = Fraction(-(R.num_vertices - G.map.num_vertices), 2)
     alpha = G.map.components() - R.components() - beta
-    left = monomial(1, {"X": alpha, "Y": beta}) * relative_tutte(G).subs(SQRT_XY)
-    right = bollobas_riordan(R).subs(INV_SQRT_XY)
+    left = monomial(1, {"X": alpha, "Y": beta}) * relative_tutte(G, subs=SQRT_XY)
+    right = bollobas_riordan(R, subs=INV_SQRT_XY)
     return CheckReport("main_theorem", repr(R), left == right, left, right, seed)
 
 
@@ -249,13 +259,11 @@ def check_duality(G: RelPlaneGraph, seed=None) -> CheckReport:
     b = Fraction(M.num_vertices, 2)
     a_s = Fraction(len(Gs.regular_indices()) - Ms.num_vertices, 2) + Ms.components()
     b_s = Fraction(Ms.num_vertices, 2)
-    T = relative_tutte(G)
-    Ts = relative_tutte(Gs)
-    # T*(Y,X): substitute w,d first, then swap the arguments, so that the
-    # psi-variables are evaluated at the swapped point as well
+    T = relative_tutte(G)     # symbolic: the involution compares it
+    # T*(Y,X): the psi-variables are evaluated at the swapped point as well
     left = monomial(1, {"X": a, "Y": b}) * T.subs(SQRT_XY)
     right = (monomial(1, {"Y": a_s, "X": b_s})
-             * swap_vars(Ts.subs(SQRT_XY), "X", "Y"))
+             * relative_tutte(Gs, subs=SWAPPED_SQRT_XY))
     involution = relative_tutte(dual(Gs)) == T
     passed = left == right and involution
     return CheckReport("duality", repr(G), passed, left, right, seed)
@@ -267,13 +275,7 @@ def check_bracket(L, seed=None) -> CheckReport:
     M = G.map
     v, k = M.num_vertices, M.components()
     e_reg = len(G.regular_indices())
-    specialized = relative_tutte(G).subs({
-        "X": monomial(1, {"A": -1, "B": 1, "d": 1}),
-        "Y": monomial(1, {"A": 1, "B": -1, "d": 1}),
-        "w": monomial(1, {"A": -1, "B": 1}),
-        "x_minus": monomial(1, {"A": -1, "B": 1}),
-        "y_minus": monomial(1, {"A": 1, "B": -1}),
-    })
+    specialized = relative_tutte(G, subs=BRACKET_SUBS)
     right = monomial(1, {"A": v - k, "B": e_reg - v + k, "d": k - 1}) * specialized
     left = kauffman_bracket(L)
     return CheckReport("bracket_theorem", repr(L), left == right, left, right, seed)

@@ -14,12 +14,14 @@ import networkx as nx
 import sympy
 
 from rgpoly.convert import ribbon_to_plane
+from rgpoly.links import jones, kauffman_bracket, writhe
 from rgpoly.planemap import PlaneMap, RelPlaneGraph, relative_tutte
 from rgpoly.poly import ONE
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
 from rgpoly.verify import generate, generate_ribbon, grow_plane_map
 
 X, Y = sympy.symbols("X Y")
+A, B, d, t = sympy.symbols("A B d t", positive=True)
 
 
 def tutte_shifted(num_vertices, pairs):
@@ -37,7 +39,7 @@ def tutte_shifted(num_vertices, pairs):
 
 def as_sympy(p):
     return sympy.expand(sympy.sympify(p.canonical().replace("^", "**"),
-                                      locals={"X": X, "Y": Y}))
+                                      locals={"X": X, "Y": Y, "A": A, "B": B, "d": d, "t": t}))
 
 
 def test_bollobas_riordan_at_z_one_is_the_tutte_polynomial():
@@ -59,6 +61,20 @@ def test_relative_tutte_without_zero_edges_is_the_tutte_polynomial():
             G = RelPlaneGraph(M, (), weights={i: (ONE, ONE) for i in range(M.num_edges)})
             got = as_sympy(relative_tutte(G))
             assert got == tutte_shifted(M.num_vertices, M.vertex_pairs()), (seed, m)
+
+
+def test_jones_is_the_bracket_at_t_expanded_by_sympy():
+    # the bracket's text at A = t^(-1/4), B = t^(1/4), d = -t^(1/2) - t^(-1/2),
+    # times (-1)^w t^(3w/4), expanded by sympy alone
+    at_t = {A: t ** sympy.Rational(-1, 4), B: t ** sympy.Rational(1, 4),
+            d: -sympy.sqrt(t) - 1 / sympy.sqrt(t)}
+    for seed in range(10):
+        for n in range(9):
+            L = generate("link", seed, n)
+            w = writhe(L)
+            bracket = as_sympy(kauffman_bracket(L)).subs(at_t, simultaneous=True)
+            want = sympy.expand(sympy.Integer(-1) ** w * t ** sympy.Rational(3 * w, 4) * bracket)
+            assert as_sympy(jones(L)) == want, (seed, n)
 
 
 def embedding(M):

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from helpers import (canonical_by_dense_keys, decode_by_fields, state_sum, state_sum_by_products,
                      subs_by_products)
 from rgpoly import poly
-from rgpoly.convert import ribbon_to_plane
+from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
-from rgpoly.links import jones, kauffman_bracket
+from rgpoly.links import JONES_SUBS, jones, kauffman_bracket
 from rgpoly.planemap import relative_tutte
 from rgpoly.poly import ONE, ZERO, Polynomial, class_sum, monomial, parse, swap_vars, var
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
-from rgpoly.verify import INV_SQRT_XY, SQRT_XY, generate
+from rgpoly.verify import BRACKET_SUBS, INV_SQRT_XY, SQRT_XY, SWAPPED_SQRT_XY, generate
 
 X, Y, Z, A, B, d, w, t = (var(n) for n in "XYZABdwt")
 
@@ -396,10 +396,11 @@ def test_state_sum_cap_is_checked_before_any_table():
 
 
 def test_canonical_matches_dense_key_oracle_on_seeded_sums():
-    # the packed sums and, through the same renderer, decoded values: each
-    # sum's decoded copy, Jones, the main theorem's two sides after their
-    # substitutions, a product, the weights, 0, a constant, and negative and
-    # quarter exponents in a term that mixes a registered name with builtins
+    # the packed sums, Jones among them, and, through the same renderer,
+    # decoded values: each sum's decoded copy, the main theorem's two sides
+    # after their substitutions, a product, the weights, 0, a constant, and
+    # negative and quarter exponents in a term that mixes a registered name
+    # with builtins
     cube = var("x_e0") ** 3 + 7
     mixed = monomial(-2, {"x_mix": Fraction(-3, 4), "X": Fraction(1, 2), "t": -1}) + d
     cases = [(seed, size) for seed in range(40) for size in range(8)]
@@ -409,9 +410,9 @@ def test_canonical_matches_dense_key_oracle_on_seeded_sums():
         L = generate("link", seed, size)
         br, rt = bollobas_riordan(R), relative_tutte(ribbon_to_plane(R)[0])
         right = br.subs(INV_SQRT_XY)
-        decoded = [jones(L), rt.subs(SQRT_XY), right, right * cube, ZERO,
+        decoded = [rt.subs(SQRT_XY), right, right * cube, ZERO,
                    Polynomial.const(seed - 20), mixed, *(w for e in R.edges for w in (e.x, e.y))]
-        for p in (br, rt, kauffman_bracket(L), *decoded):
+        for p in (br, rt, kauffman_bracket(L), jones(L), *decoded):
             text = p.canonical()
             assert Polynomial(dict(p._terms)).canonical() == text, (seed, size)
             assert text == canonical_by_dense_keys(p), (seed, size)
@@ -543,6 +544,105 @@ def test_packed_polynomial_decodes_on_first_use():
 
 def test_state_sums_return_exactly_polynomial():
     R = generate("ribbon", 5, 6)
+    L = generate("link", 5, 6)
     for p in (bollobas_riordan(R), relative_tutte(ribbon_to_plane(R)[0]),
-              kauffman_bracket(generate("link", 5, 6))):
+              kauffman_bracket(L), jones(L)):
         assert type(p) is Polynomial and p._packed is not None
+
+
+# -- substitution inside the accumulator --------------------------------
+#
+# ``subs=`` substitutes while the terms are summed; the value, its text and
+# any error must be those of the sum without it followed by ``.subs``.
+
+
+def assert_subs_inside_matches_after(total, mapping, case):
+    """``total(mapping)`` equals ``total(None).subs(mapping)`` byte for
+    byte, or both raise NonMonomialNegativePower."""
+    try:
+        want = total(None).subs(mapping)
+    except NonMonomialNegativePower:
+        with pytest.raises(NonMonomialNegativePower):
+            total(mapping)
+        return
+    got = total(mapping)
+    assert got.canonical() == want.canonical() and got == want, case
+
+
+def test_subs_inside_the_sums_matches_subs_after():
+    half = Fraction(1, 2)
+    swap = {"X": Y, "Y": X}
+    negated = {"Y": -monomial(1, {"t": half}), "d": -A, "A": -t}
+    scaled = {"X": 2 * Y, "d": -3 * t}
+    shifted = {"X": X + 1, "d": d - t}
+    maps = [SQRT_XY, INV_SQRT_XY, SWAPPED_SQRT_XY, BRACKET_SUBS, JONES_SUBS,
+            swap, negated, scaled, shifted]
+    for seed in range(3):
+        for m in range(11):
+            R, L = generate("ribbon", seed, m), generate("link", seed, m)
+            G = generate("rpg", seed, m)      # its weights are x_e<i>, y_e<i>, as R's
+            ones = {f"{v}_{e.label}": 1 for e in R.edges for v in "xy"}
+            tait_ones = {"x_minus": 1, "y_minus": Z}
+            sums = [lambda s: bollobas_riordan(R, subs=s), lambda s: relative_tutte(G, subs=s),
+                    lambda s: kauffman_bracket(L, subs=s)]
+            for total in sums:
+                for mapping in maps + [ones, tait_ones, {**ones, **swap}]:
+                    assert_subs_inside_matches_after(total, mapping, (seed, m))
+            tait = link_to_tait(L)
+            for mapping in (BRACKET_SUBS, tait_ones, scaled, shifted):
+                assert_subs_inside_matches_after(
+                    lambda s: relative_tutte(tait, subs=s), mapping, (seed, m))
+
+
+def test_subs_inside_the_accumulator_raises_where_subs_raises():
+    # a weight x_frac^(1/2) into a fractional power of a multi-term image,
+    # of a -1 and of a non-unit coefficient; X^-1 into a negative power of
+    # a multi-term image and of a non-unit coefficient
+    q = var("x_frac")
+    edge = make_edge("a", "b", x=monomial(1, {"x_frac": Fraction(1, 2)}), y=ONE)
+    R = RibbonGraph([("a", "b")], [edge])
+    fractional = [{"x_frac": q + 1}, {"x_frac": -q}, {"x_frac": 2 * q}]
+    negative = [{"X": X + Y}, {"X": 3 * Y}, {"X": ZERO}]
+    for total, maps in [(lambda s: bollobas_riordan(R, subs=s), fractional),
+                        (lambda s: class_sum([(edge.x, edge.y, 1)], ("X",), 1,
+                                             [(0, (-1,), 1), (1, (0,), 2)], s),
+                         fractional + negative)]:
+        for mapping in maps:
+            with pytest.raises(NonMonomialNegativePower):
+                total(None).subs(mapping)
+            with pytest.raises(NonMonomialNegativePower):
+                total(mapping)
+    # the empty diagram's bracket is d^-1, which Jones' d cannot go into
+    L = generate("link", 0, 0)
+    empty = type(L)(L.map, {}, {}, {}, free_loops=0)
+    with pytest.raises(NonMonomialNegativePower):
+        kauffman_bracket(empty).subs(JONES_SUBS)
+    for run in (lambda: kauffman_bracket(empty, subs=JONES_SUBS), lambda: jones(empty)):
+        with pytest.raises(NonMonomialNegativePower):
+            run()
+
+
+def test_subs_inside_the_accumulator_sees_only_the_summed_terms():
+    # terms that cancel, and a weight no term chooses, hold powers that
+    # the images cannot go into; the sum without them can take ``subs``
+    q = var("x_gone")
+    cases = [([], ("X",), [(0, (-1,), 1), (0, (-1,), -1), (0, (2,), 1)], {"X": X + 1}),
+             ([], ("X", "d"), [(0, (-2, 1), 3), (0, (-2, 1), -3), (0, (1, 1), 1)],
+              {"X": 2 * Y, "d": Y}),
+             ([(q ** -1, ONE, 1)], ("X",), [(0, (1,), 1)], {"x_gone": q + 1}),
+             ([(q ** -1, q, 1)], ("X",), [(0, (1,), 2), (1, (1,), -2), (1, (1,), 2)],
+              {"X": X + 1, "x_gone": 2})]
+    for classes, names, terms, mapping in cases:
+        want = class_sum(classes, names, 2, terms).subs(mapping)
+        got = class_sum(classes, names, 2, iter(terms), mapping)
+        assert got.canonical() == want.canonical() and got == want
+
+
+def test_subs_inside_the_accumulator_registers_as_subs_does():
+    # every name of the map is registered, in the map's order, even when
+    # it never occurs
+    R = generate("ribbon", 4, 3)
+    names = [f"reg_order_{i}" for i in (3, 1, 2)]
+    bollobas_riordan(R, subs={names[0]: 1, "Z": X, names[1]: t, names[2]: X + 1})
+    assert [poly._ids[n] for n in names] == sorted(poly._ids[n] for n in names)
+
