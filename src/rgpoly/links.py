@@ -146,8 +146,8 @@ def split(L: VirtualLinkDiagram, state) -> int:
     return bracket_kernel(L).cycles(mask)
 
 
-def kauffman_bracket(L: VirtualLinkDiagram, cap: int = DEFAULT_CROSSING_CAP,
-                     subs: Mapping | None = None) -> Polynomial:
+def kauffman_bracket(L: VirtualLinkDiagram,
+                     cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """Sum of A^alpha B^beta d^(delta-1) over all 2^n states, read off the
     records of ``util.tally`` on ``bracket_kernel``, every crossing
     carrying the one pair (A, B), so that a record's ones is alpha.
@@ -155,12 +155,8 @@ def kauffman_bracket(L: VirtualLinkDiagram, cap: int = DEFAULT_CROSSING_CAP,
     with A and B as term variables, not weight classes.  ``cap`` bounds
     the classical crossings n; the census's cost is set by the frontier
     width, not 2^n, and a 30-crossing link takes about a second.
-
-    With ``subs``, a map from variable names to images, the result is
-    ``kauffman_bracket(L, cap).subs(subs)``, the same text or the same
-    error, substituted while the terms are summed (see ``poly.class_sum``).
     """
-    return _bracket_sum(L, cap, [], subs)
+    return _bracket_sum(L, cap, [], None)
 
 
 def _bracket_sum(L: VirtualLinkDiagram, cap: int, classes: list,

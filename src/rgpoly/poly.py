@@ -42,12 +42,13 @@ one entry of each and accumulates one int key in place.  A table past
 ``class_sum`` also substitutes while it sums, as the specializations of the
 paper read the sums: B_R at Z = 1/sqrt(XY), T at d, w = sqrt(XY),
 sqrt(X/Y), the bracket at A, B, d in t.  A term variable whose image is a
-monomial with coefficient 1 gets the image's packed exponents as its unit,
-any other image a table of its packed powers, and a weight that holds a
-substituted variable is substituted before its table is built.  The result
-is the sum substituted after, byte for byte; where an image might not go
-into a power that a term or weight holds, the sum is taken plainly and
-``subs`` applied after, so that errors are those of ``subs``.
+monomial with coefficient 1 gets the image's packed exponents as its unit;
+any other image's variable sums its exponent in a slot above the fields,
+and the image's powers multiply into the summed keys; a weight that holds
+a substituted variable is substituted before its table is built.  The
+result is the sum substituted after, byte for byte; where an image might
+not go into a power that a term or weight holds, those terms are summed
+plainly and take ``subs`` after, so that errors are those of ``subs``.
 
 The sum keeps its packed keys.  The lowest id owns the highest bits
 (``_layout``) and every field is nonnegative, so the keys in descending
@@ -427,17 +428,20 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
     - a name of ``names`` whose image is a monomial with coefficient 1
       has the image's packed exponents as its unit;
     - any other image of a name of ``names`` (a multi-term one, a
-      coefficient other than 1, or 0) gets a table of its packed powers,
-      one per exponent that a term holds, built once per call, and the
-      terms are listed first to find those exponents;
+      coefficient other than 1, or 0) is tabled: the name's exponent sums
+      in a slot of its own above the fields, and once the terms are summed
+      the image's packed powers, each built once from the one below,
+      multiply into the summed keys;
     - a weight that holds a substituted variable takes ``.subs`` before
       the weight tables are built, which is exact because substitution is
       a ring map.
     Each image variable's bias grows by bound times its largest |exp4|.
-    A weight, or a power that a term holds, that the image cannot go into
-    (a multi-term image into a negative power, say) leaves the terms
-    unsummed, and the sum is then taken without ``subs`` and substituted
-    after, so that it raises exactly where ``subs`` does.
+    A weight that an image cannot go into (a multi-term image into a
+    fractional power, say) leaves the terms unsummed, and the sum is then
+    taken without ``subs`` and substituted after.  The terms that hold a
+    negative exponent of a tabled name are summed apart, without
+    ``subs``, and take it after.  So the sum raises exactly where ``subs``
+    does.
     """
     half = len(classes) // 2
     for part in classes[:half], classes[half:]:
@@ -453,7 +457,7 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
 def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
                   subs: Mapping) -> Polynomial:
     """``class_sum`` with ``subs``: the images go into the weights, the
-    units and the power tables, or, where one might not go in, the plain
+    units and the summed keys, or, where one might not go in, the plain
     sum takes ``subs`` after."""
     identities = [var(name) for name in names]     # the names register before the map's
     repl = _images(subs)
@@ -467,16 +471,26 @@ def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
         for vid, e4 in _bias(chain(*q._terms)).items():
             span[vid] = span.get(vid, 0) + bound * e4
     fields = _Fields(span)
-    units = [fields.pack(q)[0][0] if _is_unit(q) else 0 for q in images]
-    if tabled := [i for i, q in enumerate(images) if not _is_unit(q)]:
-        terms = list(terms)
-        try:
-            tables = [(i, _powers(fields, images[i], {exps[i] for _, exps, _ in terms}))
-                      for i in tabled]
-        except NonMonomialNegativePower:
-            return class_sum(classes, names, bound, terms).subs(subs)
-        terms, units = _expand(terms, units, tables), [1]
-    return _summed(fields, weights, units, terms)
+    # a tabled name's exponent, 0 to bound, sums in a slot of its own above
+    # every field (a key is at most 2 * base).  A term that holds a negative
+    # one is summed apart, without the images, and takes ``subs`` after: the
+    # weights took their images, so only those terms can hold a power that
+    # an image cannot go into
+    tabled = [i for i, q in enumerate(images) if not _is_unit(q)]
+    low, width = (2 * fields.base).bit_length(), bound.bit_length()
+    slots = {i: low + j * width for j, i in enumerate(tabled)}
+    units = [1 << slots[i] if i in slots else fields.pack(q)[0][0] for i, q in enumerate(images)]
+    negative: list = []
+    if tabled:
+        terms = _nonnegative(terms, tabled, negative)
+    out = _summed(fields, weights, units, terms)
+    if tabled:
+        mask = (1 << width) - 1
+        out._packed = fields, _expand(out._packed[1], low, [
+            (slots[i], mask, fields.pack(images[i])) for i in tabled])
+    if negative:
+        return out + class_sum(classes, names, bound, negative).subs(subs)
+    return out
 
 
 def _summed(fields: "_Fields", classes: list, units: list, terms: Iterable) -> Polynomial:
@@ -513,31 +527,36 @@ def _subs_weight(p: Polynomial, repl: dict) -> Polynomial:
     return p
 
 
-def _powers(fields: "_Fields", q: Polynomial, exps: set):
-    """The packed powers q^e for e in the int exponents ``exps``, indexed
-    by e: a monomial's as ``subs`` raises it, a multi-term image's (or
-    0's) one product after another.  A power that ``subs`` cannot take
-    raises NonMonomialNegativePower, as ``subs`` does."""
-    if q.is_monomial():
-        return {e: fields.pack(_term_power(q, 4 * e)) for e in exps}
-    if (least := min(exps, default=0)) < 0:
-        raise NonMonomialNegativePower(f"cannot raise {q} to the negative power {least}")
-    packed, table = fields.pack(q), [[(0, 1)]]
-    while len(table) <= max(exps, default=0):
-        table.append(_times(table[-1], packed))
-    return table
+def _nonnegative(terms: Iterable, tabled: list, negative: list) -> Iterable:
+    """The terms whose exponents at ``tabled`` are all nonnegative; the
+    others are appended to ``negative``."""
+    for term in terms:
+        if min([term[1][i] for i in tabled]) < 0:
+            negative.append(term)
+        else:
+            yield term
 
 
-def _expand(terms: Iterable, units: list, tables: list) -> Iterable:
-    """``class_sum``'s terms with the tabled names' powers multiplied out:
-    (index, (packed exponents,), count) per term of the product, the
-    exponents of the other names packed by ``units``."""
-    for index, exps, count in terms:
-        parts = [(sum(map(mul, units, exps)), count)]
-        for i, table in tables:
-            parts = [(k + pk, c * pc) for k, c in parts for pk, pc in table[exps[i]]]
+def _expand(acc: dict, low: int, tables: list) -> dict:
+    """The summed keys of ``acc`` with each tabled name's power multiplied
+    in: ``tables`` lists (slot, mask, packed image) per name, the slot's
+    bits holding the name's exponent, and each power is built once, from
+    the one below."""
+    keep = (1 << low) - 1
+    powers = []
+    for at, mask, packed in tables:
+        table = [[(0, 1)]]
+        for _ in range(max((key >> at & mask for key in acc), default=0)):
+            table.append(_times(table[-1], packed))
+        powers.append((at, mask, table))
+    out: dict = {}
+    for key, c in acc.items():
+        parts = [(key & keep, c)]
+        for at, mask, table in powers:
+            parts = [(k + pk, c * pc) for k, c in parts for pk, pc in table[key >> at & mask]]
         for k, c in parts:
-            yield index, (k,), c
+            out[k] = out.get(k, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 # The most entries of one half's weight table.  B_R under the default cap of

@@ -15,7 +15,7 @@ from helpers import (canonical_by_dense_keys, decode_by_fields, state_sum, state
 from rgpoly import poly
 from rgpoly.convert import link_to_tait, ribbon_to_plane
 from rgpoly.errors import NonMonomialNegativePower, ParseError, SizeLimit
-from rgpoly.links import JONES_SUBS, jones, kauffman_bracket
+from rgpoly.links import JONES_SUBS, _bracket_sum, jones, kauffman_bracket
 from rgpoly.planemap import relative_tutte
 from rgpoly.poly import ONE, ZERO, Polynomial, class_sum, monomial, parse, swap_vars, var
 from rgpoly.ribbon import RibbonGraph, bollobas_riordan, make_edge
@@ -575,8 +575,10 @@ def test_subs_inside_the_sums_matches_subs_after():
     negated = {"Y": -monomial(1, {"t": half}), "d": -A, "A": -t}
     scaled = {"X": 2 * Y, "d": -3 * t}
     shifted = {"X": X + 1, "d": d - t}
+    # unit images that hold names whose images are tabled
+    crossed = {"X": Y + 1, "Y": X, "Z": Y, "d": A - t, "A": d, "w": d}
     maps = [SQRT_XY, INV_SQRT_XY, SWAPPED_SQRT_XY, BRACKET_SUBS, JONES_SUBS,
-            swap, negated, scaled, shifted]
+            swap, negated, scaled, shifted, crossed]
     for seed in range(3):
         for m in range(11):
             R, L = generate("ribbon", seed, m), generate("link", seed, m)
@@ -584,12 +586,12 @@ def test_subs_inside_the_sums_matches_subs_after():
             ones = {f"{v}_{e.label}": 1 for e in R.edges for v in "xy"}
             tait_ones = {"x_minus": 1, "y_minus": Z}
             sums = [lambda s: bollobas_riordan(R, subs=s), lambda s: relative_tutte(G, subs=s),
-                    lambda s: kauffman_bracket(L, subs=s)]
+                    lambda s: _bracket_sum(L, 20, [], s)]
             for total in sums:
                 for mapping in maps + [ones, tait_ones, {**ones, **swap}]:
                     assert_subs_inside_matches_after(total, mapping, (seed, m))
             tait = link_to_tait(L)
-            for mapping in (BRACKET_SUBS, tait_ones, scaled, shifted):
+            for mapping in (BRACKET_SUBS, tait_ones, scaled, shifted, crossed):
                 assert_subs_inside_matches_after(
                     lambda s: relative_tutte(tait, subs=s), mapping, (seed, m))
 
@@ -612,12 +614,20 @@ def test_subs_inside_the_accumulator_raises_where_subs_raises():
                 total(None).subs(mapping)
             with pytest.raises(NonMonomialNegativePower):
                 total(mapping)
+    # A*d^-1 - B*d^-1 cancel once A and B are t, but not in the sum that
+    # ``subs`` takes
+    collide = [(0, (1, 0, -1), 1), (0, (0, 1, -1), -1), (0, (1, 1, 1), 1)]
+    mapping = {"A": t, "B": t, "d": -t - 1}
+    with pytest.raises(NonMonomialNegativePower):
+        class_sum([], ("A", "B", "d"), 1, collide).subs(mapping)
+    with pytest.raises(NonMonomialNegativePower):
+        class_sum([], ("A", "B", "d"), 1, iter(collide), mapping)
     # the empty diagram's bracket is d^-1, which Jones' d cannot go into
     L = generate("link", 0, 0)
     empty = type(L)(L.map, {}, {}, {}, free_loops=0)
     with pytest.raises(NonMonomialNegativePower):
         kauffman_bracket(empty).subs(JONES_SUBS)
-    for run in (lambda: kauffman_bracket(empty, subs=JONES_SUBS), lambda: jones(empty)):
+    for run in (lambda: _bracket_sum(empty, 0, [], JONES_SUBS), lambda: jones(empty)):
         with pytest.raises(NonMonomialNegativePower):
             run()
 
@@ -631,7 +641,9 @@ def test_subs_inside_the_accumulator_sees_only_the_summed_terms():
               {"X": 2 * Y, "d": Y}),
              ([(q ** -1, ONE, 1)], ("X",), [(0, (1,), 1)], {"x_gone": q + 1}),
              ([(q ** -1, q, 1)], ("X",), [(0, (1,), 2), (1, (1,), -2), (1, (1,), 2)],
-              {"X": X + 1, "x_gone": 2})]
+              {"X": X + 1, "x_gone": 2}),
+             ([(X, ONE, 1)], ("X", "d"), [(1, (-1, 1), 1), (0, (0, -1), 5), (0, (0, -1), -5)],
+              {"X": X + Y, "d": -3 * t})]
     for classes, names, terms, mapping in cases:
         want = class_sum(classes, names, 2, terms).subs(mapping)
         got = class_sum(classes, names, 2, iter(terms), mapping)
