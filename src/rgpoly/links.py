@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .errors import MalformedCode, MalformedDiagram, MissingOrientation, SizeLimit
 from .planemap import PlaneMap
-from .poly import Polynomial, class_sum, monomial
+from .poly import Affine, Polynomial, class_sum, monomial
 from .router import route
 from .util import CycleKernel, cycles, tally
 
@@ -169,10 +169,11 @@ def _bracket_sum(L: VirtualLinkDiagram, cap: int, classes: list,
     kernel = bracket_kernel(L)
     # (A, B) only feeds tally's rule (one class); A and B stay term variables
     _, records = tally(kernel, [("A", "B")] * n)
+    # per name (constant, ones, cycles): A^ones, B^(n - ones), d^(cycles - 1);
     # a state has 0 to closed + 2n circles
+    rows = ((0, 1, 0), (n, -1, 0), (-1, 0, 1))
     return class_sum(classes, ("A", "B", "d"), kernel.closed + 2 * n + 1,
-                     ((0, (ones, n - ones, cycles - 1), count)
-                      for _, ones, cycles, count in records), subs)
+                     Affine(records, rows, indexed=False), subs)
 
 
 def writhe(L: VirtualLinkDiagram) -> int:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import GenusError, SizeLimit
-from .poly import Polynomial, class_sum, monomial, var
+from .poly import Affine, Polynomial, class_sum, monomial, var
 from .ribbon import (CROSSWISE, DEFAULT_EDGE_CAP, SAME_SIDE, RibbonGraph, side_arcs,
                      side_cycles, side_kernel)
 from .util import CycleKernel, count_cycles, tally
@@ -384,13 +384,23 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP,
 
     The side cycles come from ``relative_kernel`` and k(F), k(F union H)
     from the joins of ``relative_joins``, both read off the records of
-    ``util.tally``.  ``cap`` bounds m and is checked before anything is
-    compiled.
+    ``util.tally``.  The four exponents are affine in a record's (f,
+    cycles, j, jh), and ``poly.class_sum`` takes them as that form
+    (``poly.Affine``): census records one by one, a sweep's blocks of up
+    to 2^7 subsets as packed columns.  ``cap`` bounds m and is checked
+    before anything is compiled.
 
     With ``subs``, a map from variable names to images, the result is
     ``relative_tutte(G, cap).subs(subs)``, the same text or the same error,
     substituted while the terms are summed (see ``poly.class_sum``).
     """
+    return _relative_sum(G, cap, subs, None)
+
+
+def _relative_sum(G: RelPlaneGraph, cap: int, subs: Mapping | None,
+                  factor: Polynomial | None) -> Polynomial:
+    """``relative_tutte(G, cap, subs)`` times ``factor``, a monomial in the
+    variables of the result, multiplied in while the terms are summed."""
     regular = G.regular_indices()
     m = len(regular)
     if m > cap:
@@ -400,17 +410,16 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP,
     kernel = relative_kernel(G)
     ends, kH = relative_joins(G)
     classes, records = tally(kernel, [G.weights[ei] for ei in regular], ends)
-
-    def terms():
-        for index, f, cycles, j, jh, count in records:
-            kF, kFH = nv - j, kH - jh
-            nF = f - j
-            yield index, (kFH - kG, nF, cycles - nF - kFH, kF - kFH), count
-
+    # per name (constant, f, cycles, j, jh): with k(F) = nv - j, k(F u H) =
+    # kH - jh and n(F) = f - j, X^(k(F u H) - kG), Y^n(F),
+    # d^(cycles - n(F) - k(F u H)) and w^(k(F) - k(F u H))
+    rows = ((kH - kG, 0, 0, 0, -1), (0, 1, 0, -1, 0), (-kH, -1, 1, 1, 1),
+            (nv - kH, 0, 0, -1, 1))
     # 0 <= k(F), k(F u H), k(G) <= nv, 0 <= n(F) <= m, and the side
     # cycles n(F) + delta lie in [0, closed + 2m]
     bound = nv + m + kernel.closed + 2 * m
-    return class_sum(classes, ("X", "Y", "d", "w"), bound, terms(), subs)
+    return class_sum(classes, ("X", "Y", "d", "w"), bound,
+                     Affine(records, rows, factor=factor), subs)
 
 
 def relative_kernel(G: RelPlaneGraph) -> CycleKernel:

@@ -67,12 +67,13 @@ decides the text of every polynomial.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import prod
-from operator import and_, itemgetter, mul, rshift
-from typing import Iterable, Mapping, Union
+from operator import add, and_, itemgetter, mul, rshift
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import NonMonomialNegativePower, ParseError, RenderError, SizeLimit
 
@@ -400,6 +401,43 @@ def _images(mapping: Mapping) -> dict:
     return {register(n): _coerce(p) for n, p in mapping.items()}
 
 
+class Affine(NamedTuple):
+    """State records read as ``class_sum`` terms through an affine form.
+
+    ``records`` yields records (index, v_1, ..., v_k, count), or is a
+    ``util.Sweep``, whose records ``class_sum`` reads block by block.
+    ``rows`` holds one row (c, a_1, ..., a_k) per name of ``class_sum``: a
+    record's exponent of that name is c + a_1 v_1 + ... + a_k v_k.  With
+    ``indexed`` false every record's index is taken as 0.  ``factor``, a
+    monomial stated in the variables of the result (after ``subs``),
+    multiplies every term.
+    """
+
+    records: Iterable
+    rows: tuple
+    indexed: bool = True
+    factor: Polynomial | None = None
+
+    def blocks(self) -> Iterable:
+        """(index, values, columns, count) per block of states: a sweep's
+        blocks, or each record as a block of one state (columns None)."""
+        records = self.records
+        if hasattr(records, "blocks"):
+            return records.blocks()
+        return ((r[0], r[1:-1], None, r[-1]) for r in records)
+
+    def terms(self) -> Iterable:
+        """The plain terms (index, exponents, count), one per state."""
+        rows = [(row[0], row[1:]) for row in self.rows]
+        for index, values, columns, count in self.blocks():
+            states = ([(index, values)] if columns is None else
+                      [(index + s, tuple(map(add, values, column)))
+                       for s, column in enumerate(zip(*columns))])
+            for index, values in states:
+                yield (index if self.indexed else 0,
+                       tuple([c + sum(map(mul, a, values)) for c, a in rows]), count)
+
+
 def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
               subs: Mapping | None = None) -> Polynomial:
     """Sum over the triples (index, e, c) of ``terms`` of
@@ -407,19 +445,35 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
     lists one (x_i, y_i, n_i) per weight class, ``index`` is the a_i
     written mixed-radix (class 0 the lowest digit, class i of radix
     n_i + 1), and e holds the int exponents of the variables ``names``,
-    each in [-bound, bound].  With no classes the index is 0.
+    each in [-bound, bound].  With no classes the index is 0.  ``terms``
+    may also be an ``Affine`` form of state records, whose exponents are
+    affine in the records' values; a ``util.Sweep`` of them is summed a
+    block of 2^b states at a time.
 
     This is the one term accumulator.  A monomial is one int, its exponent
     vector packed into the bit fields of ``_Fields``, so multiplying
-    monomials adds ints.  The weight products of the low half of the
-    classes and of the high half are tabulated once each, by their part of
-    the index, as lists of (packed int, coefficient); a multi-term weight
-    is a longer list on the same path.  A term adds its exponents times the
-    field units to one entry of each table and accumulates the sums in
-    place.  The result keeps the packed ints and their fields: ``canonical``
-    writes its text from them, and its (vid, exp4) keys are decoded only
-    when first read.  A table of more than ``_WEIGHT_TABLE_ENTRIES`` entries
-    raises SizeLimit before any table is built.
+    monomials adds ints, and an affine form packs into one int per value
+    (each name's coefficient times the name's unit) and a constant.  The
+    weight products of a low and a high part of the classes are tabulated
+    once each, by their part of the index, as lists of (packed int,
+    coefficient); a multi-term weight is a longer list on the same path.
+    The low part is the first half of the classes, or, under a sweep of
+    blocks of 2^b states, the first b classes if that is more, so that a
+    block's states, whose indexes are consecutive from a multiple of 2^b,
+    read 2^b consecutive rows of the low table and one row of the high.
+
+    One loop reads the blocks; a plain term or a census record is a block
+    of one state.  A block's base state packs to one int; its states add
+    one packed column, the sum of each value's packed int times the
+    value's column, and their low-table rows, plus the high-table row's
+    entry.  Where every weight is a single term the keys of a block are
+    one column of ints, counted into the accumulator at once; otherwise
+    each state multiplies its rows.  The result keeps the packed ints and
+    their fields: ``canonical`` writes its text from them, and its (vid,
+    exp4) keys are decoded only when first read.  The two halves of the
+    classes bound the tables: a half of more than
+    ``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any table is
+    built (a block's low table has at most 2^7 entries).
 
     ``subs`` maps names to images as ``Polynomial.subs`` takes it, and the
     sum is then the one without it after ``.subs(subs)``, the same value
@@ -431,7 +485,8 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
       coefficient other than 1, or 0) is tabled: the name's exponent sums
       in a slot of its own above the fields, and once the terms are summed
       the image's packed powers, each built once from the one below,
-      multiply into the summed keys;
+      multiply into the summed keys.  The blocks are then read as plain
+      terms, one per state, since each term's sign decides its path;
     - a weight that holds a substituted variable takes ``.subs`` before
       the weight tables are built, which is exact because substitution is
       a ring map.
@@ -441,7 +496,8 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
     taken without ``subs`` and substituted after.  The terms that hold a
     negative exponent of a tabled name are summed apart, without
     ``subs``, and take it after.  So the sum raises exactly where ``subs``
-    does.
+    does.  An ``Affine`` factor is stated in the variables of the result,
+    so it takes no image.
     """
     half = len(classes) // 2
     for part in classes[:half], classes[half:]:
@@ -449,9 +505,24 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
             raise SizeLimit(f"a weight table of {entries} entries exceeds {_WEIGHT_TABLE_ENTRIES}")
     if subs is not None:
         return _class_sum_at(classes, names, bound, terms, subs)
-    fields = _Fields(_span(classes, names, bound))
+    factor = _factor(terms)
+    span = _span(classes, names, bound)
+    _grow(span, factor, 1)
+    fields = _Fields(span)
     units = [4 << fields.offset[register(name)] for name in names]
-    return _summed(fields, classes, units, terms)
+    return _summed(fields, classes, units, terms, factor)
+
+
+def _factor(terms) -> Polynomial | None:
+    return terms.factor if isinstance(terms, Affine) else None
+
+
+def _grow(span: dict, q: Polynomial | None, times: int) -> None:
+    """Grow each bias of ``span`` by ``times`` the largest |exp4| of its
+    variable in ``q``."""
+    if q is not None:
+        for vid, e4 in _bias(chain(*q._terms)).items():
+            span[vid] = span.get(vid, 0) + times * e4
 
 
 def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
@@ -462,14 +533,17 @@ def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
     identities = [var(name) for name in names]     # the names register before the map's
     repl = _images(subs)
     images = [repl.get(register(name), q) for name, q in zip(names, identities)]
+    factor = _factor(terms)
     try:
         weights = [(_subs_weight(x, repl), _subs_weight(y, repl), n) for x, y, n in classes]
     except NonMonomialNegativePower:
-        return class_sum(classes, names, bound, terms).subs(subs)
+        if factor is not None:
+            terms = terms._replace(factor=None)
+        return _times_factor(class_sum(classes, names, bound, terms).subs(subs), factor)
     span = _span(weights, (), bound)
     for q in images:
-        for vid, e4 in _bias(chain(*q._terms)).items():
-            span[vid] = span.get(vid, 0) + bound * e4
+        _grow(span, q, bound)
+    _grow(span, factor, 1)
     fields = _Fields(span)
     # a tabled name's exponent, 0 to bound, sums in a slot of its own above
     # every field (a key is at most 2 * base).  A term that holds a negative
@@ -482,34 +556,109 @@ def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
     units = [1 << slots[i] if i in slots else fields.pack(q)[0][0] for i, q in enumerate(images)]
     negative: list = []
     if tabled:
-        terms = _nonnegative(terms, tabled, negative)
-    out = _summed(fields, weights, units, terms)
+        terms = _nonnegative(terms.terms() if isinstance(terms, Affine) else terms,
+                             tabled, negative)
+    out = _summed(fields, weights, units, terms, factor)
     if tabled:
         mask = (1 << width) - 1
         out._packed = fields, _expand(out._packed[1], low, [
             (slots[i], mask, fields.pack(images[i])) for i in tabled])
     if negative:
-        return out + class_sum(classes, names, bound, negative).subs(subs)
+        return out + _times_factor(class_sum(classes, names, bound, negative).subs(subs), factor)
     return out
 
 
-def _summed(fields: "_Fields", classes: list, units: list, terms: Iterable) -> Polynomial:
-    """``class_sum``'s loop: the terms, their exponents packed by ``units``,
-    times the weight tables of ``classes``, accumulated as packed keys."""
+def _times_factor(p: Polynomial, factor: Polynomial | None) -> Polynomial:
+    return p if factor is None else p * factor
+
+
+def _summed(fields: "_Fields", classes: list, units: list, terms: Iterable,
+            factor: Polynomial | None) -> Polynomial:
+    """``class_sum``'s loop: the blocks of ``terms``, their exponents
+    packed by ``units``, times the weight tables of ``classes`` and
+    ``factor``, accumulated as packed keys."""
+    swept = plain = False
+    if isinstance(terms, Affine):
+        # the packed constant, and each value's packed int
+        const, *coefficients = [sum(map(mul, units, column)) for column in zip(*terms.rows)]
+        indexed, blocks = terms.indexed, terms.blocks()
+        swept = hasattr(terms.records, "blocks")
+    else:
+        const, coefficients, indexed = 0, units, True
+        blocks = ((index, exps, None, count) for index, exps, count in terms)
+    scale = 1
+    if factor is not None:
+        ((packed, scale),) = fields.pack(factor)
+        const += packed
     half = len(classes) // 2
-    low = [[(k + fields.base, c) for k, c in t] for t in _table(fields, classes[:half])]
+    low = _table(fields, classes[:half], fields.base)
     high = _table(fields, classes[half:])
     size = len(low)
-    acc: dict = {}
-    for index, exps, count in terms:
-        e = sum(map(mul, units, exps))
-        highs = high[index // size]
-        for k1, c1 in low[index % size]:
-            for k2, c2 in highs:
-                key = e + k1 + k2
-                acc[key] = acc.get(key, 0) + count * c1 * c2
+    # where every weight is a monomial with coefficient 1, a state's weight
+    # is one key of each table
+    if swept:
+        low_keys = [k for row in low for k, c in row if c == 1]
+        high_keys = [k for row in high for k, c in row if c == 1]
+        plain = (len(low_keys) == size == sum(map(len, low))
+                 and len(high_keys) == len(high) == sum(map(len, high)))
+    acc: Counter = Counter()
+    get = acc.get
+    columns_packed: dict = {}
+    for index, values, columns, count in blocks:
+        key = const + sum(map(mul, coefficients, values))
+        if not indexed:
+            index = 0
+        if columns is None:
+            highs = high[index // size]
+            for k1, c1 in low[index % size]:
+                for k2, c2 in highs:
+                    k = key + k1 + k2
+                    acc[k] = get(k, 0) + count * c1 * c2
+            continue
+        # the block's states add one packed column, kept per distinct columns
+        packed = columns_packed.get(columns)
+        if packed is None:
+            n = len(columns[0])
+            packed = repeat(0, n)
+            for p, column in zip(coefficients, columns):
+                if p:
+                    packed = map(add, packed, map(p.__mul__, column))
+            if len(columns_packed) * n >= _WEIGHT_TABLE_ENTRIES:
+                columns_packed.clear()
+            packed = columns_packed[columns] = list(packed)
+        n = len(packed)
+        if plain:
+            # the states index, ..., index + n - 1 read n consecutive low
+            # rows and one high row, or, past the low table, whole low
+            # tables under consecutive high rows
+            if not indexed:
+                keys = map((key + low_keys[0] + high_keys[0]).__add__, packed)
+            elif n <= size:
+                at = index % size
+                keys = map((key + high_keys[index // size]).__add__,
+                           map(add, packed, low_keys[at:at + n]))
+            else:
+                top = index // size
+                weights = [k1 + k2 for k2 in high_keys[top:top + n // size] for k1 in low_keys]
+                keys = map(key.__add__, map(add, packed, weights))
+            if count == 1:
+                acc.update(keys)
+            else:
+                for k in keys:
+                    acc[k] = get(k, 0) + count
+            continue
+        for e in packed:
+            e += key
+            for k1, c1 in low[index % size]:
+                for k2, c2 in high[index // size]:
+                    k = e + k1 + k2
+                    acc[k] = get(k, 0) + count * c1 * c2
+            index += indexed
+    if scale != 1:
+        acc = {key: c * scale for key, c in acc.items()}
     out = Polynomial.__new__(Polynomial)
-    out._packed = fields, {key: c for key, c in acc.items() if c}
+    out._packed = fields, ({key: c for key, c in acc.items() if c} if 0 in acc.values()
+                           else dict(acc))
     return out
 
 
@@ -583,11 +732,11 @@ def _bias(pairs: Iterable) -> dict:
     return top
 
 
-def _table(fields: "_Fields", classes: list) -> list:
+def _table(fields: "_Fields", classes: list, base: int = 0) -> list:
     """The packed weight products prod_i x_i^a_i * y_i^(n_i - a_i) over
-    ``classes``, indexed mixed-radix by the a_i, class 0 the lowest digit.
-    Equal keys merge and zeros drop."""
-    table = [[(0, 1)]]
+    ``classes``, indexed mixed-radix by the a_i, class 0 the lowest digit,
+    each key plus ``base``.  Equal keys merge and zeros drop."""
+    table = [[(base, 1)]]
     for x, y, n in classes:
         px, py = fields.pack(x), fields.pack(y)
         rows = [table]          # rows[a]: table times x^a * y^(steps - a)
@@ -729,6 +878,9 @@ class _Memo(dict):
 
 
 def _times(a: list, b: list) -> list:
+    if len(b) == 1:     # distinct keys plus one key stay distinct
+        ((k2, c2),) = b
+        return [(k1 + k2, c1 * c2) for k1, c1 in a]
     out: dict = {}
     for k1, c1 in a:
         for k2, c2 in b:

@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedPresentation, SizeLimit
-from .poly import Polynomial, class_sum, var
+from .poly import Affine, Polynomial, class_sum, var
 from .util import CycleKernel, cycles, roots, sweep
 
 DEFAULT_EDGE_CAP = 24
@@ -258,11 +258,15 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP,
     on one kernel whose 4|E| slots are all live.  ``util.sweep`` walks the
     subgraphs depth first and gives each one's boundary components, its
     edge count and the joins of its edges on the vertices, so k(F) = v -
-    joins; every edge is a weight class of its own, so a mask is its own
-    ``class_sum`` index, whatever the weights (no workload runs B_R on the
-    census yet).  More than ``cap`` edges raise SizeLimit before anything
-    is compiled, and edges whose ends touch more than 256 vertices (the
-    sweep's label limit) before any weight is tabulated.
+    joins and n(F) = ones - joins: the three exponents are affine in a
+    record's (ones, cycles, joins), and ``poly.class_sum`` takes them as
+    that form (``poly.Affine``) and sums the sweep's blocks of up to 2^7
+    subgraphs as packed columns.  Every edge is a weight class of its own,
+    so a mask is its own ``class_sum`` index, whatever the weights (no
+    workload runs B_R on the census yet).  More than ``cap`` edges raise
+    SizeLimit before anything is compiled, and edges whose ends touch more
+    than 256 vertices (the sweep's label limit) before any weight is
+    tabulated.
 
     With ``subs``, a map from variable names to images, the result is
     ``bollobas_riordan(R, cap).subs(subs)``, the same text or the same
@@ -276,16 +280,13 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP,
     kernel = side_kernel(R, twist_links(R), range(m))
     # called before class_sum builds its tables, so too many labels raise first
     records = sweep(kernel, [R.vertex_pairs()])
-
-    def terms():
-        for mask, ones, bc, joins, _ in records:
-            k = nv - joins
-            n = ones - joins
-            yield mask, (k - kR, n, k - bc + n), 1
-
+    # per name (constant, ones, cycles, joins): X^(k - kR), Y^n, Z^(k - bc + n)
+    # with k = nv - joins and n = ones - joins
+    rows = ((nv - kR, 0, 0, -1), (0, 1, 0, -1), (nv, 1, -1, -2))
     # 0 <= k, kR <= nv, 0 <= n <= m and 0 <= bc <= closed + 2m
     bound = nv + m + kernel.closed + 2 * m
-    return class_sum([(e.x, e.y, 1) for e in R.edges], ("X", "Y", "Z"), bound, terms(), subs)
+    return class_sum([(e.x, e.y, 1) for e in R.edges], ("X", "Y", "Z"), bound,
+                     Affine(records, rows), subs)
 
 
 # -- arrow presentations ---------------------------------------------

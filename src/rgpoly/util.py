@@ -171,7 +171,7 @@ class CycleKernel:
         return self.closed + count_cycles(self.arc, self.links(mask))
 
 
-# A sweep of more than _BLOCK + 1 elements lists the records of its last
+# A sweep of more than _BLOCK + 1 elements lists the states of its last
 # _BLOCK elements, 2^_BLOCK at a time, from columns that the call keeps in
 # tables; a shorter one is walked whole, as below four states of the
 # elements above the block the tables did not pay for themselves (seeded
@@ -185,11 +185,75 @@ _TABLE_ENTRIES = 512
 _LABELS = 256
 
 
-def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator[tuple]:
+class Sweep:
+    """The states of a ``sweep``: an iterator of its records, and
+    underneath them the blocks it lists them from.
+
+    A block (mask, values, columns, 1) is a base state and the columns of
+    its 2^b sub-masks s < 2^b, b <= 7: the state mask + s has the values
+    (ones, cycles, joins...) plus the bytes columns[i][s] of each, and a
+    count of 1.  The masks of a block are consecutive and its base mask is
+    a multiple of 2^b; ``width`` is the largest b.  Iterating gives the
+    records (mask, ones, cycles, joins..., 1), the blocks flattened in
+    order; ``blocks()`` gives the blocks.  Either is read once, lazily, so
+    a sweep holds one block at a time."""
+
+    __slots__ = ("width", "_items", "_records")
+
+    def __init__(self, width: int, items: Iterable[tuple]):
+        self.width = width
+        self._items = items
+        self._records = None
+
+    def __iter__(self) -> "Sweep":
+        return self
+
+    def __next__(self) -> tuple:
+        if self._records is None:
+            self._records = chain.from_iterable(map(_records, self._items))
+        return next(self._records)
+
+    def blocks(self) -> Iterator[tuple]:
+        return map(_block, self._items)
+
+
+def _records(item: tuple) -> Sequence[tuple]:
+    """The records of a sweep's block: those it was walked into, or those
+    its columns give."""
+    mask, (ones, closed, *joins), columns, walked = item
+    if walked is not None:
+        return walked
+    sub = range(mask, mask + len(columns[0]))
+    if len(joins) == 1:
+        (j0,), (pop, cycles, d0) = joins, columns
+        return [(s, ones + o, closed + c, j0 + a, 1)
+                for s, o, c, a in zip(sub, pop, cycles, d0)]
+    if len(joins) == 2:
+        (j0, j1), (pop, cycles, d0, d1) = joins, columns
+        return [(s, ones + o, closed + c, j0 + a, j1 + b, 1)
+                for s, o, c, a, b in zip(sub, pop, cycles, d0, d1)]
+    return [(s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
+            for s, o, c, *ds in zip(sub, *columns)]
+
+
+def _block(item: tuple) -> tuple:
+    """A sweep's block (mask, values, columns, 1), the columns of a whole
+    walk, whose base state sets no element, read off its records."""
+    mask, values, columns, walked = item
+    if columns is None:
+        _, ones, cycles, *joins, _ = zip(*walked)
+        closed = values[1]
+        columns = (bytes(ones), bytes([c - closed for c in cycles]), *map(bytes, joins))
+    return mask, values, columns, 1
+
+
+def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
     """Every state of ``kernel`` as a record (mask, ones, cycles, joins...,
     1) in ascending mask order: ones is the mask's set bits, cycles
     ``kernel.cycles(mask)``, and the mask is its own ``poly.class_sum``
-    index when each element is a weight class of its own.
+    index when each element is a weight class of its own.  The records
+    are the flattening of a stream of blocks (``Sweep``), which
+    ``poly.class_sum`` reads whole.
 
     ``ends[p][j]`` is the pair of labels, any hashables, that element j
     joins in partition p when its bit is set, and the state's p-th join
@@ -212,19 +276,20 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
     label as a bytes string, relabelled on a join, so the walk holds O(m)
     lists and strings of at most 4m entries and recurses at most m deep.
 
-    Past ``_BLOCK + 1`` elements the walk stops above the last ``_BLOCK``
-    (the block), and the records below one of its states depend on two
-    things only: the arc matching on the block's 4 * _BLOCK slots, and, per
+    A walk of at most ``_BLOCK + 1`` elements is one block of 2^m
+    sub-masks.  Past that the walk stops above the last ``_BLOCK`` (the
+    block), and the states below one of its states depend on two things
+    only: the arc matching on the block's 4 * _BLOCK slots, and, per
     partition, which of the labels that the block's ends carry share a
     class.  So the call keeps a table of cycle columns, keyed by the bytes
     of that arc matching, and per partition a table of join columns, keyed
     by the classes of the block's end labels renumbered by first
     appearance; column entry s is what the block's sub-mask s adds.  A state
-    whose columns are all known emits its 2^_BLOCK records from them in one
-    comprehension; any other is walked, and its records give the missing
-    columns.  A table is cleared when it holds ``_TABLE_ENTRIES`` columns,
-    so the tables' memory does not grow with m.  The records and their
-    order are the walk's in either case.
+    whose columns are all known is a block of those columns and the
+    popcounts of the sub-masks, with no record built; any other is walked,
+    and its records give the missing columns.  A table is cleared when it
+    holds ``_TABLE_ENTRIES`` columns, so the tables' memory does not grow
+    with m.  The records and their order are the walk's in either case.
     """
     m = len(kernel.choices)
     # per element, for bit clear and set: its two link pairs (s, s^x, u, u^x)
@@ -242,9 +307,10 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
                             f"sweep's limit {_LABELS}")
     labels = tuple(bytes(range(len(n))) for n in numbers)
     joins = (0,) * len(numbers)
+    values = (0, kernel.closed, *joins)
     arc = list(kernel.arc)
     if not m:
-        return iter([(0, 0, kernel.closed, *joins, 1)])
+        return Sweep(0, [(0, values, None, [(0, *values, 1)])])
     last0, last1 = pairs[0][0][1], pairs[0][1][1]
 
     def set0(labels, joins):
@@ -252,8 +318,9 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
         return [j + (label[u] != label[v]) for j, label, (u, v) in zip(joins, labels, ends[0])]
 
     if m == 1:
-        return iter([(0, 0, kernel.closed + (arc[0] == last0) + 1, *joins, 1),
-                      (1, 1, kernel.closed + (arc[0] == last1) + 1, *set0(labels, joins), 1)])
+        return Sweep(1, [(0, values, None, [
+            (0, 0, kernel.closed + (arc[0] == last0) + 1, *joins, 1),
+            (1, 1, kernel.closed + (arc[0] == last1) + 1, *set0(labels, joins), 1)])])
 
     def join(j, labels, joins):
         for p, (u, v) in enumerate(ends[j]):
@@ -300,11 +367,10 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
     if m <= _BLOCK + 1:
         out: list = []
         walk(m - 1, arc, kernel.closed, 0, 0, labels, joins, out)
-        return iter(out)
+        return Sweep(m, [(0, values, None, out)])
 
     width = 4 * _BLOCK
-    sub = range(1 << _BLOCK)
-    pop = bytes([s.bit_count() for s in sub])
+    pop = bytes([s.bit_count() for s in range(1 << _BLOCK)])
     # per partition, the labels of the block's ends, element by element
     block_ends = [list(chain.from_iterable(row[p] for row in ends[:_BLOCK]))
                   for p in range(len(numbers))]
@@ -319,26 +385,18 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
             seen: dict = {}
             keys.append(bytes([seen.setdefault(label[x], len(seen)) for x in flat]))
             columns.append(table.get(keys[-1]))
+        out = None
         if cycles is None or None in columns:
-            out: list = []
+            out = []
             walk(_BLOCK - 1, arc, closed, mask, ones, labels, joins, out)
             if cycles is None:
-                _store(cycle_columns, key, bytes([r[2] - closed for r in out]))
+                cycles = bytes([r[2] - closed for r in out])
+                _store(cycle_columns, key, cycles)
             for p, column in enumerate(columns):
                 if column is None:
-                    _store(join_columns[p], keys[p],
-                           bytes([r[3 + p] - joins[p] for r in out]))
-            return out
-        if len(columns) == 1:
-            (j0,), (d0,) = joins, columns
-            return [(mask + s, ones + o, closed + c, j0 + a, 1)
-                    for s, o, c, a in zip(sub, pop, cycles, d0)]
-        if len(columns) == 2:
-            (j0, j1), (d0, d1) = joins, columns
-            return [(mask + s, ones + o, closed + c, j0 + a, j1 + b, 1)
-                    for s, o, c, a, b in zip(sub, pop, cycles, d0, d1)]
-        return [(mask + s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
-                for s, o, c, *ds in zip(sub, pop, cycles, *columns)]
+                    columns[p] = bytes([r[3 + p] - joins[p] for r in out])
+                    _store(join_columns[p], keys[p], columns[p])
+        return mask, (ones, closed, *joins), (pop, cycles, *columns), out
 
     def blocks(j, state):
         if j < _BLOCK:
@@ -349,7 +407,7 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Iterator
         for child in children:
             yield from blocks(j - 1, child)
 
-    return chain.from_iterable(blocks(m - 1, (arc, kernel.closed, 0, 0, labels, joins)))
+    return Sweep(_BLOCK, blocks(m - 1, (arc, kernel.closed, 0, 0, labels, joins)))
 
 
 def _store(table: dict, key: bytes, column: bytes) -> None:

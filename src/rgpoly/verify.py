@@ -20,6 +20,7 @@ from .planemap import (
     MapEdge,
     PlaneMap,
     RelPlaneGraph,
+    _relative_sum,
     dart_walks,
     dual,
     relative_joins,
@@ -198,11 +199,12 @@ _GENERATORS = {"ribbon": generate_ribbon, "rpg": generate_rpg, "link": generate_
 
 
 def check_main_theorem(R: RibbonGraph, seed=None) -> CheckReport:
-    """X^alpha Y^beta T_{G,H}(X,Y) = B_R(X,Y,1/sqrt(XY)) under w,d -> sqrt."""
+    """X^alpha Y^beta T_{G,H}(X,Y) = B_R(X,Y,1/sqrt(XY)) under w,d -> sqrt,
+    the prefactor multiplied in while T's terms are summed."""
     G, _cert = ribbon_to_plane(R)
     beta = Fraction(-(R.num_vertices - G.map.num_vertices), 2)
     alpha = G.map.components() - R.components() - beta
-    left = monomial(1, {"X": alpha, "Y": beta}) * relative_tutte(G, subs=SQRT_XY)
+    left = _relative_sum(G, DEFAULT_EDGE_CAP, SQRT_XY, monomial(1, {"X": alpha, "Y": beta}))
     right = bollobas_riordan(R, subs=INV_SQRT_XY)
     return CheckReport("main_theorem", repr(R), left == right, left, right, seed)
 
@@ -252,7 +254,11 @@ def check_subset_identities(R: RibbonGraph, G: RelPlaneGraph, cert,
 
 
 def check_duality(G: RelPlaneGraph, seed=None) -> CheckReport:
-    """The duality identity, plus dual(dual(G)) preserving the polynomial."""
+    """The duality identity, plus dual(dual(G)) preserving the polynomial.
+    The left side substitutes the symbolic T that the involution compares;
+    the right side's prefactor is stated in the variables of the
+    substituted sum, X and Y already swapped, and multiplied in while the
+    dual's terms are summed."""
     Gs = dual(G)
     M, Ms = G.map, Gs.map
     a = Fraction(len(G.regular_indices()) - M.num_vertices, 2) + M.components()
@@ -260,23 +266,24 @@ def check_duality(G: RelPlaneGraph, seed=None) -> CheckReport:
     a_s = Fraction(len(Gs.regular_indices()) - Ms.num_vertices, 2) + Ms.components()
     b_s = Fraction(Ms.num_vertices, 2)
     T = relative_tutte(G)     # symbolic: the involution compares it
-    # T*(Y,X): the psi-variables are evaluated at the swapped point as well
     left = monomial(1, {"X": a, "Y": b}) * T.subs(SQRT_XY)
-    right = (monomial(1, {"Y": a_s, "X": b_s})
-             * relative_tutte(Gs, subs=SWAPPED_SQRT_XY))
+    # T*(Y,X): the psi-variables are evaluated at the swapped point as well
+    right = _relative_sum(Gs, DEFAULT_EDGE_CAP, SWAPPED_SQRT_XY,
+                          monomial(1, {"Y": a_s, "X": b_s}))
     involution = relative_tutte(dual(Gs)) == T
     passed = left == right and involution
     return CheckReport("duality", repr(G), passed, left, right, seed)
 
 
 def check_bracket(L, seed=None) -> CheckReport:
-    """[L](A,B,d) as the prefactored specialization of the Tait graph's T."""
+    """[L](A,B,d) as the prefactored specialization of the Tait graph's T,
+    the prefactor multiplied in while T's terms are summed."""
     G = link_to_tait(L)
     M = G.map
     v, k = M.num_vertices, M.components()
     e_reg = len(G.regular_indices())
-    specialized = relative_tutte(G, subs=BRACKET_SUBS)
-    right = monomial(1, {"A": v - k, "B": e_reg - v + k, "d": k - 1}) * specialized
+    right = _relative_sum(G, DEFAULT_EDGE_CAP, BRACKET_SUBS,
+                          monomial(1, {"A": v - k, "B": e_reg - v + k, "d": k - 1}))
     left = kauffman_bracket(L)
     return CheckReport("bracket_theorem", repr(L), left == right, left, right, seed)
 

@@ -36,6 +36,11 @@ of per-mask ``state_sum`` calls, ``relative_kernel(G).cycles`` and
 ``util.tally``, which counts them in one frontier census when few weight
 pairs occur and sweeps them otherwise.
 
+``sweep_by_records`` keeps the earlier body of ``util.sweep``, which
+turns every block of its tables back into one record tuple per state;
+``util.sweep`` now lists its states block by block underneath and only
+flattens them when its records are read.
+
 ``state_sum_by_products`` keeps the earlier accumulator of
 ``state_sum``: every state multiplies its weight polynomials and a
 ``monomial`` of its term's exponents.
@@ -76,7 +81,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 from rgpoly.formats import _build, _fail, _lines
@@ -100,7 +105,7 @@ from rgpoly.poly import (
     var_name,
 )
 from rgpoly.ribbon import CLOSED, DEFAULT_EDGE_CAP, SAME_SIDE, Edge, RibbonGraph
-from rgpoly.util import cycles
+from rgpoly.util import CycleKernel, cycles
 
 
 class UnionFind:
@@ -280,6 +285,129 @@ def state_sum_by_products(weights, names, bound, term, cap, too_many) -> Polynom
             weight = weight * (x if mask >> i & 1 else y)
         total = total + weight * monomial(1, dict(zip(names, term(mask))))
     return total
+
+
+# the earlier sweep's block of elements, table bound and label bound
+_SWEEP_BLOCK, _SWEEP_TABLE_ENTRIES, _SWEEP_LABELS = 6, 512, 256
+
+
+def sweep_by_records(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()):
+    """The earlier ``util.sweep``: every state's record (mask, ones, cycles,
+    joins..., 1) in ascending mask order, a depth-first walk whose last
+    six elements are listed from per-call column tables, each table hit
+    turned back into 64 record tuples."""
+    m = len(kernel.choices)
+    pairs = []
+    for s, (x, y) in zip(range(0, 4 * m, 4), kernel.choices):
+        u, v = s + 1 + (x == 1), s + 1 + (y == 1)
+        pairs.append(((s, s ^ x, u, u ^ x), (s, s ^ y, v, v ^ y)))
+    numbers: list = [{} for _ in ends]
+    ends = [[(n.setdefault(u, len(n)), n.setdefault(v, len(n))) for n, (u, v) in zip(numbers, row)]
+            for row in zip(*ends)] or [()] * m
+    for n in numbers:
+        if len(n) > _SWEEP_LABELS:
+            raise SizeLimit(f"{len(n)} labels in one partition exceeds the "
+                            f"sweep's limit {_SWEEP_LABELS}")
+    labels = tuple(bytes(range(len(n))) for n in numbers)
+    joins = (0,) * len(numbers)
+    arc = list(kernel.arc)
+    if not m:
+        return iter([(0, 0, kernel.closed, *joins, 1)])
+    last0, last1 = pairs[0][0][1], pairs[0][1][1]
+
+    def set0(labels, joins):
+        return [j + (label[u] != label[v]) for j, label, (u, v) in zip(joins, labels, ends[0])]
+
+    if m == 1:
+        return iter([(0, 0, kernel.closed + (arc[0] == last0) + 1, *joins, 1),
+                      (1, 1, kernel.closed + (arc[0] == last1) + 1, *set0(labels, joins), 1)])
+
+    def join(j, labels, joins):
+        for p, (u, v) in enumerate(ends[j]):
+            label = labels[p]
+            if label[u] != label[v]:
+                labels = (*labels[:p], label.replace(label[v:v + 1], label[u:u + 1]),
+                          *labels[p + 1:])
+                joins = (*joins[:p], joins[p] + 1, *joins[p + 1:])
+        return labels, joins
+
+    def walk(j, arc, closed, mask, ones, labels, joins, out, stop=1):
+        for bit, (s, t, u, v) in enumerate(pairs[j]):
+            a = arc if bit else arc[:4 * j + 4]
+            c = closed
+            p, q = a[s], a[t]
+            if p == t:
+                c += 1
+            else:
+                a[p], a[q] = q, p
+            p, q = a[u], a[v]
+            if p == v:
+                c += 1
+            else:
+                a[p], a[q] = q, p
+            if bit:
+                mask1, ones1 = mask | 1 << j, ones + 1
+                labels1, joins1 = join(j, labels, joins)
+            else:
+                mask1, ones1, labels1, joins1 = mask, ones, labels, joins
+            if j > stop:
+                walk(j - 1, a, c, mask1, ones1, labels1, joins1, out, stop)
+            elif j > 1:
+                out.append((a, c, mask1, ones1, labels1, joins1))
+            else:
+                x = a[0]
+                out.append((mask1, ones1, c + (x == last0) + 1, *joins1, 1))
+                out.append((mask1 | 1, ones1 + 1, c + (x == last1) + 1,
+                            *set0(labels1, joins1), 1))
+
+    if m <= _SWEEP_BLOCK + 1:
+        out: list = []
+        walk(m - 1, arc, kernel.closed, 0, 0, labels, joins, out)
+        return iter(out)
+
+    width = 4 * _SWEEP_BLOCK
+    sub = range(1 << _SWEEP_BLOCK)
+    pop = bytes([s.bit_count() for s in sub])
+    block_ends = [list(chain.from_iterable(row[p] for row in ends[:_SWEEP_BLOCK]))
+                  for p in range(len(numbers))]
+    cycle_columns: dict = {}
+    join_columns: list = [{} for _ in numbers]
+
+    def store(table, key, column):
+        if len(table) >= _SWEEP_TABLE_ENTRIES:
+            table.clear()
+        table[key] = column
+
+    def block(arc, closed, mask, ones, labels, joins):
+        key = bytes(arc[:width])
+        cycles = cycle_columns.get(key)
+        keys, columns = [], []
+        for flat, label, table in zip(block_ends, labels, join_columns):
+            seen: dict = {}
+            keys.append(bytes([seen.setdefault(label[x], len(seen)) for x in flat]))
+            columns.append(table.get(keys[-1]))
+        if cycles is None or None in columns:
+            out: list = []
+            walk(_SWEEP_BLOCK - 1, arc, closed, mask, ones, labels, joins, out)
+            if cycles is None:
+                store(cycle_columns, key, bytes([r[2] - closed for r in out]))
+            for p, column in enumerate(columns):
+                if column is None:
+                    store(join_columns[p], keys[p], bytes([r[3 + p] - joins[p] for r in out]))
+            return out
+        return [(mask + s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
+                for s, o, c, *ds in zip(sub, pop, cycles, *columns)]
+
+    def blocks(j, state):
+        if j < _SWEEP_BLOCK:
+            yield block(*state)
+            return
+        children: list = []
+        walk(j, *state, children, j)
+        for child in children:
+            yield from blocks(j - 1, child)
+
+    return chain.from_iterable(blocks(m - 1, (arc, kernel.closed, 0, 0, labels, joins)))
 
 
 # -- contraction one map per step ----------------------------------------
