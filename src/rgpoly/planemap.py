@@ -315,7 +315,8 @@ class RelPlaneGraph:
         self.zero = frozenset(zero)
         if not self.zero <= set(range(map.num_edges)):
             raise ValueError("0-edge indices out of range")
-        regular = self.regular_indices()
+        self._regular = tuple(i for i in range(map.num_edges) if i not in self.zero)
+        regular = self._regular
         if weights is None:
             weights = {i: (var(f"x_{map.edges[i].label}"),
                            var(f"y_{map.edges[i].label}")) for i in regular}
@@ -327,7 +328,9 @@ class RelPlaneGraph:
             raise ValueError("signs may only be given on regular edges")
 
     def regular_indices(self) -> list[int]:
-        return [i for i in range(self.map.num_edges) if i not in self.zero]
+        """The indices of the edges outside H, ascending, listed once per
+        graph (its map and H never change)."""
+        return list(self._regular)
 
     def __repr__(self):
         return (f"RelPlaneGraph(v={self.map.num_vertices}, "
@@ -386,8 +389,8 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP,
     from the joins of ``relative_joins``, both read off the records of
     ``util.tally``.  The four exponents are affine in a record's (f,
     cycles, j, jh), and ``poly.class_sum`` takes them as that form
-    (``poly.Affine``): census records one by one, a sweep's blocks of up
-    to 2^7 subsets as packed columns.  ``cap`` bounds m and is checked
+    (``poly.Affine``): census records one by one, a sweep's blocks of 64
+    subsets as packed columns.  ``cap`` bounds m and is checked
     before anything is compiled.
 
     With ``subs``, a map from variable names to images, the result is

@@ -22,22 +22,33 @@ compares the exponent vectors.
 it weights states grouped into weight classes, and no state builds a
 ``Polynomial``.  A term is (index, exponents, count): the index gives the
 number of chosen elements per class, mixed-radix, and the count how many
-states share it.  B_R feeds it ``util.sweep``'s records, one element per
-class, so a mask is its own index; the other two sums feed it those or,
-where ``util.tally`` picks it, ``util.census``'s counts by set bits per
-(x, y) class.  The Kauffman bracket keeps A and B as term variables and
-passes no class at all.  Inside it
+states share it.  The sums pass their records with an affine form
+(``Affine``): B_R's exponents (k - k(R), n, k - bc + n) are affine in a
+record's (ones, cycles, joins), the relative Tutte polynomial's (X, Y, d,
+w) in (ones, cycles, j, jh), and the bracket's (A, B, d) in (ones,
+cycles).  B_R feeds it ``util.sweep``'s blocks, one element per class, so
+a mask is its own index; the other two sums feed it those or, where
+``util.tally`` picks it, ``util.census``'s counts by set bits per (x, y)
+class, each record a block of one state.  The Kauffman bracket keeps A
+and B as term variables and passes no class at all.  Inside it
 a monomial is one int: each variable of the weights and of the term owns
 a bit field of its exponent vector, holding exp4 plus a bias, so negative exponents pack too
 (Kronecker substitution).  A field's bias is the largest |exp4| the
 variable can reach, summed over the elements from the weights and bounded
 for the term by the caller; the field is wide enough for twice the bias,
 so adding packed ints multiplies monomials and no sum carries into the
-next field.  The weight products of the low and high halves of the classes
+next field, and an affine form packs into one int per record value and a
+constant.  The weight products of the low and high halves of the classes
 are tabulated once as lists of (packed int, coefficient), a multi-term
-weight being a longer list on the same path; a term adds its exponents to
-one entry of each and accumulates one int key in place.  A table past
-``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any entry is built.
+weight being a longer list on the same path.  A block of 2^b states,
+whose indexes run on from a multiple of 2^b, adds one packed column (each
+value's packed int times its bytes column, kept per distinct columns) to
+2^b consecutive low-table rows under one high-table row, or, when it is
+longer than the low table, to whole low tables under consecutive high
+rows; where every weight is a monomial with coefficient 1 its keys are one
+column of ints, counted in at once.  A block of one state adds its key to
+one entry of each table.  A table past ``_WEIGHT_TABLE_ENTRIES`` entries
+raises SizeLimit before any entry is built.
 
 ``class_sum`` also substitutes while it sums, as the specializations of the
 paper read the sums: B_R at Z = 1/sqrt(XY), T at d, w = sqrt(XY),
@@ -419,23 +430,12 @@ class Affine(NamedTuple):
     factor: Polynomial | None = None
 
     def blocks(self) -> Iterable:
-        """(index, values, columns, count) per block of states: a sweep's
-        blocks, or each record as a block of one state (columns None)."""
+        """(record, columns) per block of states: a sweep's blocks, or
+        each record a block of one state (columns None)."""
         records = self.records
         if hasattr(records, "blocks"):
             return records.blocks()
-        return ((r[0], r[1:-1], None, r[-1]) for r in records)
-
-    def terms(self) -> Iterable:
-        """The plain terms (index, exponents, count), one per state."""
-        rows = [(row[0], row[1:]) for row in self.rows]
-        for index, values, columns, count in self.blocks():
-            states = ([(index, values)] if columns is None else
-                      [(index + s, tuple(map(add, values, column)))
-                       for s, column in enumerate(zip(*columns))])
-            for index, values in states:
-                yield (index if self.indexed else 0,
-                       tuple([c + sum(map(mul, a, values)) for c, a in rows]), count)
+        return zip(records, repeat(None))
 
 
 def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
@@ -452,28 +452,29 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
 
     This is the one term accumulator.  A monomial is one int, its exponent
     vector packed into the bit fields of ``_Fields``, so multiplying
-    monomials adds ints, and an affine form packs into one int per value
-    (each name's coefficient times the name's unit) and a constant.  The
-    weight products of a low and a high part of the classes are tabulated
-    once each, by their part of the index, as lists of (packed int,
-    coefficient); a multi-term weight is a longer list on the same path.
-    The low part is the first half of the classes, or, under a sweep of
-    blocks of 2^b states, the first b classes if that is more, so that a
-    block's states, whose indexes are consecutive from a multiple of 2^b,
-    read 2^b consecutive rows of the low table and one row of the high.
+    monomials adds ints, and an affine form packs into one int per record
+    value (each name's coefficient times the name's unit) and a constant.
+    The weight products of the low half of the classes and of the high
+    half are tabulated once each, by their part of the index, as lists of
+    (packed int, coefficient); a multi-term weight is a longer list on the
+    same path.
 
     One loop reads the blocks; a plain term or a census record is a block
-    of one state.  A block's base state packs to one int; its states add
-    one packed column, the sum of each value's packed int times the
-    value's column, and their low-table rows, plus the high-table row's
-    entry.  Where every weight is a single term the keys of a block are
-    one column of ints, counted into the accumulator at once; otherwise
-    each state multiplies its rows.  The result keeps the packed ints and
-    their fields: ``canonical`` writes its text from them, and its (vid,
-    exp4) keys are decoded only when first read.  The two halves of the
-    classes bound the tables: a half of more than
+    of one state, which adds its packed key to one entry of each table.  A
+    sweep's block of 2^b states, whose indexes are consecutive from a
+    multiple of 2^b, adds one packed column, the sum of each value's packed
+    int times the value's bytes column, made once per distinct columns (at
+    most ``_WEIGHT_TABLE_ENTRIES`` packed ints are kept, then they are
+    cleared).  Its states read 2^b consecutive rows of the low table under
+    one row of the high, or, when the block is longer than the low table,
+    whole low tables under consecutive high rows.  Where every weight is a
+    monomial with coefficient 1 the block's keys are one column of ints,
+    counted into the accumulator at once; otherwise each state multiplies
+    its rows.  The result keeps the packed ints and their fields:
+    ``canonical`` writes its text from them, and its (vid, exp4) keys are
+    decoded only when first read.  A table of more than
     ``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any table is
-    built (a block's low table has at most 2^7 entries).
+    built.
 
     ``subs`` maps names to images as ``Polynomial.subs`` takes it, and the
     sum is then the one without it after ``.subs(subs)``, the same value
@@ -485,8 +486,8 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
       coefficient other than 1, or 0) is tabled: the name's exponent sums
       in a slot of its own above the fields, and once the terms are summed
       the image's packed powers, each built once from the one below,
-      multiply into the summed keys.  The blocks are then read as plain
-      terms, one per state, since each term's sign decides its path;
+      multiply into the summed keys.  The records are then read one state
+      at a time, since each term's sign decides its path;
     - a weight that holds a substituted variable takes ``.subs`` before
       the weight tables are built, which is exact because substitution is
       a ring map.
@@ -503,26 +504,30 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
     for part in classes[:half], classes[half:]:
         if (entries := prod(n + 1 for _, _, n in part)) > _WEIGHT_TABLE_ENTRIES:
             raise SizeLimit(f"a weight table of {entries} entries exceeds {_WEIGHT_TABLE_ENTRIES}")
+    if not isinstance(terms, Affine):
+        terms = _plain(terms, len(names))
     if subs is not None:
         return _class_sum_at(classes, names, bound, terms, subs)
-    factor = _factor(terms)
     span = _span(classes, names, bound)
-    _grow(span, factor, 1)
+    if terms.factor is not None:
+        _grow(span, terms.factor, 1)
     fields = _Fields(span)
     units = [4 << fields.offset[register(name)] for name in names]
-    return _summed(fields, classes, units, terms, factor)
+    return _summed(fields, classes, units, terms)
 
 
-def _factor(terms) -> Polynomial | None:
-    return terms.factor if isinstance(terms, Affine) else None
+def _plain(terms: Iterable, k: int) -> Affine:
+    """The terms (index, exponents, count) as records under the identity
+    form."""
+    return Affine(((index, *exps, count) for index, exps, count in terms),
+                  tuple((0, *(int(i == j) for j in range(k))) for i in range(k)))
 
 
-def _grow(span: dict, q: Polynomial | None, times: int) -> None:
+def _grow(span: dict, q: Polynomial, times: int) -> None:
     """Grow each bias of ``span`` by ``times`` the largest |exp4| of its
     variable in ``q``."""
-    if q is not None:
-        for vid, e4 in _bias(chain(*q._terms)).items():
-            span[vid] = span.get(vid, 0) + times * e4
+    for vid, e4 in _bias(chain(*q._terms)).items():
+        span[vid] = span.get(vid, 0) + times * e4
 
 
 def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
@@ -533,17 +538,17 @@ def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
     identities = [var(name) for name in names]     # the names register before the map's
     repl = _images(subs)
     images = [repl.get(register(name), q) for name, q in zip(names, identities)]
-    factor = _factor(terms)
+    factor = terms.factor
     try:
         weights = [(_subs_weight(x, repl), _subs_weight(y, repl), n) for x, y, n in classes]
     except NonMonomialNegativePower:
-        if factor is not None:
-            terms = terms._replace(factor=None)
-        return _times_factor(class_sum(classes, names, bound, terms).subs(subs), factor)
+        sum_ = class_sum(classes, names, bound, terms._replace(factor=None))
+        return _times_factor(sum_.subs(subs), factor)
     span = _span(weights, (), bound)
     for q in images:
         _grow(span, q, bound)
-    _grow(span, factor, 1)
+    if factor is not None:
+        _grow(span, factor, 1)
     fields = _Fields(span)
     # a tabled name's exponent, 0 to bound, sums in a slot of its own above
     # every field (a key is at most 2 * base).  A term that holds a negative
@@ -556,9 +561,8 @@ def _class_sum_at(classes: list, names: tuple, bound: int, terms: Iterable,
     units = [1 << slots[i] if i in slots else fields.pack(q)[0][0] for i, q in enumerate(images)]
     negative: list = []
     if tabled:
-        terms = _nonnegative(terms.terms() if isinstance(terms, Affine) else terms,
-                             tabled, negative)
-    out = _summed(fields, weights, units, terms, factor)
+        terms = _nonnegative(terms, tabled, negative)
+    out = _summed(fields, weights, units, terms)
     if tabled:
         mask = (1 << width) - 1
         out._packed = fields, _expand(out._packed[1], low, [
@@ -572,20 +576,15 @@ def _times_factor(p: Polynomial, factor: Polynomial | None) -> Polynomial:
     return p if factor is None else p * factor
 
 
-def _summed(fields: "_Fields", classes: list, units: list, terms: Iterable,
-            factor: Polynomial | None) -> Polynomial:
+def _summed(fields: "_Fields", classes: list, units: list, terms: Affine) -> Polynomial:
     """``class_sum``'s loop: the blocks of ``terms``, their exponents
-    packed by ``units``, times the weight tables of ``classes`` and
-    ``factor``, accumulated as packed keys."""
-    swept = plain = False
-    if isinstance(terms, Affine):
-        # the packed constant, and each value's packed int
-        const, *coefficients = [sum(map(mul, units, column)) for column in zip(*terms.rows)]
-        indexed, blocks = terms.indexed, terms.blocks()
-        swept = hasattr(terms.records, "blocks")
-    else:
-        const, coefficients, indexed = 0, units, True
-        blocks = ((index, exps, None, count) for index, exps, count in terms)
+    packed by ``units``, times the weight tables of ``classes`` and the
+    form's factor, accumulated as packed keys."""
+    # the packed constant, and each value's packed int
+    const, *coefficients = [sum(map(mul, units, column)) for column in zip(*terms.rows)] or [0]
+    indexed, factor, blocks = terms.indexed, terms.factor, terms.blocks()
+    swept = getattr(terms.records, "width", 0)      # blocks with columns
+    plain = False
     scale = 1
     if factor is not None:
         ((packed, scale),) = fields.pack(factor)
@@ -601,13 +600,15 @@ def _summed(fields: "_Fields", classes: list, units: list, terms: Iterable,
         high_keys = [k for row in high for k, c in row if c == 1]
         plain = (len(low_keys) == size == sum(map(len, low))
                  and len(high_keys) == len(high) == sum(map(len, high)))
-    acc: Counter = Counter()
+    # column blocks count their keys in at once
+    acc: dict = Counter() if swept else {}
     get = acc.get
     columns_packed: dict = {}
-    for index, values, columns, count in blocks:
-        key = const + sum(map(mul, coefficients, values))
-        if not indexed:
-            index = 0
+    by_record = [0, *coefficients]        # a record's index takes none
+    for record, columns in blocks:
+        key = const + sum(map(mul, by_record, record))
+        index = record[0] if indexed else 0
+        count = record[-1]
         if columns is None:
             highs = high[index // size]
             for k1, c1 in low[index % size]:
@@ -676,14 +677,20 @@ def _subs_weight(p: Polynomial, repl: dict) -> Polynomial:
     return p
 
 
-def _nonnegative(terms: Iterable, tabled: list, negative: list) -> Iterable:
-    """The terms whose exponents at ``tabled`` are all nonnegative; the
-    others are appended to ``negative``."""
-    for term in terms:
-        if min([term[1][i] for i in tabled]) < 0:
-            negative.append(term)
-        else:
-            yield term
+def _nonnegative(terms: Affine, tabled: list, negative: list) -> Affine:
+    """``terms`` with only the records whose exponents at ``tabled`` are
+    all nonnegative, one state each (a sweep's records are its blocks
+    flattened); the others are appended to ``negative`` as plain terms."""
+    rows = [(row[0], (0, *row[1:])) for row in terms.rows]
+
+    def records():
+        for record in terms.records:
+            exps = [c + sum(map(mul, a, record)) for c, a in rows]
+            if min([exps[i] for i in tabled]) < 0:
+                negative.append((record[0] if terms.indexed else 0, tuple(exps), record[-1]))
+            else:
+                yield record
+    return terms._replace(records=records())
 
 
 def _expand(acc: dict, low: int, tables: list) -> dict:

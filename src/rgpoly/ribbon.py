@@ -260,7 +260,7 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP,
     edge count and the joins of its edges on the vertices, so k(F) = v -
     joins and n(F) = ones - joins: the three exponents are affine in a
     record's (ones, cycles, joins), and ``poly.class_sum`` takes them as
-    that form (``poly.Affine``) and sums the sweep's blocks of up to 2^7
+    that form (``poly.Affine``) and sums the sweep's blocks of 64
     subgraphs as packed columns.  Every edge is a weight class of its own,
     so a mask is its own ``class_sum`` index, whatever the weights (no
     workload runs B_R on the census yet).  More than ``cap`` edges raise

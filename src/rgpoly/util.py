@@ -26,7 +26,11 @@ the states of its last elements from per-call tables of columns, one per
 boundary state (the arc matching on their slots, the classes of their
 ends' labels) and bounded in number, since many states above share one, as
 Haggard, Pearce and Royle's isomorphism cache shares subgraphs ("Computing
-Tutte polynomials", ACM TOMS 2010).  ``census`` counts them in one
+Tutte polynomials", ACM TOMS 2010).  It yields its states as a lazy
+stream of blocks (``Sweep``), each a base record and bytes columns of
+popcounts, cycles and joins per partition over the 2^6 sub-masks of its
+last elements, so that ``poly.class_sum`` sums a block at once; its
+records are the flattening of that stream.  ``census`` counts them in one
 frontier pass by set bits per class of equal (x, y) weight pairs, as
 Sekine, Imai and Tani's transfer-matrix pass does (ISAAC 1995), in memory
 that ``CENSUS_ENTRIES`` bounds.  B_R always sweeps; ``tally`` picks the
@@ -36,7 +40,7 @@ engine for the relative Tutte polynomial and the bracket.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -189,18 +193,22 @@ class Sweep:
     """The states of a ``sweep``: an iterator of its records, and
     underneath them the blocks it lists them from.
 
-    A block (mask, values, columns, 1) is a base state and the columns of
-    its 2^b sub-masks s < 2^b, b <= 7: the state mask + s has the values
-    (ones, cycles, joins...) plus the bytes columns[i][s] of each, and a
-    count of 1.  The masks of a block are consecutive and its base mask is
-    a multiple of 2^b; ``width`` is the largest b.  Iterating gives the
-    records (mask, ones, cycles, joins..., 1), the blocks flattened in
-    order; ``blocks()`` gives the blocks.  Either is read once, lazily, so
-    a sweep holds one block at a time."""
+    A block (record, columns) is a base state's record (mask, ones,
+    cycles, joins..., 1) and bytes columns over its 2^b sub-masks s < 2^b:
+    the state mask + s has the record's values (ones, cycles, joins...)
+    plus columns[i][s] of each, and a count of 1.  The masks of a block
+    are consecutive and its base mask is a multiple of 2^b.  A block of
+    one state has no columns (None).  ``width`` is b, the same for every
+    block with columns, or 0 if the sweep lists its records one by one.
+    Iterating gives the records, the blocks flattened in order;
+    ``blocks()`` gives the blocks.  Either is read once, lazily, so a
+    sweep holds one block at a time."""
 
     __slots__ = ("width", "_items", "_records")
 
-    def __init__(self, width: int, items: Iterable[tuple]):
+    def __init__(self, width: int, items: Iterable):
+        # the records, or with a width, (record, columns, walked records
+        # or None) per block
         self.width = width
         self._items = items
         self._records = None
@@ -210,17 +218,20 @@ class Sweep:
 
     def __next__(self) -> tuple:
         if self._records is None:
-            self._records = chain.from_iterable(map(_records, self._items))
+            self._records = (chain.from_iterable(map(_records, self._items)) if self.width
+                             else iter(self._items))
         return next(self._records)
 
     def blocks(self) -> Iterator[tuple]:
-        return map(_block, self._items)
+        if self.width:
+            return ((record, columns) for record, columns, _ in self._items)
+        return zip(self._items, repeat(None))
 
 
 def _records(item: tuple) -> Sequence[tuple]:
     """The records of a sweep's block: those it was walked into, or those
     its columns give."""
-    mask, (ones, closed, *joins), columns, walked = item
+    (mask, ones, closed, *joins, _), columns, walked = item
     if walked is not None:
         return walked
     sub = range(mask, mask + len(columns[0]))
@@ -234,17 +245,6 @@ def _records(item: tuple) -> Sequence[tuple]:
                 for s, o, c, a, b in zip(sub, pop, cycles, d0, d1)]
     return [(s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
             for s, o, c, *ds in zip(sub, *columns)]
-
-
-def _block(item: tuple) -> tuple:
-    """A sweep's block (mask, values, columns, 1), the columns of a whole
-    walk, whose base state sets no element, read off its records."""
-    mask, values, columns, walked = item
-    if columns is None:
-        _, ones, cycles, *joins, _ = zip(*walked)
-        closed = values[1]
-        columns = (bytes(ones), bytes([c - closed for c in cycles]), *map(bytes, joins))
-    return mask, values, columns, 1
 
 
 def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
@@ -276,9 +276,11 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
     label as a bytes string, relabelled on a join, so the walk holds O(m)
     lists and strings of at most 4m entries and recurses at most m deep.
 
-    A walk of at most ``_BLOCK + 1`` elements is one block of 2^m
-    sub-masks.  Past that the walk stops above the last ``_BLOCK`` (the
-    block), and the states below one of its states depend on two things
+    A walk of at most ``_BLOCK + 1`` elements gives its records, each a
+    block of one state: a lone block shares its columns with no other, so
+    packing them costs ``poly.class_sum`` about what its records do, and
+    more at m <= 3.  Past that the walk stops above the last ``_BLOCK``
+    (the block), and the states below one of its states depend on two things
     only: the arc matching on the block's 4 * _BLOCK slots, and, per
     partition, which of the labels that the block's ends carry share a
     class.  So the call keeps a table of cycle columns, keyed by the bytes
@@ -307,10 +309,9 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
                             f"sweep's limit {_LABELS}")
     labels = tuple(bytes(range(len(n))) for n in numbers)
     joins = (0,) * len(numbers)
-    values = (0, kernel.closed, *joins)
     arc = list(kernel.arc)
     if not m:
-        return Sweep(0, [(0, values, None, [(0, *values, 1)])])
+        return Sweep(0, [(0, 0, kernel.closed, *joins, 1)])
     last0, last1 = pairs[0][0][1], pairs[0][1][1]
 
     def set0(labels, joins):
@@ -318,9 +319,8 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
         return [j + (label[u] != label[v]) for j, label, (u, v) in zip(joins, labels, ends[0])]
 
     if m == 1:
-        return Sweep(1, [(0, values, None, [
-            (0, 0, kernel.closed + (arc[0] == last0) + 1, *joins, 1),
-            (1, 1, kernel.closed + (arc[0] == last1) + 1, *set0(labels, joins), 1)])])
+        return Sweep(0, [(0, 0, kernel.closed + (arc[0] == last0) + 1, *joins, 1),
+                         (1, 1, kernel.closed + (arc[0] == last1) + 1, *set0(labels, joins), 1)])
 
     def join(j, labels, joins):
         for p, (u, v) in enumerate(ends[j]):
@@ -367,7 +367,7 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
     if m <= _BLOCK + 1:
         out: list = []
         walk(m - 1, arc, kernel.closed, 0, 0, labels, joins, out)
-        return Sweep(m, [(0, values, None, out)])
+        return Sweep(0, out)
 
     width = 4 * _BLOCK
     pop = bytes([s.bit_count() for s in range(1 << _BLOCK)])
@@ -396,7 +396,7 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
                 if column is None:
                     columns[p] = bytes([r[3 + p] - joins[p] for r in out])
                     _store(join_columns[p], keys[p], columns[p])
-        return mask, (ones, closed, *joins), (pop, cycles, *columns), out
+        return (mask, ones, closed, *joins, 1), (pop, cycles, *columns), out
 
     def blocks(j, state):
         if j < _BLOCK:
