@@ -21,8 +21,8 @@ reads its ribbon graph off the same kernel.
 The states come from ``util.tally`` on that kernel and on two partitions
 of F's ends, the vertices and the components of H, whose joins give k(F)
 and k(F union H) (``relative_joins``); it picks the frontier census or
-the depth-first sweep, as for the bracket.  One term formula reads every
-record into ``poly.class_sum``.  ``RelPlaneGraph`` admits genus-0 maps
+the depth-first sweep, as for the bracket.  One affine form of a record's
+values gives every state's exponents to ``poly.class_sum``.  ``RelPlaneGraph`` admits genus-0 maps
 only, so the genus is not checked per state; the reference path
 ``psi(contract_all(G, F))`` builds H_F.
 
