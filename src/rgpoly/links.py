@@ -156,13 +156,14 @@ def kauffman_bracket(L: VirtualLinkDiagram,
     the classical crossings n; the census's cost is set by the frontier
     width, not 2^n, and a 30-crossing link takes about a second.
     """
-    return _bracket_sum(L, cap, [], None)
+    return _bracket_sum(L, cap, None, None)
 
 
-def _bracket_sum(L: VirtualLinkDiagram, cap: int, classes: list,
-                 subs: Mapping | None) -> Polynomial:
-    """The bracket's ``class_sum`` with ``classes`` and ``subs``: every
-    term has index 0, so a class (p, p, 1) multiplies the sum by p."""
+def _bracket_sum(L: VirtualLinkDiagram, cap: int, subs: Mapping | None,
+                 factor: Polynomial | None) -> Polynomial:
+    """``kauffman_bracket(L, cap)`` after ``subs``, times ``factor``, a
+    monomial in the variables of the result, multiplied in while the
+    terms are summed."""
     n = len(L.classical)
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")
@@ -172,8 +173,8 @@ def _bracket_sum(L: VirtualLinkDiagram, cap: int, classes: list,
     # per name (constant, ones, cycles): A^ones, B^(n - ones), d^(cycles - 1);
     # a state has 0 to closed + 2n circles
     rows = ((0, 1, 0), (n, -1, 0), (-1, 0, 1))
-    return class_sum(classes, ("A", "B", "d"), kernel.closed + 2 * n + 1,
-                     Affine(records, rows, indexed=False), subs)
+    return class_sum([], ("A", "B", "d"), kernel.closed + 2 * n + 1,
+                     Affine(records, rows, indexed=False, factor=factor), subs)
 
 
 def writhe(L: VirtualLinkDiagram) -> int:
@@ -200,10 +201,10 @@ def writhe(L: VirtualLinkDiagram) -> int:
 def jones(L: VirtualLinkDiagram, cap: int = DEFAULT_CROSSING_CAP) -> Polynomial:
     """(-1)^w t^(3w/4) times the bracket at A=t^(-1/4), B=t^(1/4),
     d=-t^(1/2)-t^(-1/2) (``JONES_SUBS``), substituted while the bracket's
-    terms are summed, the factor a weight class of its own."""
+    terms are summed, the factor multiplied in with them."""
     w = writhe(L)
     factor = monomial((-1) ** (w % 2), {"t": Fraction(3 * w, 4)})
-    return _bracket_sum(L, cap, [(factor, factor, 1)], JONES_SUBS)
+    return _bracket_sum(L, cap, JONES_SUBS, factor)
 
 
 _TOKEN = re.compile(r"\s*([OU])(\d+)([+-])\s*")

@@ -389,9 +389,10 @@ def relative_tutte(G: RelPlaneGraph, cap: int = DEFAULT_EDGE_CAP,
     from the joins of ``relative_joins``, both read off the records of
     ``util.tally``.  The four exponents are affine in a record's (f,
     cycles, j, jh), and ``poly.class_sum`` takes them as that form
-    (``poly.Affine``): census records one by one, a sweep's blocks of 64
-    subsets as packed columns.  ``cap`` bounds m and is checked
-    before anything is compiled.
+    (``poly.Affine``): a sweep's blocks of 64 subsets as packed columns
+    where every weight is a monomial with coefficient 1, and census
+    records and every other state one by one.  ``cap`` bounds m and is
+    checked before anything is compiled.
 
     With ``subs``, a map from variable names to images, the result is
     ``relative_tutte(G, cap).subs(subs)``, the same text or the same error,

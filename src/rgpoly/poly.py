@@ -41,14 +41,17 @@ next field, and an affine form packs into one int per record value and a
 constant.  The weight products of the low and high halves of the classes
 are tabulated once as lists of (packed int, coefficient), a multi-term
 weight being a longer list on the same path.  A block of 2^b states,
-whose indexes run on from a multiple of 2^b, adds one packed column (each
-value's packed int times its bytes column, kept per distinct columns) to
-2^b consecutive low-table rows under one high-table row, or, when it is
-longer than the low table, to whole low tables under consecutive high
-rows; where every weight is a monomial with coefficient 1 its keys are one
-column of ints, counted in at once.  A block of one state adds its key to
-one entry of each table.  A table past ``_WEIGHT_TABLE_ENTRIES`` entries
-raises SizeLimit before any entry is built.
+whose indexes run on from a multiple of 2^b, has one packed column (each
+value's packed int times its bytes column, kept per distinct columns); a
+record is a block of one state, whose packed column is (0,).  Where the
+blocks are an indexed sweep's and every weight is a monomial with
+coefficient 1, a block's keys are one column of ints, its packed column
+plus 2^b consecutive low-table keys under one high-table key, or, when it
+is longer than the low table, whole low tables under consecutive high
+keys, counted in at once.  Every other state goes through one loop, which
+adds its key to each pair of entries of its low and high rows.  A table
+past ``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any
+entry is built.
 
 ``class_sum`` also substitutes while it sums, as the specializations of the
 paper read the sums: B_R at Z = 1/sqrt(XY), T at d, w = sqrt(XY),
@@ -416,7 +419,7 @@ class Affine(NamedTuple):
     """State records read as ``class_sum`` terms through an affine form.
 
     ``records`` yields records (index, v_1, ..., v_k, count), or is a
-    ``util.Sweep``, whose records ``class_sum`` reads block by block.
+    ``util.Sweep``, whose blocks ``class_sum`` reads when it has a width.
     ``rows`` holds one row (c, a_1, ..., a_k) per name of ``class_sum``: a
     record's exponent of that name is c + a_1 v_1 + ... + a_k v_k.  With
     ``indexed`` false every record's index is taken as 0.  ``factor``, a
@@ -429,14 +432,6 @@ class Affine(NamedTuple):
     indexed: bool = True
     factor: Polynomial | None = None
 
-    def blocks(self) -> Iterable:
-        """(record, columns) per block of states: a sweep's blocks, or
-        each record a block of one state (columns None)."""
-        records = self.records
-        if hasattr(records, "blocks"):
-            return records.blocks()
-        return zip(records, repeat(None))
-
 
 def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
               subs: Mapping | None = None) -> Polynomial:
@@ -447,7 +442,7 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
     n_i + 1), and e holds the int exponents of the variables ``names``,
     each in [-bound, bound].  With no classes the index is 0.  ``terms``
     may also be an ``Affine`` form of state records, whose exponents are
-    affine in the records' values; a ``util.Sweep`` of them is summed a
+    affine in the records' values; a ``util.Sweep`` of them is read a
     block of 2^b states at a time.
 
     This is the one term accumulator.  A monomial is one int, its exponent
@@ -459,20 +454,21 @@ def class_sum(classes: list, names: tuple, bound: int, terms: Iterable,
     (packed int, coefficient); a multi-term weight is a longer list on the
     same path.
 
-    One loop reads the blocks; a plain term or a census record is a block
-    of one state, which adds its packed key to one entry of each table.  A
-    sweep's block of 2^b states, whose indexes are consecutive from a
-    multiple of 2^b, adds one packed column, the sum of each value's packed
+    A sweep's block of 2^b states, whose indexes are consecutive from a
+    multiple of 2^b, has one packed column, the sum of each value's packed
     int times the value's bytes column, made once per distinct columns (at
     most ``_WEIGHT_TABLE_ENTRIES`` packed ints are kept, then they are
-    cleared).  Its states read 2^b consecutive rows of the low table under
-    one row of the high, or, when the block is longer than the low table,
-    whole low tables under consecutive high rows.  Where every weight is a
-    monomial with coefficient 1 the block's keys are one column of ints,
-    counted into the accumulator at once; otherwise each state multiplies
-    its rows.  The result keeps the packed ints and their fields:
-    ``canonical`` writes its text from them, and its (vid, exp4) keys are
-    decoded only when first read.  A table of more than
+    cleared); a plain term or any other record is a block of one state,
+    whose packed column is (0,).  Where the sweep is indexed and every
+    weight is a monomial with coefficient 1, a block's states read 2^b
+    consecutive keys of the low table under one key of the high, or, when
+    the block is longer than the low table, whole low tables under
+    consecutive high keys, and its keys, one column of ints, are counted
+    into the accumulator at once.  Every other state goes through one
+    loop, which adds its key to each pair of entries of its low and high
+    rows, the coefficients multiplied.  The result keeps the packed ints
+    and their fields: ``canonical`` writes its text from them, and its
+    (vid, exp4) keys are decoded only when first read.  A table of more than
     ``_WEIGHT_TABLE_ENTRIES`` entries raises SizeLimit before any table is
     built.
 
@@ -577,17 +573,16 @@ def _times_factor(p: Polynomial, factor: Polynomial | None) -> Polynomial:
 
 
 def _summed(fields: "_Fields", classes: list, units: list, terms: Affine) -> Polynomial:
-    """``class_sum``'s loop: the blocks of ``terms``, their exponents
-    packed by ``units``, times the weight tables of ``classes`` and the
-    form's factor, accumulated as packed keys."""
+    """``class_sum``'s loop: the records or blocks of ``terms``, their
+    exponents packed by ``units``, times the weight tables of ``classes``
+    and the form's factor, accumulated as packed keys."""
     # the packed constant, and each value's packed int
     const, *coefficients = [sum(map(mul, units, column)) for column in zip(*terms.rows)] or [0]
-    indexed, factor, blocks = terms.indexed, terms.factor, terms.blocks()
-    swept = getattr(terms.records, "width", 0)      # blocks with columns
-    plain = False
+    records, indexed = terms.records, terms.indexed
+    width = getattr(records, "width", 0)        # a sweep of column blocks
     scale = 1
-    if factor is not None:
-        ((packed, scale),) = fields.pack(factor)
+    if terms.factor is not None:
+        ((packed, scale),) = fields.pack(terms.factor)
         const += packed
     half = len(classes) // 2
     low = _table(fields, classes[:half], fields.base)
@@ -595,46 +590,38 @@ def _summed(fields: "_Fields", classes: list, units: list, terms: Affine) -> Pol
     size = len(low)
     # where every weight is a monomial with coefficient 1, a state's weight
     # is one key of each table
-    if swept:
-        low_keys = [k for row in low for k, c in row if c == 1]
-        high_keys = [k for row in high for k, c in row if c == 1]
-        plain = (len(low_keys) == size == sum(map(len, low))
-                 and len(high_keys) == len(high) == sum(map(len, high)))
-    # column blocks count their keys in at once
-    acc: dict = Counter() if swept else {}
-    get = acc.get
-    columns_packed: dict = {}
+    plain = width and indexed and all(len(row) == 1 and row[0][1] == 1
+                                      for row in chain(low, high))
     by_record = [0, *coefficients]        # a record's index takes none
-    for record, columns in blocks:
-        key = const + sum(map(mul, by_record, record))
-        index = record[0] if indexed else 0
-        count = record[-1]
-        if columns is None:
-            highs = high[index // size]
-            for k1, c1 in low[index % size]:
-                for k2, c2 in highs:
-                    k = key + k1 + k2
-                    acc[k] = get(k, 0) + count * c1 * c2
-            continue
-        # the block's states add one packed column, kept per distinct columns
-        packed = columns_packed.get(columns)
-        if packed is None:
-            n = len(columns[0])
-            packed = repeat(0, n)
-            for p, column in zip(coefficients, columns):
-                if p:
-                    packed = map(add, packed, map(p.__mul__, column))
-            if len(columns_packed) * n >= _WEIGHT_TABLE_ENTRIES:
-                columns_packed.clear()
-            packed = columns_packed[columns] = list(packed)
-        n = len(packed)
-        if plain:
-            # the states index, ..., index + n - 1 read n consecutive low
-            # rows and one high row, or, past the low table, whole low
-            # tables under consecutive high rows
-            if not indexed:
-                keys = map((key + low_keys[0] + high_keys[0]).__add__, packed)
-            elif n <= size:
+    columns_packed: dict = {}
+
+    def packed_blocks():
+        # a block's states add one packed column, kept per distinct columns
+        for record, columns in records.blocks():
+            packed = columns_packed.get(columns)
+            if packed is None:
+                n = len(columns[0])
+                packed = repeat(0, n)
+                for p, column in zip(coefficients, columns):
+                    if p:
+                        packed = map(add, packed, map(p.__mul__, column))
+                if len(columns_packed) * n >= _WEIGHT_TABLE_ENTRIES:
+                    columns_packed.clear()
+                packed = columns_packed[columns] = list(packed)
+            yield record, packed
+
+    # a record is a block of one state, whose packed column is (0,)
+    blocks = packed_blocks() if width else zip(records, repeat((0,)))
+    if plain:
+        # every state counts 1; the states index, ..., index + n - 1 read n
+        # consecutive low rows and one high row, or, past the low table,
+        # whole low tables under consecutive high rows
+        low_keys, high_keys = ([k for ((k, _),) in table] for table in (low, high))
+        acc: dict = Counter()
+        for record, packed in blocks:
+            key = const + sum(map(mul, by_record, record))
+            index, n = record[0], len(packed)
+            if n <= size:
                 at = index % size
                 keys = map((key + high_keys[index // size]).__add__,
                            map(add, packed, low_keys[at:at + n]))
@@ -642,19 +629,22 @@ def _summed(fields: "_Fields", classes: list, units: list, terms: Affine) -> Pol
                 top = index // size
                 weights = [k1 + k2 for k2 in high_keys[top:top + n // size] for k1 in low_keys]
                 keys = map(key.__add__, map(add, packed, weights))
-            if count == 1:
-                acc.update(keys)
-            else:
-                for k in keys:
-                    acc[k] = get(k, 0) + count
-            continue
-        for e in packed:
-            e += key
-            for k1, c1 in low[index % size]:
-                for k2, c2 in high[index // size]:
-                    k = e + k1 + k2
-                    acc[k] = get(k, 0) + count * c1 * c2
-            index += indexed
+            acc.update(keys)
+    else:
+        acc = {}
+        get = acc.get
+        for record, packed in blocks:
+            key = const + sum(map(mul, by_record, record))
+            index = record[0] if indexed else 0
+            count = record[-1]
+            for e in packed:
+                e += key
+                highs = high[index // size]
+                for k1, c1 in low[index % size]:
+                    for k2, c2 in highs:
+                        k = e + k1 + k2
+                        acc[k] = get(k, 0) + count * c1 * c2
+                index += indexed
     if scale != 1:
         acc = {key: c * scale for key, c in acc.items()}
     out = Polynomial.__new__(Polynomial)

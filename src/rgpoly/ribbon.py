@@ -260,8 +260,10 @@ def bollobas_riordan(R: RibbonGraph, cap: int = DEFAULT_EDGE_CAP,
     edge count and the joins of its edges on the vertices, so k(F) = v -
     joins and n(F) = ones - joins: the three exponents are affine in a
     record's (ones, cycles, joins), and ``poly.class_sum`` takes them as
-    that form (``poly.Affine``) and sums the sweep's blocks of 64
-    subgraphs as packed columns.  Every edge is a weight class of its own,
+    that form (``poly.Affine``).  Where every weight is a monomial with
+    coefficient 1, it counts the sweep's blocks of 64 subgraphs in as
+    packed columns; under any other weights each subgraph goes through
+    its one per-state loop.  Every edge is a weight class of its own,
     so a mask is its own ``class_sum`` index, whatever the weights (no
     workload runs B_R on the census yet).  More than ``cap`` edges raise
     SizeLimit before anything is compiled, and edges whose ends touch more

@@ -29,7 +29,8 @@ Haggard, Pearce and Royle's isomorphism cache shares subgraphs ("Computing
 Tutte polynomials", ACM TOMS 2010).  It yields its states as a lazy
 stream of blocks (``Sweep``), each a base record and bytes columns of
 popcounts, cycles and joins per partition over the 2^6 sub-masks of its
-last elements, so that ``poly.class_sum`` sums a block at once; its
+last elements, so that ``poly.class_sum`` packs a block's values at once
+and, under coefficient-1 monomial weights, counts its keys in at once; its
 records are the flattening of that stream.  ``census`` counts them in one
 frontier pass by set bits per class of equal (x, y) weight pairs, as
 Sekine, Imai and Tani's transfer-matrix pass does (ISAAC 1995), in memory
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from math import prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimit
@@ -197,18 +198,17 @@ class Sweep:
     cycles, joins..., 1) and bytes columns over its 2^b sub-masks s < 2^b:
     the state mask + s has the record's values (ones, cycles, joins...)
     plus columns[i][s] of each, and a count of 1.  The masks of a block
-    are consecutive and its base mask is a multiple of 2^b.  A block of
-    one state has no columns (None).  ``width`` is b, the same for every
-    block with columns, or 0 if the sweep lists its records one by one.
-    Iterating gives the records, the blocks flattened in order;
-    ``blocks()`` gives the blocks.  Either is read once, lazily, so a
-    sweep holds one block at a time."""
+    are consecutive and its base mask is a multiple of 2^b.  ``width`` is
+    b, the same for every block, or 0 if the sweep lists its records one
+    by one, each a block of one state with no columns (None).  Iterating
+    gives the records, the blocks flattened in order; ``blocks()`` gives
+    the blocks.  Either is read once, lazily, so a sweep holds one block
+    at a time."""
 
     __slots__ = ("width", "_items", "_records")
 
     def __init__(self, width: int, items: Iterable):
-        # the records, or with a width, (record, columns, walked records
-        # or None) per block
+        # the records, or with a width, the blocks
         self.width = width
         self._items = items
         self._records = None
@@ -223,28 +223,13 @@ class Sweep:
         return next(self._records)
 
     def blocks(self) -> Iterator[tuple]:
-        if self.width:
-            return ((record, columns) for record, columns, _ in self._items)
-        return zip(self._items, repeat(None))
+        return iter(self._items) if self.width else zip(self._items, repeat(None))
 
 
-def _records(item: tuple) -> Sequence[tuple]:
-    """The records of a sweep's block: those it was walked into, or those
-    its columns give."""
-    (mask, ones, closed, *joins, _), columns, walked = item
-    if walked is not None:
-        return walked
-    sub = range(mask, mask + len(columns[0]))
-    if len(joins) == 1:
-        (j0,), (pop, cycles, d0) = joins, columns
-        return [(s, ones + o, closed + c, j0 + a, 1)
-                for s, o, c, a in zip(sub, pop, cycles, d0)]
-    if len(joins) == 2:
-        (j0, j1), (pop, cycles, d0, d1) = joins, columns
-        return [(s, ones + o, closed + c, j0 + a, j1 + b, 1)
-                for s, o, c, a, b in zip(sub, pop, cycles, d0, d1)]
-    return [(s, ones + o, closed + c, *[j + d for j, d in zip(joins, ds)], 1)
-            for s, o, c, *ds in zip(sub, *columns)]
+def _records(block: tuple) -> list:
+    """The records of a sweep's block, read off its columns."""
+    record, columns = block
+    return [tuple(map(add, record, (s, *values, 0))) for s, values in enumerate(zip(*columns))]
 
 
 def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
@@ -252,8 +237,8 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
     1) in ascending mask order: ones is the mask's set bits, cycles
     ``kernel.cycles(mask)``, and the mask is its own ``poly.class_sum``
     index when each element is a weight class of its own.  The records
-    are the flattening of a stream of blocks (``Sweep``), which
-    ``poly.class_sum`` reads whole.
+    are the flattening of a stream of blocks (``Sweep``), each a base
+    record and columns, which ``poly.class_sum`` reads whole.
 
     ``ends[p][j]`` is the pair of labels, any hashables, that element j
     joins in partition p when its bit is set, and the state's p-th join
@@ -385,9 +370,8 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
             seen: dict = {}
             keys.append(bytes([seen.setdefault(label[x], len(seen)) for x in flat]))
             columns.append(table.get(keys[-1]))
-        out = None
         if cycles is None or None in columns:
-            out = []
+            out: list = []
             walk(_BLOCK - 1, arc, closed, mask, ones, labels, joins, out)
             if cycles is None:
                 cycles = bytes([r[2] - closed for r in out])
@@ -396,7 +380,7 @@ def sweep(kernel: CycleKernel, ends: Sequence[Sequence[tuple]] = ()) -> Sweep:
                 if column is None:
                     columns[p] = bytes([r[3 + p] - joins[p] for r in out])
                     _store(join_columns[p], keys[p], columns[p])
-        return (mask, ones, closed, *joins, 1), (pop, cycles, *columns), out
+        return (mask, ones, closed, *joins, 1), (pop, cycles, *columns)
 
     def blocks(j, state):
         if j < _BLOCK:

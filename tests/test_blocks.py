@@ -13,17 +13,21 @@ sums, with and without ``subs=``, with the per-subset oracles across the
 walk's sizes: a whole walk's records (m <= 7), blocks longer than the low
 weight table (m = 8-11) and blocks inside it (m >= 12), under unit-coefficient
 monomial weights and under multi-term, zero, negative-coefficient,
-quarter-exponent and u^(10^12) weights.
+quarter-exponent and u^(10^12) weights.  They also pin which sums count a
+block's keys in at once: only indexed sweeps under coefficient-1 monomial
+weights.
 """
 
+from collections import Counter
 from fractions import Fraction
 from operator import add
 
-from rgpoly import util
+from rgpoly import poly, util
 from rgpoly.convert import ribbon_to_plane
 from rgpoly.planemap import (RelPlaneGraph, _relative_sum, relative_kernel,
                              relative_tutte)
-from rgpoly.poly import ONE, ZERO, monomial, var
+from rgpoly.links import JONES_SUBS
+from rgpoly.poly import ONE, ZERO, Affine, class_sum, monomial, var
 from rgpoly.ribbon import DEFAULT_EDGE_CAP, RibbonGraph, bollobas_riordan, make_edge, side_kernel, twist_links
 from rgpoly.verify import INV_SQRT_XY, SQRT_XY, SWAPPED_SQRT_XY, generate
 
@@ -154,3 +158,72 @@ def test_prefactor_is_stated_in_the_variables_of_the_result():
         for mapping in (None, SQRT_XY, SWAPPED_SQRT_XY, {"X": X + 1}, {"d": -t}):
             plain = relative_tutte(G) if mapping is None else relative_tutte(G).subs(mapping)
             _same(_relative_sum(G, DEFAULT_EDGE_CAP, mapping, factor), factor * plain, (m, mapping))
+
+
+def _bracket_like(kernel, ends, indexed):
+    """Classes, names, bound and form of a sum over a sweep's states with
+    distinct coefficient-1 weights per element, A^ones B^(m - ones)
+    d^(cycles - 1 + joins)."""
+    m, k = len(kernel.choices), len(ends)
+    classes = [(var(f"x_ix{j}"), var(f"y_ix{j}"), 1) for j in range(m)]
+    rows = ((0, 1, 0, *[0] * k), (m, -1, 0, *[0] * k), (-1, 0, 1, *[1] * k))
+    bound = kernel.closed + (2 + k) * m + 1
+    return classes, ("A", "B", "d"), bound, lambda records: Affine(records, rows, indexed)
+
+
+def test_a_sweep_summed_without_its_index_matches_its_records():
+    # with indexed false every state takes the weight of index 0, so the
+    # column blocks must not read consecutive weight rows
+    unit = {"A": monomial(1, {"t": Fraction(-1, 4)}), "B": monomial(1, {"t": Fraction(1, 4)})}
+    for m in (10, 12):
+        R = generate("ribbon", 1, m)
+        kernel = side_kernel(R, twist_links(R), range(m))
+        pairs = R.vertex_pairs()
+        for ends in ([], [pairs], [pairs, [(u % 2, v % 3) for u, v in pairs]]):
+            assert util.sweep(kernel, ends).width
+            for indexed in (False, True):
+                classes, names, bound, form = _bracket_like(kernel, ends, indexed)
+                for mapping in (None, unit, JONES_SUBS):
+                    got = class_sum(classes, names, bound, form(util.sweep(kernel, ends)), mapping)
+                    want = class_sum(classes, names, bound, form(list(util.sweep(kernel, ends))),
+                                     mapping)
+                    _same(got, want, (m, len(ends), indexed, mapping))
+
+
+def test_only_indexed_sweeps_under_plain_weights_count_their_blocks_in(monkeypatch):
+    calls = []
+
+    class Counting(Counter):
+        def update(self, iterable=None, /, **kwds):
+            if iterable is not None:        # Counter() itself calls update(None)
+                calls.append(iterable)
+            super().update(iterable, **kwds)
+
+    monkeypatch.setattr(poly, "Counter", Counting)
+
+    def updates(total):
+        calls.clear()
+        total()
+        return len(calls)
+
+    m = 12
+    R = generate("ribbon", 2, m)
+    G = RelPlaneGraph(generate("rpg", 2, m).map)
+    assert len(G.regular_indices()) == m
+    blocks = (1 << m) >> util._BLOCK
+    assert updates(lambda: bollobas_riordan(R)) == blocks
+    assert updates(lambda: relative_tutte(G)) == blocks
+    # one edge's weight multi-term, or a monomial with coefficient 2
+    for x in (1 + t, 2 * t):
+        edges = [make_edge(*e.ends, sign=e.sign, label=e.label, x=x) if i == 5 else e
+                 for i, e in enumerate(R.edges)]
+        assert updates(lambda: bollobas_riordan(RibbonGraph(R.vertices, edges))) == 0, x
+        W = RelPlaneGraph(G.map, (), {**G.weights, 5: (x, ONE)})
+        assert updates(lambda: relative_tutte(W)) == 0, x
+    kernel = side_kernel(R, twist_links(R), range(m))
+    classes, names, bound, form = _bracket_like(kernel, [], False)
+    assert updates(lambda: class_sum(classes, names, bound, form(util.sweep(kernel)))) == 0
+    # equal weights: the census's records
+    U = RelPlaneGraph(G.map, (), dict.fromkeys(G.regular_indices(), (ONE, ONE)))
+    assert util._census_pays(list(U.weights.values()))
+    assert updates(lambda: relative_tutte(U)) == 0

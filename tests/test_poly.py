@@ -586,7 +586,7 @@ def test_subs_inside_the_sums_matches_subs_after():
             ones = {f"{v}_{e.label}": 1 for e in R.edges for v in "xy"}
             tait_ones = {"x_minus": 1, "y_minus": Z}
             sums = [lambda s: bollobas_riordan(R, subs=s), lambda s: relative_tutte(G, subs=s),
-                    lambda s: _bracket_sum(L, 20, [], s)]
+                    lambda s: _bracket_sum(L, 20, s, None)]
             for total in sums:
                 for mapping in maps + [ones, tait_ones, {**ones, **swap}]:
                     assert_subs_inside_matches_after(total, mapping, (seed, m))
@@ -627,7 +627,7 @@ def test_subs_inside_the_accumulator_raises_where_subs_raises():
     empty = type(L)(L.map, {}, {}, {}, free_loops=0)
     with pytest.raises(NonMonomialNegativePower):
         kauffman_bracket(empty).subs(JONES_SUBS)
-    for run in (lambda: _bracket_sum(empty, 0, [], JONES_SUBS), lambda: jones(empty)):
+    for run in (lambda: _bracket_sum(empty, 0, JONES_SUBS, None), lambda: jones(empty)):
         with pytest.raises(NonMonomialNegativePower):
             run()
 
