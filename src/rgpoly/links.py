@@ -161,9 +161,9 @@ def kauffman_bracket(L: VirtualLinkDiagram,
 
 def _bracket_sum(L: VirtualLinkDiagram, cap: int, subs: Mapping | None,
                  factor: Polynomial | None) -> Polynomial:
-    """``kauffman_bracket(L, cap)`` after ``subs``, times ``factor``, a
-    monomial in the variables of the result, multiplied in while the
-    terms are summed."""
+    """``kauffman_bracket(L, cap)``, after ``subs`` if given, times
+    ``factor``, a monomial in the variables of the result, multiplied in
+    while the terms are summed."""
     n = len(L.classical)
     if n > cap:
         raise SizeLimit(f"{n} classical crossings exceeds the cap {cap}")

@@ -213,14 +213,16 @@ class Sweep:
         self._items = items
         self._records = None
 
-    def __iter__(self) -> "Sweep":
-        return self
-
-    def __next__(self) -> tuple:
+    def __iter__(self) -> Iterator[tuple]:
+        # the records' own iterator, so that a loop over them calls no
+        # method of the sweep per record
         if self._records is None:
             self._records = (chain.from_iterable(map(_records, self._items)) if self.width
                              else iter(self._items))
-        return next(self._records)
+        return self._records
+
+    def __next__(self) -> tuple:
+        return next(iter(self))
 
     def blocks(self) -> Iterator[tuple]:
         return iter(self._items) if self.width else zip(self._items, repeat(None))
